@@ -1,0 +1,472 @@
+"""Command-line front end.
+
+Subcommands: ``cluster`` runs one method and emits artifacts, ``validate``
+reports input validity, ``cut`` prints the partition at a resolution,
+``compare`` tabulates several methods side by side with the
+reciprocal/nonreciprocal sandwich check, and the fixture-generation
+``oracle`` command runs the brute-force reference on small inputs.
+
+Exit codes: 0 success, 1 usage or parse failure, 2 validation failure,
+3 I/O failure. Output for identical inputs is byte-identical across runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from . import exports
+from .hierarchy import (
+    InvalidUltrametricError,
+    Ultrametric,
+    cut_at_resolution,
+    to_dendrogram,
+    validate_ultrametric,
+)
+from .methods import (
+    GraftCounterexample,
+    MethodSpec,
+    MethodSpecError,
+    run_method,
+)
+from .network import (
+    NetworkFormatError,
+    format_value,
+    from_uses_table,
+    load_network,
+    load_uses_table,
+    validate_network,
+)
+from .oracle import (
+    brute_nonreciprocal,
+    brute_reciprocal,
+    brute_semi_reciprocal,
+    brute_single_linkage,
+)
+
+__all__ = ["GRAMMAR", "main", "entrypoint", "parse_method_spec"]
+
+CONVEX_DEFAULT_TOLERANCE = 1e-9
+
+GRAMMAR = """method spec grammar:
+  reciprocal | nonreciprocal | single-linkage
+  semi-reciprocal:<t>                integer t >= 2
+  intermediate:<t>,<t'>              integers t, t' >= 1
+  graft-rnr:<beta>                   beta > 0
+  graft-rrmax:<beta>                 beta > 0
+  graft-rr-invalid:<beta>            beta > 0 (counterexample demonstrator)
+  convex:<w>*<spec>+<w>*<spec>[+..]  weights in [0,1] summing to 1;
+                                     nested convex specs in parentheses"""
+
+
+class UsageError(ValueError):
+    """Bad flags or malformed command line."""
+
+
+class ValidationFailure(Exception):
+    """Input or result failed a validity check."""
+
+
+def _split_top_level(text: str, sep: str) -> list[str]:
+    parts, buf, depth = [], [], 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise MethodSpecError(f"unbalanced parentheses in {text!r}\n{GRAMMAR}")
+        if ch == sep and depth == 0:
+            parts.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+    if depth != 0:
+        raise MethodSpecError(f"unbalanced parentheses in {text!r}\n{GRAMMAR}")
+    parts.append("".join(buf))
+    return parts
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise MethodSpecError(f"{what} must be an integer, got {text.strip()!r}\n{GRAMMAR}") from None
+
+
+def _parse_float(text: str, what: str) -> float:
+    try:
+        return float(text.strip())
+    except ValueError:
+        raise MethodSpecError(f"{what} must be a number, got {text.strip()!r}\n{GRAMMAR}") from None
+
+
+def _strip_wrapping_parens(s: str) -> str:
+    while s.startswith("(") and s.endswith(")"):
+        depth = 0
+        wraps = True
+        for idx, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth < 0:
+                    raise MethodSpecError(f"unbalanced parentheses in {s!r}\n{GRAMMAR}")
+                if depth == 0 and idx != len(s) - 1:
+                    wraps = False
+                    break
+        if depth != 0:
+            raise MethodSpecError(f"unbalanced parentheses in {s!r}\n{GRAMMAR}")
+        if not wraps:
+            break
+        s = s[1:-1].strip()
+    return s
+
+
+def parse_method_spec(text: str) -> MethodSpec:
+    """Parse a method spec string; see GRAMMAR for the accepted forms."""
+    s = _strip_wrapping_parens(text.strip())
+    if s in ("reciprocal", "nonreciprocal", "single-linkage"):
+        return MethodSpec(s)
+    if s.startswith("semi-reciprocal:"):
+        return MethodSpec("semi-reciprocal", t=_parse_int(s.split(":", 1)[1], "t"))
+    if s.startswith("intermediate:"):
+        rest = s.split(":", 1)[1]
+        pieces = rest.split(",")
+        if len(pieces) != 2:
+            raise MethodSpecError(f"intermediate takes two parameters, got {rest!r}\n{GRAMMAR}")
+        return MethodSpec(
+            "intermediate",
+            t_fwd=_parse_int(pieces[0], "t"),
+            t_bwd=_parse_int(pieces[1], "t'"),
+        )
+    for kind in ("graft-rnr", "graft-rrmax", "graft-rr-invalid"):
+        if s.startswith(kind + ":"):
+            return MethodSpec(kind, beta=_parse_float(s.split(":", 1)[1], "beta"))
+    if s.startswith("convex:"):
+        body = s.split(":", 1)[1]
+        weights, constituents = [], []
+        for term in _split_top_level(body, "+"):
+            halves = _split_top_level(term, "*")
+            if len(halves) != 2:
+                raise MethodSpecError(
+                    f"convex term must look like <weight>*<spec>, got {term.strip()!r}\n{GRAMMAR}"
+                )
+            weights.append(_parse_float(halves[0], "weight"))
+            constituents.append(parse_method_spec(halves[1]))
+        return MethodSpec("convex", weights=tuple(weights), constituents=tuple(constituents))
+    raise MethodSpecError(f"unrecognized method spec {text.strip()!r}\n{GRAMMAR}")
+
+
+def _default_tolerance(spec: MethodSpec) -> float:
+    return 0.0 if spec.exact else CONVEX_DEFAULT_TOLERANCE
+
+
+def _load_input(args, strict: bool = True):
+    with open(args.input, "r", encoding="utf-8") as fh:
+        if args.format == "uses":
+            table = load_uses_table(fh)
+            return from_uses_table(table, exclude_diagonal=args.uses_exclude_diagonal)
+        return load_network(fh, fmt=args.format, strict=strict)
+
+
+def _emission_plan(args) -> list[tuple[str, str | None]]:
+    emits = args.emit or []
+    outputs = args.output or []
+    if not emits:
+        if outputs:
+            raise UsageError("--output given without --emit")
+        return []
+    if len(outputs) == len(emits):
+        return list(zip(emits, outputs))
+    if not outputs and len(emits) == 1:
+        return [(emits[0], None)]
+    raise UsageError(
+        f"{len(emits)} --emit flags need {len(emits)} --output paths (got {len(outputs)})"
+    )
+
+
+def _write_artifact(payload: str, path: str | None, stdout) -> None:
+    if path is None:
+        stdout.write(payload)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+
+
+def _merge_summary(u: Ultrametric, dendrogram, stdout) -> None:
+    stdout.write(f"method: {u.provenance.method if u.provenance else '?'}\n")
+    stdout.write(f"nodes: {u.n}\n")
+    if dendrogram.merges:
+        stdout.write("merges:\n")
+        for event in dendrogram.merges:
+            blocks = " ".join("{" + ",".join(b) + "}" for b in event.blocks)
+            stdout.write(f"  {format_value(event.resolution)} -> {blocks}\n")
+    else:
+        stdout.write("merges: (none)\n")
+
+
+def cmd_cluster(args, stdout=None, stderr=None) -> int:
+    stdout = stdout or sys.stdout
+    stderr = stderr or sys.stderr
+    net = _load_input(args)
+    spec = parse_method_spec(args.method)
+    plan = _emission_plan(args)
+    if any(fmt == "dot" for fmt, _ in plan) and args.delta is None:
+        raise UsageError("--emit dot needs --delta")
+
+    result = run_method(net, spec)
+    if isinstance(result, GraftCounterexample):
+        for line in result.report.lines():
+            stdout.write(line + "\n")
+        refused = [fmt for fmt, _ in plan if fmt in ("newick", "json")]
+        if refused:
+            raise ValidationFailure(
+                f"refusing to emit {'/'.join(refused)}: {spec.describe()} is a "
+                "counterexample demonstrator, not an admissible method"
+            )
+        for fmt, path in plan:
+            if fmt == "csv":
+                _write_artifact(exports.matrix_csv(result.labels, result.matrix), path, stdout)
+            elif fmt == "dot":
+                _write_artifact(exports.threshold_dot(net, args.delta), path, stdout)
+        return 0
+
+    tolerance = args.tolerance if args.tolerance is not None else _default_tolerance(spec)
+    report = validate_ultrametric(result.dist, tolerance, labels=result.labels)
+    if not report.is_valid:
+        for line in report.lines():
+            stderr.write(line + "\n")
+        raise ValidationFailure(f"{spec.describe()} produced an invalid ultrametric")
+    dendrogram = to_dendrogram(result)
+    _merge_summary(result, dendrogram, stdout)
+    roots = dendrogram.roots
+    if len(roots) > 1:
+        stderr.write(
+            f"warning: network is not minimax-connected; dendrogram is a forest with {len(roots)} roots\n"
+        )
+    for fmt, path in plan:
+        if fmt == "csv":
+            payload = exports.matrix_csv(result.labels, result.dist)
+        elif fmt == "json":
+            payload = exports.dendrogram_json(result, dendrogram)
+        elif fmt == "newick":
+            payload = exports.newick(dendrogram)
+        else:
+            payload = exports.threshold_dot(net, args.delta)
+        _write_artifact(payload, path, stdout)
+    return 0
+
+
+def cmd_validate(args, stdout=None, stderr=None) -> int:
+    stdout = stdout or sys.stdout
+    net = _load_input(args, strict=False)
+    net_report = validate_network(net)
+    for line in net_report.lines():
+        stdout.write(line + "\n")
+    failed = not net_report.is_valid
+    if args.ultrametric:
+        tolerance = args.tolerance if args.tolerance is not None else 0.0
+        u_report = validate_ultrametric(net.dissim, tolerance, labels=net.labels)
+        for line in u_report.lines():
+            stdout.write(line + "\n")
+        failed = failed or not u_report.is_valid
+    if failed:
+        raise ValidationFailure("input failed validation")
+    return 0
+
+
+def cmd_cut(args, stdout=None, stderr=None) -> int:
+    stdout = stdout or sys.stdout
+    net = _load_input(args)
+    spec = parse_method_spec(args.method)
+    result = run_method(net, spec)
+    if isinstance(result, GraftCounterexample):
+        raise ValidationFailure(
+            f"{spec.describe()} is a counterexample demonstrator; it has no partitions"
+        )
+    partition = cut_at_resolution(result, args.delta)
+    payload = (
+        exports.partition_json(partition)
+        if args.emit == "json"
+        else exports.partition_text(partition)
+    )
+    _write_artifact(payload, args.output, stdout)
+    return 0
+
+
+def cmd_compare(args, stdout=None, stderr=None) -> int:
+    stdout = stdout or sys.stdout
+    stderr = stderr or sys.stderr
+    net = _load_input(args)
+    specs = [parse_method_spec(m) for m in args.method]
+    for spec in specs:
+        if spec.kind == "graft-rr-invalid":
+            raise ValidationFailure("graft-rr-invalid is not admissible; compare refuses it")
+    results = [run_method(net, spec) for spec in specs]
+    lower = run_method(net, MethodSpec("nonreciprocal")).dist
+    upper = run_method(net, MethodSpec("reciprocal")).dist
+
+    names = [spec.describe() for spec in specs]
+    header = ["pair"] + names + ["sandwich"]
+    rows = []
+    violations = 0
+    for i in range(net.n):
+        for j in range(i + 1, net.n):
+            cells = [f"{net.labels[i]},{net.labels[j]}"]
+            bad = []
+            for spec, res in zip(specs, results):
+                v = float(res.dist[i, j])
+                cells.append(format_value(v))
+                tol = args.tolerance if args.tolerance is not None else _default_tolerance(spec)
+                if v < lower[i, j] - tol or v > upper[i, j] + tol:
+                    bad.append(spec.describe())
+            cells.append("ok" if not bad else "VIOLATION:" + ";".join(bad))
+            violations += len(bad)
+            rows.append(cells)
+    widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
+    for r in [header] + rows:
+        stdout.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+    if violations:
+        stderr.write(f"error: {violations} sandwich violations\n")
+        raise ValidationFailure("sandwich bounds violated")
+    return 0
+
+
+def cmd_oracle(args, stdout=None, stderr=None) -> int:
+    stdout = stdout or sys.stdout
+    net = _load_input(args)
+    spec = parse_method_spec(args.method)
+    if spec.kind == "reciprocal":
+        result = brute_reciprocal(net)
+    elif spec.kind == "nonreciprocal":
+        result = brute_nonreciprocal(net)
+    elif spec.kind == "semi-reciprocal":
+        result = brute_semi_reciprocal(net, spec.t)
+    elif spec.kind == "single-linkage":
+        result = brute_single_linkage(net)
+    else:
+        raise UsageError(f"oracle supports reciprocal/nonreciprocal/semi-reciprocal/single-linkage, not {spec.kind}")
+    _write_artifact(exports.matrix_csv(result.labels, result.dist), args.output, stdout)
+    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _add_common(sub) -> None:
+    sub.add_argument("--input", required=True, help="input file path")
+    sub.add_argument(
+        "--format",
+        choices=("dense-csv", "edge-list", "uses"),
+        default="dense-csv",
+        help="input format (default dense-csv)",
+    )
+    sub.add_argument(
+        "--uses-exclude-diagonal",
+        action="store_true",
+        help="leave self-flows out of the uses-table column totals",
+    )
+    sub.add_argument(
+        "--tolerance",
+        type=float,
+        default=None,
+        help="validation tolerance override (default 0, or 1e-9 for convex methods)",
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="dioidclust",
+        description="Hierarchical clustering of asymmetric dissimilarity networks",
+        epilog=GRAMMAR,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    commands = parser.add_subparsers(
+        dest="command", metavar="{cluster,validate,cut,compare}", required=True
+    )
+
+    cluster = commands.add_parser(
+        "cluster",
+        help="run a clustering method and emit the results",
+        epilog=GRAMMAR,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    _add_common(cluster)
+    cluster.add_argument("--method", required=True, help="method spec (see grammar)")
+    cluster.add_argument(
+        "--emit",
+        action="append",
+        choices=("csv", "json", "newick", "dot"),
+        help="artifact format; repeatable with matching --output paths",
+    )
+    cluster.add_argument("--output", action="append", help="artifact path (stdout if omitted)")
+    cluster.add_argument("--delta", type=float, default=None, help="resolution for dot emission")
+    cluster.set_defaults(func=cmd_cluster)
+
+    validate = commands.add_parser("validate", help="report input validity")
+    _add_common(validate)
+    validate.add_argument(
+        "--ultrametric",
+        action="store_true",
+        help="additionally validate the matrix as an ultrametric",
+    )
+    validate.set_defaults(func=cmd_validate)
+
+    cut = commands.add_parser("cut", help="print the partition at a resolution")
+    _add_common(cut)
+    cut.add_argument("--method", required=True, help="method spec (see grammar)")
+    cut.add_argument("--delta", type=float, required=True, help="resolution of the cut")
+    cut.add_argument("--emit", choices=("text", "json"), default="text")
+    cut.add_argument("--output", default=None, help="output path (stdout if omitted)")
+    cut.set_defaults(func=cmd_cut)
+
+    compare = commands.add_parser(
+        "compare",
+        help="tabulate several methods and check the sandwich bounds",
+        epilog=GRAMMAR,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    _add_common(compare)
+    compare.add_argument(
+        "--method", action="append", required=True, help="method spec; repeatable"
+    )
+    compare.set_defaults(func=cmd_compare)
+
+    oracle = commands.add_parser("oracle")  # fixture generation; hidden from the overview
+    _add_common(oracle)
+    oracle.add_argument("--method", required=True)
+    oracle.add_argument("--output", default=None)
+    oracle.set_defaults(func=cmd_oracle)
+
+    return parser
+
+
+def main(argv=None, stdout=None, stderr=None) -> int:
+    stdout = stdout or sys.stdout
+    stderr = stderr or sys.stderr
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        stderr.write(f"error: {exc}\n")
+        return 1
+    except SystemExit as exc:  # --help
+        return 0 if not exc.code else 1
+    try:
+        return args.func(args, stdout=stdout, stderr=stderr)
+    except (MethodSpecError, NetworkFormatError, UsageError) as exc:
+        stderr.write(f"error: {exc}\n")
+        return 1
+    except (InvalidUltrametricError, ValidationFailure, ValueError) as exc:
+        stderr.write(f"error: {exc}\n")
+        return 2
+    except OSError as exc:
+        stderr.write(f"error: {exc}\n")
+        return 3
+
+
+def entrypoint() -> None:
+    sys.exit(main())

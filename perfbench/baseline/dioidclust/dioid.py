@@ -1,0 +1,160 @@
+"""Matrix operations in the (min, max) dioid algebra.
+
+The algebra works on the nonnegative reals extended with +inf. "Addition"
+is the minimum, with +inf as its neutral element, and "multiplication" is
+the maximum, with 0 as its neutral element. The matrix product is
+
+    (A (x) B)[i, j] = min_k max(A[i, k], B[k, j])
+
+so the k-th power of a zero-diagonal dissimilarity matrix holds, at entry
+(i, j), the minimax (bottleneck) cost over directed chains from i to j
+using at most k hops. Powers of such a matrix are entrywise nonincreasing
+and stabilize at the (n-1)-th power, which carries the minimax chain cost
+over chains of unrestricted length.
+
+All entries are ordinary float64 values; +inf is represented by the IEEE
+infinity, never by a large sentinel. min/max never create new values, so
+equality comparisons between dioid matrices are exact. Every function here
+is pure; matrices are safe to share across threads.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = [
+    "DioidStabilizationError",
+    "dioid_identity",
+    "dioid_product",
+    "dioid_power",
+    "quasi_inverse",
+    "symmetrize_max",
+    "elementwise_max",
+]
+
+# Cap on the (rows x n x n) broadcast buffer used per product block, ~32 MB.
+_BLOCK_ELEMENTS = 1 << 22
+
+
+class DioidStabilizationError(RuntimeError):
+    """Power sequence failed to stabilize where it provably must.
+
+    Signals an internal bug or an input that escaped validation (e.g.
+    negative entries), since zero-diagonal nonnegative matrices always
+    satisfy A^(n-1) == A^n.
+    """
+
+
+def _as_dioid_matrix(entries, name: str = "matrix") -> np.ndarray:
+    """Validate a square matrix over the nonnegative reals with +inf."""
+    arr = np.asarray(entries, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if np.isnan(arr).any():
+        i, j = np.argwhere(np.isnan(arr))[0]
+        raise ValueError(f"{name} has NaN at ({i}, {j})")
+    if (arr < 0).any():
+        i, j = np.argwhere(arr < 0)[0]
+        raise ValueError(f"{name} has negative entry {arr[i, j]} at ({i}, {j})")
+    return arr
+
+
+def dioid_identity(n: int) -> np.ndarray:
+    """Two-sided identity of the dioid product: zero diagonal, +inf elsewhere."""
+    if n < 1:
+        raise ValueError(f"identity needs n >= 1, got {n}")
+    ident = np.full((n, n), np.inf)
+    np.fill_diagonal(ident, 0.0)
+    return ident
+
+
+def dioid_product(a, b) -> np.ndarray:
+    """Dioid matrix product: out[i, j] = min_k max(a[i, k], b[k, j]).
+
+    Blocked over output rows to bound the broadcast buffer; the result is
+    deterministic regardless of blocking.
+    """
+    a = _as_dioid_matrix(a, "left operand")
+    b = _as_dioid_matrix(b, "right operand")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    n = a.shape[0]
+    out = np.empty((n, n))
+    rows = max(1, _BLOCK_ELEMENTS // max(n * n, 1))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        out[lo:hi] = np.minimum.reduce(
+            np.maximum(a[lo:hi, :, None], b[None, :, :]), axis=1
+        )
+    return out
+
+
+def dioid_power(a, k: int) -> np.ndarray:
+    """k-th dioid power of a square matrix, k >= 1.
+
+    Binary exponentiation over the squaring sequence A, A^2, A^4, ... with
+    an early exit once the current square repeats (an idempotent base
+    absorbs every remaining factor), so the cost is O(n^3 log k) worst
+    case and usually far less on matrices that stabilize early.
+    """
+    a = _as_dioid_matrix(a)
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise ValueError(f"power must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"power must be >= 1, got {k}")
+    result: np.ndarray | None = None
+    base = a
+    remaining = int(k)
+    while True:
+        if remaining & 1:
+            result = base.copy() if result is None else dioid_product(result, base)
+        remaining >>= 1
+        if not remaining:
+            break
+        squared = dioid_product(base, base)
+        if np.array_equal(squared, base):
+            # base is idempotent: base^j == base for every j >= 1, so the
+            # rest of the factorization collapses into one extra product.
+            result = base.copy() if result is None else dioid_product(result, base)
+            break
+        base = squared
+    assert result is not None
+    return result
+
+
+def quasi_inverse(a) -> np.ndarray:
+    """Minimax chain-cost closure of a zero-diagonal matrix: A^(n-1).
+
+    Entry (i, j) is the least possible bottleneck (maximum link value)
+    over directed chains from i to j of any length. The stabilization
+    property A^(n-1) == A^n is asserted and a failure raises
+    DioidStabilizationError.
+    """
+    a = _as_dioid_matrix(a)
+    if np.diagonal(a).any():
+        i = int(np.nonzero(np.diagonal(a))[0][0])
+        raise ValueError(f"quasi-inverse needs a zero diagonal, got {a[i, i]} at ({i}, {i})")
+    n = a.shape[0]
+    if n == 1:
+        return a.copy()
+    closure = dioid_power(a, n - 1)
+    if not np.array_equal(dioid_product(closure, a), closure):
+        raise DioidStabilizationError(
+            f"power sequence of a {n}x{n} matrix did not stabilize at {n - 1}"
+        )
+    return closure
+
+
+def symmetrize_max(a) -> np.ndarray:
+    """Entrywise maximum of a matrix and its transpose."""
+    a = _as_dioid_matrix(a)
+    return np.maximum(a, a.T)
+
+
+def elementwise_max(a, b) -> np.ndarray:
+    """Entrywise maximum of two equal-shaped matrices."""
+    a = _as_dioid_matrix(a, "left operand")
+    b = _as_dioid_matrix(b, "right operand")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return np.maximum(a, b)
