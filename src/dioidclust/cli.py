@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or parse failure, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import exports
@@ -351,6 +352,17 @@ def cmd_oracle(args, stdout=None, stderr=None) -> int:
     return 0
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type for resolutions and tolerances: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -371,7 +383,7 @@ def _add_common(sub) -> None:
     )
     sub.add_argument(
         "--tolerance",
-        type=float,
+        type=_nonnegative_float,
         default=None,
         help="validation tolerance override (default 0, or 1e-9 for convex methods)",
     )
@@ -403,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact format; repeatable with matching --output paths",
     )
     cluster.add_argument("--output", action="append", help="artifact path (stdout if omitted)")
-    cluster.add_argument("--delta", type=float, default=None, help="resolution for dot emission")
+    cluster.add_argument("--delta", type=_nonnegative_float, default=None, help="resolution for dot emission")
     cluster.set_defaults(func=cmd_cluster)
 
     validate = commands.add_parser("validate", help="report input validity")
@@ -418,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     cut = commands.add_parser("cut", help="print the partition at a resolution")
     _add_common(cut)
     cut.add_argument("--method", required=True, help="method spec (see grammar)")
-    cut.add_argument("--delta", type=float, required=True, help="resolution of the cut")
+    cut.add_argument("--delta", type=_nonnegative_float, required=True, help="resolution of the cut")
     cut.add_argument("--emit", choices=("text", "json"), default="text")
     cut.add_argument("--output", default=None, help="output path (stdout if omitted)")
     cut.set_defaults(func=cmd_cut)

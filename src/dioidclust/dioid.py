@@ -37,11 +37,11 @@ _BLOCK_ELEMENTS = 1 << 22
 
 
 class DioidStabilizationError(RuntimeError):
-    """Power sequence failed to stabilize where it provably must.
+    """A computed closure is not a fixpoint of the product with its input.
 
     Signals an internal bug or an input that escaped validation (e.g.
-    negative entries), since zero-diagonal nonnegative matrices always
-    satisfy A^(n-1) == A^n.
+    negative entries), since the closure C of a zero-diagonal nonnegative
+    matrix A always satisfies C (x) A == C.
     """
 
 
@@ -57,6 +57,11 @@ def _as_dioid_matrix(entries, name: str = "matrix") -> np.ndarray:
         i, j = np.argwhere(arr < 0)[0]
         raise ValueError(f"{name} has negative entry {arr[i, j]} at ({i}, {j})")
     return arr
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools, which are ints in Python."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def dioid_identity(n: int) -> np.ndarray:
@@ -98,7 +103,7 @@ def dioid_power(a, k: int) -> np.ndarray:
     case and usually far less on matrices that stabilize early.
     """
     a = _as_dioid_matrix(a)
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+    if not is_integer(k):
         raise ValueError(f"power must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
@@ -126,9 +131,14 @@ def quasi_inverse(a) -> np.ndarray:
     """Minimax chain-cost closure of a zero-diagonal matrix: A^(n-1).
 
     Entry (i, j) is the least possible bottleneck (maximum link value)
-    over directed chains from i to j of any length. The stabilization
-    property A^(n-1) == A^n is asserted and a failure raises
-    DioidStabilizationError.
+    over directed chains from i to j of any length. It is computed by the
+    (min, max) Floyd-Warshall recurrence, the minimax form of Hu's maximum
+    capacity route recurrence: after step k, C[i, j] is the best
+    bottleneck over chains whose intermediate nodes lie in {0, ..., k}.
+    That is O(n^3) work in one n x n scratch buffer, and equal to the
+    dioid power bit for bit, since min and max only ever select entries
+    of A. The fixpoint property C (x) A == C is asserted and a failure
+    raises DioidStabilizationError.
     """
     a = _as_dioid_matrix(a)
     if np.diagonal(a).any():
@@ -137,10 +147,14 @@ def quasi_inverse(a) -> np.ndarray:
     n = a.shape[0]
     if n == 1:
         return a.copy()
-    closure = dioid_power(a, n - 1)
+    closure = a.copy()
+    step = np.empty_like(closure)
+    for k in range(n):
+        np.maximum(closure[:, k, None], closure[None, k, :], out=step)
+        np.minimum(closure, step, out=closure)
     if not np.array_equal(dioid_product(closure, a), closure):
         raise DioidStabilizationError(
-            f"power sequence of a {n}x{n} matrix did not stabilize at {n - 1}"
+            f"closure of a {n}x{n} matrix is not a fixpoint of (x) A"
         )
     return closure
 

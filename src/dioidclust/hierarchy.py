@@ -10,6 +10,7 @@ entries are first-class and yield forests (several roots).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,8 +180,8 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     min/max operations; methods that mix in ordinary arithmetic warrant a
     small positive tolerance.
     """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -362,8 +363,8 @@ def cut_at_resolution(u: Ultrametric, delta: float) -> Partition:
     Transitivity of the relation u(x,y) <= delta is guaranteed by the
     strong triangle inequality.
     """
-    if delta < 0:
-        raise ValueError(f"resolution must be >= 0, got {delta}")
+    if not math.isfinite(delta) or delta < 0:
+        raise ValueError(f"resolution must be finite and >= 0, got {delta}")
     uf = _UnionFind(u.labels)
     for i, j in np.argwhere(u.dist <= delta):
         if i < j:

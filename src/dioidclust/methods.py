@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dioid import dioid_power, elementwise_max, quasi_inverse, symmetrize_max
+from .dioid import dioid_power, elementwise_max, is_integer, quasi_inverse, symmetrize_max
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
 from .network import Network, format_value
 
@@ -108,11 +108,11 @@ class MethodSpec:
                 f"weights/constituents are {'required' if wants_convex else 'not accepted'} by {self.kind}"
             )
         if wants_t:
-            if not isinstance(self.t, int) or self.t < 2:
+            if not is_integer(self.t) or self.t < 2:
                 raise MethodSpecError(f"semi-reciprocal needs integer t >= 2, got {self.t!r}")
         if wants_tt:
             for name, val in (("t_fwd", self.t_fwd), ("t_bwd", self.t_bwd)):
-                if not isinstance(val, int) or val < 1:
+                if not is_integer(val) or val < 1:
                     raise MethodSpecError(f"intermediate needs integer {name} >= 1, got {val!r}")
         if wants_beta:
             if not isinstance(self.beta, (int, float)) or not math.isfinite(self.beta) or self.beta <= 0:

@@ -201,10 +201,11 @@ def _read_text(source) -> str:
         return data.decode("utf-8") if isinstance(data, bytes) else data
     if isinstance(source, bytes):
         return source.decode("utf-8")
-    text = str(source)
-    if "\n" in text or "," in text or "\t" in text:
-        return text
-    with open(text, "r", encoding="utf-8") as fh:
+    # A path may contain commas or tabs, so only a newline marks inline
+    # text; one-line text without a newline must come as bytes or a stream.
+    if isinstance(source, str) and "\n" in source:
+        return source
+    with open(source, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -295,6 +296,9 @@ def _enforce_values(labels, matrix) -> None:
 
 def load_network(source, fmt: str = "dense-csv", strict: bool = True) -> Network:
     """Parse a Network from a path, text, bytes, or open stream.
+
+    A ``str`` is inline text when it contains a newline and a path
+    otherwise; an ``os.PathLike`` is always a path.
 
     ``fmt`` is "dense-csv" or "edge-list". Strict mode (the default)
     rejects negative entries and nonzero diagonals with a diagnostic

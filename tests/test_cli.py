@@ -258,6 +258,20 @@ def test_exit_codes():
     assert code == 1
 
 
+def test_non_finite_or_negative_flags_are_usage_errors():
+    for value in ("nan", "inf", "-1"):
+        for argv in (
+            ("cut", "--input", CYCLE4, "--method", "reciprocal", "--delta", value),
+            ("cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "dot", "--delta", value),
+            ("validate", "--input", CYCLE4, "--ultrametric", "--tolerance", value),
+            ("cluster", "--input", CYCLE4, "--method", "reciprocal", "--tolerance", value),
+        ):
+            code, out, err = run_cli(*argv)
+            assert code == 1, argv
+            assert f"argument {argv[-2]}: must be a finite number >= 0" in err, argv
+            assert out == ""
+
+
 def test_malformed_csv_is_a_parse_error(tmp_path):
     src = tmp_path / "broken.csv"
     src.write_text(",p,q\np,0,1\n")

@@ -171,13 +171,45 @@ def test_quasi_inverse_is_idempotent(rng):
         assert np.array_equal(dioid_product(closure, closure), closure)
 
 
-def test_quasi_inverse_stabilizes_at_n_minus_one(rng):
+def closure_inputs(rng):
+    """Zero-diagonal matrices on which the closure must equal A^(n-1).
+
+    Uniform reals; small integer weights, so many entries tie; and
+    integer weights with +inf between three fixed groups of nodes and at
+    random inside them, so closures keep +inf entries (forests). Each
+    kind comes asymmetric and symmetrized, for n up to 40.
+    """
     for _ in range(20):
-        net = random_network(rng, n_range=(2, 9))
-        n = net.n
-        p = dioid_power(net.dissim, n - 1)
-        assert np.array_equal(p, dioid_power(net.dissim, n))
-        assert np.array_equal(quasi_inverse(net.dissim), p)
+        yield random_network(rng, n_range=(2, 9)).dissim
+    for n in (2, 3, 4, 7, 12, 20, 40):
+        for symmetric in (False, True):
+            ties = rng.integers(1, 4, (n, n)).astype(float)
+            forest = rng.integers(1, 6, (n, n)).astype(float)
+            group = np.arange(n) % 3
+            forest[group[:, None] != group[None, :]] = np.inf
+            forest[rng.random((n, n)) < 0.5] = np.inf
+            for a in (ties, forest):
+                if symmetric:
+                    a = np.maximum(a, a.T)
+                np.fill_diagonal(a, 0.0)
+                yield a
+
+
+def test_quasi_inverse_stabilizes_at_n_minus_one(rng):
+    forests = 0
+    for a in closure_inputs(rng):
+        n = a.shape[0]
+        p = dioid_power(a, n - 1)
+        assert np.array_equal(p, dioid_power(a, n))
+        assert np.array_equal(quasi_inverse(a), p)
+        forests += bool(np.isinf(p).any())
+    assert forests >= 10
+
+
+def test_quasi_inverse_raises_when_closure_is_no_fixpoint(monkeypatch):
+    monkeypatch.setattr("dioidclust.dioid.dioid_product", lambda a, b: np.zeros_like(a))
+    with pytest.raises(DioidStabilizationError, match="not a fixpoint"):
+        quasi_inverse(cycle4_network().dissim)
 
 
 def test_symmetrize_max():

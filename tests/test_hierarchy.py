@@ -161,8 +161,9 @@ def test_cut_cycle4_reciprocal(cycle4):
     assert cut_at_resolution(u, 2.5).blocks == (("a",), ("b",), ("c", "d"))
     assert cut_at_resolution(u, 0.0).blocks == (("a",), ("b",), ("c",), ("d",))
     assert cut_at_resolution(u, 5.0).blocks == (("a", "b", "c", "d"),)
-    with pytest.raises(ValueError):
-        cut_at_resolution(u, -1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="resolution"):
+            cut_at_resolution(u, bad)
 
 
 def test_cut_of_forest_keeps_components_apart():
@@ -200,5 +201,6 @@ def test_merge_resolutions_are_partition_changing_values(rng):
 
 
 def test_negative_tolerance_rejected():
-    with pytest.raises(ValueError):
-        validate_ultrametric(np.zeros((2, 2)), -1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            validate_ultrametric(np.zeros((2, 2)), bad)

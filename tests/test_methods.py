@@ -297,6 +297,21 @@ def test_intermediate_swaps_with_transposition(rng):
         )
 
 
+def test_intermediate_output_is_exactly_symmetric(rng):
+    for k in range(60):
+        net = random_network(rng, n_range=(2, 9))
+        if k % 2:
+            # integer weights (ties) with absent edges (+inf, forests)
+            a = rng.integers(1, 4, (net.n, net.n)).astype(float)
+            a[rng.random(a.shape) < 0.4] = np.inf
+            np.fill_diagonal(a, 0.0)
+            net = Network(net.labels, a)
+        for t_fwd in range(1, net.n + 1):
+            for t_bwd in range(1, net.n + 1):
+                u = intermediate(net, t_fwd, t_bwd).dist
+                assert np.array_equal(u, u.T), (t_fwd, t_bwd)
+
+
 def test_semi_reciprocal_monotone_in_t(rng):
     for _ in range(10):
         net = random_network(rng, n_range=(3, 9))
@@ -312,6 +327,10 @@ def test_parameter_validation():
         MethodSpec("semi-reciprocal", t=1)
     with pytest.raises(MethodSpecError, match="t_fwd >= 1"):
         MethodSpec("intermediate", t_fwd=0, t_bwd=2)
+    with pytest.raises(MethodSpecError, match="t_fwd >= 1"):
+        MethodSpec("intermediate", t_fwd=True, t_bwd=2)
+    with pytest.raises(MethodSpecError, match="t_bwd >= 1"):
+        MethodSpec("intermediate", t_fwd=2, t_bwd=True)
     with pytest.raises(MethodSpecError, match="beta > 0"):
         MethodSpec("graft-rnr", beta=0.0)
     with pytest.raises(MethodSpecError, match="not accepted"):

@@ -1,5 +1,6 @@
 import io
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ def test_load_cycle4_dense_csv(cycle4):
     assert loaded.dissim[0, 1] == 1.0
     assert loaded.dissim[1, 0] == 3.0
     assert np.array_equal(loaded.dissim, cycle4.dissim)
+
+
+def test_load_path_with_comma_in_directory(tmp_path, cycle4):
+    folder = tmp_path / "d,x"
+    folder.mkdir()
+    shutil.copy(DATA / "cycle4.csv", folder / "net.csv")
+    for source in (folder / "net.csv", str(folder / "net.csv")):
+        assert np.array_equal(load_network(source).dissim, cycle4.dissim)
 
 
 def test_load_edge_list_missing_edges_are_infinite():
