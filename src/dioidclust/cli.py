@@ -233,12 +233,6 @@ def cmd_cluster(args, stdout=None, stderr=None) -> int:
                 _write_artifact(exports.threshold_dot(net, args.delta), path, stdout)
         return 0
 
-    tolerance = args.tolerance if args.tolerance is not None else _default_tolerance(spec)
-    report = validate_ultrametric(result.dist, tolerance, labels=result.labels)
-    if not report.is_valid:
-        for line in report.lines():
-            stderr.write(line + "\n")
-        raise ValidationFailure(f"{spec.describe()} produced an invalid ultrametric")
     dendrogram = to_dendrogram(result)
     _merge_summary(result, dendrogram, stdout)
     roots = dendrogram.roots
@@ -267,8 +261,7 @@ def cmd_validate(args, stdout=None, stderr=None) -> int:
         stdout.write(line + "\n")
     failed = not net_report.is_valid
     if args.ultrametric:
-        tolerance = args.tolerance if args.tolerance is not None else 0.0
-        u_report = validate_ultrametric(net.dissim, tolerance, labels=net.labels)
+        u_report = validate_ultrametric(net.dissim, args.tolerance, labels=net.labels)
         for line in u_report.lines():
             stdout.write(line + "\n")
         failed = failed or not u_report.is_valid
@@ -381,12 +374,6 @@ def _add_common(sub) -> None:
         action="store_true",
         help="leave self-flows out of the uses-table column totals",
     )
-    sub.add_argument(
-        "--tolerance",
-        type=_nonnegative_float,
-        default=None,
-        help="validation tolerance override (default 0, or 1e-9 for convex methods)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,6 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="additionally validate the matrix as an ultrametric",
     )
+    validate.add_argument(
+        "--tolerance",
+        type=_nonnegative_float,
+        default=0.0,
+        help="tolerance of the --ultrametric check (default 0, exact)",
+    )
     validate.set_defaults(func=cmd_validate)
 
     cut = commands.add_parser("cut", help="print the partition at a resolution")
@@ -444,6 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(compare)
     compare.add_argument(
         "--method", action="append", required=True, help="method spec; repeatable"
+    )
+    compare.add_argument(
+        "--tolerance",
+        type=_nonnegative_float,
+        default=None,
+        help="tolerance of the sandwich check (default 0, or 1e-9 for convex methods)",
     )
     compare.set_defaults(func=cmd_compare)
 

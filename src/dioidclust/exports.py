@@ -4,7 +4,9 @@ Newick trees place every leaf at height 0 and each internal node at its
 merge resolution; a branch length is the parent height minus the child
 height, so the cumulative path length from any leaf to the root equals the
 root's resolution. Children are ordered by their lexicographically
-smallest leaf so output is stable. Forests emit one tree per line.
+smallest leaf so output is stable. Forests emit one tree per line. Labels
+holding a format's metacharacters are quoted: single quotes in Newick,
+standard CSV quoting, and escaped quotes and backslashes in DOT.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .hierarchy import Dendrogram, Partition, Ultrametric
+from .hierarchy import Dendrogram, Partition, Ultrametric, _forest
 from .network import Network, format_value, _matrix_csv
 
 __all__ = [
@@ -27,45 +29,30 @@ __all__ = [
 ]
 
 
-class _Node:
-    __slots__ = ("height", "children", "leaf", "min_leaf")
-
-    def __init__(self, height, children, leaf=None):
-        self.height = height
-        self.children = children
-        self.leaf = leaf
-        self.min_leaf = leaf if leaf is not None else min(c.min_leaf for c in children)
+def _newick_label(label: str) -> str:
+    """Single-quote a label holding whitespace or ()[]':;, doubling its quotes."""
+    if any(ch.isspace() or ch in "()[]':;," for ch in label):
+        return "'" + label.replace("'", "''") + "'"
+    return label
 
 
-def _build_forest(d: Dendrogram) -> list[_Node]:
-    nodes: dict[str, _Node] = {lab: _Node(0.0, (), leaf=lab) for lab in d.leaves}
-    for event in d.merges:
-        for block in event.blocks:
-            children = sorted(
-                {id(nodes[m]): nodes[m] for m in block}.values(),
-                key=lambda c: c.min_leaf,
-            )
-            joined = _Node(event.resolution, tuple(children))
-            for m in block:
-                nodes[m] = joined
-    roots = {id(n): n for n in nodes.values()}
-    return sorted(roots.values(), key=lambda c: c.min_leaf)
-
-
-def _newick_node(node: _Node, parent_height: float) -> str:
+def _newick_node(node, parent_height: float) -> str:
     length = format_value(parent_height - node.height)
-    if node.leaf is not None:
-        return f"{node.leaf}:{length}"
+    if not node.children:
+        return f"{_newick_label(node.min_leaf)}:{length}"
     inner = ",".join(_newick_node(c, node.height) for c in node.children)
     return f"({inner}):{length}"
 
 
 def newick(d: Dendrogram) -> str:
-    """Newick text of a dendrogram, one tree per root, trailing newline."""
+    """Newick text of a dendrogram, one tree per root, trailing newline.
+
+    Malformed merges raise DendrogramStructureError.
+    """
     lines = []
-    for root in _build_forest(d):
-        if root.leaf is not None:
-            lines.append(f"{root.leaf};")
+    for root in _forest(d):
+        if not root.children:
+            lines.append(f"{_newick_label(root.min_leaf)};")
         else:
             lines.append(_newick_node(root, root.height) + ";")
     return "\n".join(lines) + "\n"
@@ -104,11 +91,12 @@ def partition_text(p: Partition) -> str:
 def threshold_dot(net: Network, delta: float) -> str:
     """DOT digraph with an edge i -> j wherever the dissimilarity is <= delta."""
     lines = [f'digraph threshold {{', f'  // dissimilarity threshold {format_value(delta)}']
-    for lab in net.labels:
-        lines.append(f'  "{lab}";')
+    names = [lab.replace("\\", "\\\\").replace('"', '\\"') for lab in net.labels]
+    for name in names:
+        lines.append(f'  "{name}";')
     a = net.dissim
-    for i, src in enumerate(net.labels):
-        for j, dst in enumerate(net.labels):
+    for i, src in enumerate(names):
+        for j, dst in enumerate(names):
             if i != j and a[i, j] <= delta:
                 lines.append(f'  "{src}" -> "{dst}" [label="{format_value(a[i, j])}"];')
     lines.append("}")

@@ -6,12 +6,17 @@ equivalently it is idempotent under the dioid matrix product. A dendrogram
 is the same information as a merge tree: one event per distinct finite
 resolution, listing the blocks newly formed at that resolution. +inf
 entries are first-class and yield forests (several roots).
+
+``to_dendrogram`` validates each result exactly, once. One private replay
+of the merge events into trees rejects malformed merges; roots, the
+inverse map, cuts and the Newick exporter are all derived from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +105,7 @@ class Dendrogram:
     @property
     def roots(self) -> tuple[tuple[str, ...], ...]:
         """Blocks of the coarsest partition; more than one means a forest."""
-        final = _replay(self.leaves, self.merges)
-        return _sorted_blocks(final.values())
+        return _sorted_blocks(root.leaves for root in _forest(self))
 
 
 @dataclass(frozen=True)
@@ -234,74 +238,97 @@ def _sorted_blocks(groups) -> tuple[tuple[str, ...], ...]:
     return tuple(blocks)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+class _Node(NamedTuple):
+    """A dendrogram subtree: a leaf at height 0 or a merge at its resolution."""
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def groups(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+    height: float
+    children: tuple
+    leaves: frozenset
+    min_leaf: str
 
 
-def _replay(leaves, merges) -> dict:
-    uf = _UnionFind(leaves)
-    for event in merges:
+def _forest(d: Dendrogram) -> list[_Node]:
+    """Replay the merge events into trees; roots and children ordered by smallest leaf.
+
+    Raises DendrogramStructureError for non-nested or ill-formed merges.
+    """
+    if len(set(d.leaves)) != len(d.leaves):
+        raise DendrogramStructureError("duplicate leaf labels")
+    current = {lab: _Node(0.0, (), frozenset([lab]), lab) for lab in d.leaves}
+    last = -math.inf
+    for event in d.merges:
+        if event.resolution < last:
+            raise DendrogramStructureError(
+                f"merge resolutions decrease at {format_value(event.resolution)}"
+            )
+        if not event.resolution > 0:
+            raise DendrogramStructureError("merge resolutions must be positive")
+        last = event.resolution
         for block in event.blocks:
-            first = block[0]
-            for other in block[1:]:
-                uf.union(first, other)
-    return uf.groups()
+            members = frozenset(block)
+            unknown = members - current.keys()
+            if unknown:
+                raise DendrogramStructureError(f"merge references unknown leaves {sorted(unknown)}")
+            parts = {id(current[m]): current[m] for m in members}.values()
+            if len(parts) < 2:
+                raise DendrogramStructureError(
+                    f"block {sorted(members)} at {format_value(event.resolution)} merges nothing new"
+                )
+            if sum(len(part.leaves) for part in parts) != len(members):
+                raise DendrogramStructureError(
+                    f"block {sorted(members)} at {format_value(event.resolution)} "
+                    "is not a union of existing blocks"
+                )
+            children = tuple(sorted(parts, key=lambda c: c.min_leaf))
+            joined = _Node(event.resolution, children, members, children[0].min_leaf)
+            for m in members:
+                current[m] = joined
+    roots = {id(node): node for node in current.values()}.values()
+    return sorted(roots, key=lambda c: c.min_leaf)
 
 
 def to_dendrogram(u: Ultrametric) -> Dendrogram:
     """Merge tree of an ultrametric: one event per partition-changing resolution.
 
-    Components of the threshold graph at each distinct finite value are
-    merged simultaneously; +inf entries leave several roots. Invalid input
-    raises InvalidUltrametricError carrying the full report.
+    This is the validation point for every result turned into a dendrogram:
+    ``u`` is checked exactly (tolerance 0) first, and invalid input raises
+    InvalidUltrametricError carrying the full report. Components of the
+    threshold graph at each distinct finite value are then merged
+    simultaneously; +inf entries leave several roots.
     """
     report = validate_ultrametric(u.dist, 0.0, labels=u.labels)
     if not report.is_valid:
         raise InvalidUltrametricError(report)
-    arr = u.dist
-    n = u.n
-    iu, ju = np.triu_indices(n, k=1)
-    finite = np.isfinite(arr[iu, ju])
-    pairs = sorted(
-        (float(arr[i, j]), int(i), int(j))
-        for i, j in zip(iu[finite], ju[finite])
-    )
-    uf = _UnionFind(u.labels)
+    iu, ju = np.triu_indices(u.n, k=1)
+    values = u.dist[iu, ju]
+    order = np.argsort(values, kind="stable")
+    order = order[np.isfinite(values[order])]
+    pairs = list(zip(values[order].tolist(), iu[order].tolist(), ju[order].tolist()))
+    owner = list(range(u.n))
+    members = [[i] for i in range(u.n)]
     merges = []
     pos = 0
     while pos < len(pairs):
         delta = pairs[pos][0]
-        touched: list[str] = []
+        touched = []
         while pos < len(pairs) and pairs[pos][0] == delta:
             _, i, j = pairs[pos]
             pos += 1
-            if uf.find(u.labels[i]) != uf.find(u.labels[j]):
-                uf.union(u.labels[i], u.labels[j])
-                touched.append(u.labels[i])
+            a, b = owner[i], owner[j]
+            if a != b:
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for k in members[b]:
+                    owner[k] = a
+                members[a] += members[b]
+                members[b] = []
+                touched.append(a)
         if touched:
-            groups = uf.groups()
-            roots = {uf.find(lab) for lab in touched}
-            merges.append(MergeEvent(delta, _sorted_blocks(groups[r] for r in roots)))
+            blocks = (
+                [u.labels[k] for k in members[g]]
+                for g in {owner[t] for t in touched}
+            )
+            merges.append(MergeEvent(delta, _sorted_blocks(blocks)))
     return Dendrogram(u.labels, tuple(merges))
 
 
@@ -311,62 +338,38 @@ def from_dendrogram(d: Dendrogram, provenance: Provenance | None = None) -> Ultr
     Exact inverse of to_dendrogram. Cross-root pairs of a forest get +inf.
     Raises DendrogramStructureError for non-nested or ill-formed merges.
     """
-    labels = d.leaves
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise DendrogramStructureError("duplicate leaf labels")
-    n = len(labels)
+    index = {lab: i for i, lab in enumerate(d.leaves)}
+    n = len(d.leaves)
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    current: dict[str, frozenset] = {lab: frozenset([lab]) for lab in labels}
-    last = -np.inf
-    for event in d.merges:
-        if event.resolution < last:
-            raise DendrogramStructureError(
-                f"merge resolutions decrease at {format_value(event.resolution)}"
-            )
-        if event.resolution <= 0:
-            raise DendrogramStructureError("merge resolutions must be positive")
-        last = event.resolution
-        for block in event.blocks:
-            members = set(block)
-            unknown = members - set(index)
-            if unknown:
-                raise DendrogramStructureError(f"merge references unknown leaves {sorted(unknown)}")
-            parts = {current[m] for m in members}
-            if len(parts) < 2:
-                raise DendrogramStructureError(
-                    f"block {sorted(members)} at {format_value(event.resolution)} merges nothing new"
-                )
-            covered = set().union(*parts)
-            if covered != members:
-                raise DendrogramStructureError(
-                    f"block {sorted(members)} at {format_value(event.resolution)} "
-                    "is not a union of existing blocks"
-                )
-            for part_a in parts:
-                for part_b in parts:
-                    if part_a is part_b:
-                        continue
-                    for x in part_a:
-                        for y in part_b:
-                            dist[index[x], index[y]] = event.resolution
-            merged = frozenset(members)
-            for m in members:
-                current[m] = merged
-    return Ultrametric(labels, dist, provenance=provenance)
+    stack = _forest(d)
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        for a, child_a in enumerate(node.children):
+            rows = [index[x] for x in child_a.leaves]
+            for child_b in node.children[a + 1:]:
+                cols = [index[y] for y in child_b.leaves]
+                dist[np.ix_(rows, cols)] = node.height
+                dist[np.ix_(cols, rows)] = node.height
+    return Ultrametric(d.leaves, dist, provenance=provenance)
 
 
 def cut_at_resolution(u: Ultrametric, delta: float) -> Partition:
     """Blocks of nodes within resolution delta of each other.
 
-    Transitivity of the relation u(x,y) <= delta is guaranteed by the
-    strong triangle inequality.
+    The blocks are the maximal subtrees of ``to_dendrogram(u)`` whose height
+    is at most delta, so ``u`` is validated exactly first and an invalid
+    one raises InvalidUltrametricError.
     """
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"resolution must be finite and >= 0, got {delta}")
-    uf = _UnionFind(u.labels)
-    for i, j in np.argwhere(u.dist <= delta):
-        if i < j:
-            uf.union(u.labels[i], u.labels[j])
-    return Partition(float(delta), _sorted_blocks(uf.groups().values()))
+    blocks = []
+    stack = _forest(to_dendrogram(u))
+    while stack:
+        node = stack.pop()
+        if node.height <= delta:
+            blocks.append(node.leaves)
+        else:
+            stack.extend(node.children)
+    return Partition(float(delta), _sorted_blocks(blocks))

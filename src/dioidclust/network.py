@@ -322,10 +322,18 @@ def save_network(net: Network) -> str:
     return _matrix_csv(net.labels, net.dissim)
 
 
+def _csv_field(text: str) -> str:
+    """A label as one CSV field, quoted only where csv.writer would quote it."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _matrix_csv(labels, matrix) -> str:
-    lines = ["," + ",".join(labels)]
-    for i, lab in enumerate(labels):
-        lines.append(lab + "," + ",".join(format_value(v) for v in matrix[i]))
+    names = [_csv_field(lab) for lab in labels]
+    lines = ["," + ",".join(names)]
+    for i, name in enumerate(names):
+        lines.append(name + "," + ",".join(format_value(v) for v in matrix[i]))
     return "\n".join(lines) + "\n"
 
 

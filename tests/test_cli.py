@@ -264,7 +264,7 @@ def test_non_finite_or_negative_flags_are_usage_errors():
             ("cut", "--input", CYCLE4, "--method", "reciprocal", "--delta", value),
             ("cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "dot", "--delta", value),
             ("validate", "--input", CYCLE4, "--ultrametric", "--tolerance", value),
-            ("cluster", "--input", CYCLE4, "--method", "reciprocal", "--tolerance", value),
+            ("compare", "--input", CYCLE4, "--method", "reciprocal", "--tolerance", value),
         ):
             code, out, err = run_cli(*argv)
             assert code == 1, argv
@@ -295,10 +295,32 @@ def test_help_shows_grammar_and_flags(capsys):
     cluster_help = help_text("cluster", "--help")
     for flag in (
         "--input", "--format", "--method", "--emit", "--output",
-        "--delta", "--uses-exclude-diagonal", "--tolerance",
+        "--delta", "--uses-exclude-diagonal",
     ):
         assert flag in cluster_help, flag
     assert "semi-reciprocal:<t>" in cluster_help
+    assert "--tolerance" in help_text("validate", "--help")
+    assert "--tolerance" in help_text("compare", "--help")
+    code, _, err = run_cli("cluster", "--input", CYCLE4, "--method", "reciprocal", "--tolerance", "0")
+    assert code == 1 and "--tolerance" in err
+
+
+def test_cluster_validates_each_result_once(monkeypatch):
+    import dioidclust.cli
+    import dioidclust.hierarchy
+
+    calls = []
+    original = dioidclust.hierarchy.validate_ultrametric
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dioidclust.hierarchy, "validate_ultrametric", counting)
+    monkeypatch.setattr(dioidclust.cli, "validate_ultrametric", counting)
+    code, _, _ = run_cli("cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "newick")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_tolerance_flag_overrides_validation(tmp_path):

@@ -11,7 +11,9 @@ from dioidclust import (
     cut_at_resolution,
     graft_rnr,
     load_network,
+    nonreciprocal,
     reciprocal,
+    save_network,
     semi_reciprocal,
     to_dendrogram,
 )
@@ -93,6 +95,14 @@ def test_newick_forest_emits_one_tree_per_root():
     assert newick(d) == "(p:2,q:2):0;\nr;\n"
 
 
+def test_newick_quotes_labels_with_metacharacters():
+    net = load_network("a b\tc:1\t1\nc:1\t(d)\t2\n(d)\ta b\t3\nc:1\ta b\t2\n", fmt="edge-list")
+    assert newick(to_dendrogram(nonreciprocal(net))) == "('(d)':3,('a b':2,'c:1':2):1):0;\n"
+    d = Dendrogram(("it's", "q"), (MergeEvent(1.0, (("it's", "q"),)),))
+    assert newick(d) == "('it''s':1,q:1):0;\n"
+    assert newick(Dendrogram(("[x]",), ())) == "'[x]';\n"
+
+
 def test_threshold_dot_lists_edges_at_or_below_delta(cycle4):
     dot = threshold_dot(cycle4, 2.0)
     lines = dot.splitlines()
@@ -115,6 +125,24 @@ def test_matrix_csv_round_trips_through_loader(cycle4):
     again = load_network(text)
     assert again.labels == u.labels
     assert np.array_equal(again.dissim, u.dist)
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    net = Network(('a"b', "c\\d"), np.array([[0.0, 1.0], [2.0, 0.0]]))
+    lines = threshold_dot(net, 1.0).splitlines()
+    assert '  "a\\"b";' in lines and '  "c\\\\d";' in lines
+    assert '  "a\\"b" -> "c\\\\d" [label="1"];' in lines
+
+
+def test_csv_quotes_labels_and_round_trips():
+    text = ',"x,y",z,"q""r"\n"x,y",0,2,inf\nz,2,0,inf\n"q""r",inf,inf,0\n'
+    net = load_network(text)
+    assert net.labels == ("x,y", "z", 'q"r')
+    assert save_network(net) == text
+    again = load_network(save_network(net))
+    assert again.labels == net.labels
+    assert np.array_equal(again.dissim, net.dissim)
+    assert newick(to_dendrogram(reciprocal(net))) == "q\"r;\n('x,y':2,z:2):0;\n"
 
 
 def test_matrix_csv_spells_infinity():

@@ -18,6 +18,7 @@ from dioidclust import (
 )
 
 from conftest import method_battery, random_network
+from dioidclust.exports import newick
 from dioidclust.methods import run_method
 
 
@@ -108,6 +109,8 @@ def test_to_dendrogram_rejects_invalid(cycle4):
     with pytest.raises(InvalidUltrametricError) as err:
         to_dendrogram(Ultrametric(bad.labels, bad.matrix))
     assert not err.value.report.is_valid
+    with pytest.raises(InvalidUltrametricError):
+        cut_at_resolution(Ultrametric(bad.labels, bad.matrix), 4.0)
 
 
 def test_round_trip_on_method_battery(rng):
@@ -136,24 +139,26 @@ def test_from_dendrogram_forest_uses_infinity():
 
 
 def test_from_dendrogram_rejects_non_nested():
-    overlapping = Dendrogram(
-        ("p", "q", "r"),
-        (
-            MergeEvent(1.0, (("p", "q"),)),
-            MergeEvent(2.0, (("q", "r"),)),  # splits the existing {p, q} block
-        ),
-    )
-    with pytest.raises(DendrogramStructureError, match="union of existing blocks"):
-        from_dendrogram(overlapping)
-    decreasing = Dendrogram(
-        ("p", "q", "r"),
-        (
-            MergeEvent(2.0, (("p", "q"),)),
-            MergeEvent(1.0, (("p", "q", "r"),)),
-        ),
-    )
-    with pytest.raises(DendrogramStructureError, match="decrease"):
-        from_dendrogram(decreasing)
+    def events(*pairs):
+        return tuple(MergeEvent(r, blocks) for r, blocks in pairs)
+
+    malformed = [
+        # splits the existing {p, q} block
+        (("p", "q", "r"), events((1.0, (("p", "q"),)), (2.0, (("q", "r"),))), "union of existing blocks"),
+        (("p", "q", "r"), events((2.0, (("p", "q"),)), (1.0, (("p", "q", "r"),))), "decrease"),
+        (("p", "q", "p"), (), "duplicate leaf labels"),
+        (("p", "q", "r"), events((1.0, (("p", "s"),))), "unknown leaves"),
+        (("p", "q", "r"), events((1.0, (("p", "q"),)), (2.0, (("q", "p"),))), "merges nothing new"),
+        (("p", "q", "r"), events((-1.0, (("p", "q"),))), "must be positive"),
+    ]
+    for leaves, merges, message in malformed:
+        d = Dendrogram(leaves, merges)
+        with pytest.raises(DendrogramStructureError, match=message):
+            from_dendrogram(d)
+        with pytest.raises(DendrogramStructureError, match=message):
+            newick(d)
+        with pytest.raises(DendrogramStructureError, match=message):
+            d.roots
 
 
 def test_cut_cycle4_reciprocal(cycle4):
