@@ -5,6 +5,8 @@ reports input validity, ``cut`` prints the partition at a resolution,
 ``compare`` tabulates several methods side by side with the
 reciprocal/nonreciprocal sandwich check, and the fixture-generation
 ``oracle`` command runs the brute-force reference on small inputs.
+The method-spec grammar, ``GRAMMAR`` and ``parse_method_spec``, is
+defined in ``methods`` and re-exported here.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 validation failure,
 3 I/O failure. Output for identical inputs is byte-identical across runs.
@@ -25,9 +27,11 @@ from .hierarchy import (
     validate_ultrametric,
 )
 from .methods import (
+    GRAMMAR,
     GraftCounterexample,
     MethodSpec,
     MethodSpecError,
+    parse_method_spec,
     run_method,
 )
 from .network import (
@@ -49,16 +53,6 @@ __all__ = ["GRAMMAR", "main", "entrypoint", "parse_method_spec"]
 
 CONVEX_DEFAULT_TOLERANCE = 1e-9
 
-GRAMMAR = """method spec grammar:
-  reciprocal | nonreciprocal | single-linkage
-  semi-reciprocal:<t>                integer t >= 2
-  intermediate:<t>,<t'>              integers t, t' >= 1
-  graft-rnr:<beta>                   beta > 0
-  graft-rrmax:<beta>                 beta > 0
-  graft-rr-invalid:<beta>            beta > 0 (counterexample demonstrator)
-  convex:<w>*<spec>+<w>*<spec>[+..]  weights in [0,1] summing to 1;
-                                     nested convex specs in parentheses"""
-
 
 class UsageError(ValueError):
     """Bad flags or malformed command line."""
@@ -66,101 +60,6 @@ class UsageError(ValueError):
 
 class ValidationFailure(Exception):
     """Input or result failed a validity check."""
-
-
-def _split_top_level(text: str, sep: str) -> list[str]:
-    parts, buf, depth = [], [], 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise MethodSpecError(f"unbalanced parentheses in {text!r}\n{GRAMMAR}")
-        if ch == sep and depth == 0:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    if depth != 0:
-        raise MethodSpecError(f"unbalanced parentheses in {text!r}\n{GRAMMAR}")
-    parts.append("".join(buf))
-    return parts
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise MethodSpecError(f"{what} must be an integer, got {text.strip()!r}\n{GRAMMAR}") from None
-
-
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise MethodSpecError(f"{what} must be a number, got {text.strip()!r}\n{GRAMMAR}") from None
-
-
-def _strip_wrapping_parens(s: str) -> str:
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        wraps = True
-        for idx, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise MethodSpecError(f"unbalanced parentheses in {s!r}\n{GRAMMAR}")
-                if depth == 0 and idx != len(s) - 1:
-                    wraps = False
-                    break
-        if depth != 0:
-            raise MethodSpecError(f"unbalanced parentheses in {s!r}\n{GRAMMAR}")
-        if not wraps:
-            break
-        s = s[1:-1].strip()
-    return s
-
-
-def parse_method_spec(text: str) -> MethodSpec:
-    """Parse a method spec string; see GRAMMAR for the accepted forms."""
-    s = _strip_wrapping_parens(text.strip())
-    if s in ("reciprocal", "nonreciprocal", "single-linkage"):
-        return MethodSpec(s)
-    if s.startswith("semi-reciprocal:"):
-        return MethodSpec("semi-reciprocal", t=_parse_int(s.split(":", 1)[1], "t"))
-    if s.startswith("intermediate:"):
-        rest = s.split(":", 1)[1]
-        pieces = rest.split(",")
-        if len(pieces) != 2:
-            raise MethodSpecError(f"intermediate takes two parameters, got {rest!r}\n{GRAMMAR}")
-        return MethodSpec(
-            "intermediate",
-            t_fwd=_parse_int(pieces[0], "t"),
-            t_bwd=_parse_int(pieces[1], "t'"),
-        )
-    for kind in ("graft-rnr", "graft-rrmax", "graft-rr-invalid"):
-        if s.startswith(kind + ":"):
-            return MethodSpec(kind, beta=_parse_float(s.split(":", 1)[1], "beta"))
-    if s.startswith("convex:"):
-        body = s.split(":", 1)[1]
-        weights, constituents = [], []
-        for term in _split_top_level(body, "+"):
-            halves = _split_top_level(term, "*")
-            if len(halves) != 2:
-                raise MethodSpecError(
-                    f"convex term must look like <weight>*<spec>, got {term.strip()!r}\n{GRAMMAR}"
-                )
-            weights.append(_parse_float(halves[0], "weight"))
-            constituents.append(parse_method_spec(halves[1]))
-        return MethodSpec("convex", weights=tuple(weights), constituents=tuple(constituents))
-    raise MethodSpecError(f"unrecognized method spec {text.strip()!r}\n{GRAMMAR}")
-
-
-def _default_tolerance(spec: MethodSpec) -> float:
-    return 0.0 if spec.exact else CONVEX_DEFAULT_TOLERANCE
 
 
 def _load_input(args, strict: bool = True):
@@ -312,7 +211,7 @@ def cmd_compare(args, stdout=None, stderr=None) -> int:
             for spec, res in zip(specs, results):
                 v = float(res.dist[i, j])
                 cells.append(format_value(v))
-                tol = args.tolerance if args.tolerance is not None else _default_tolerance(spec)
+                tol = (0.0 if spec.exact else CONVEX_DEFAULT_TOLERANCE) if args.tolerance is None else args.tolerance
                 if v < lower[i, j] - tol or v > upper[i, j] + tol:
                     bad.append(spec.describe())
             cells.append("ok" if not bad else "VIOLATION:" + ";".join(bad))

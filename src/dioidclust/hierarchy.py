@@ -122,8 +122,9 @@ class UltrametricReport:
 
     ``violations`` holds strong-triangle-inequality triples (x, via, y)
     where u(x, y) exceeds max(u(x, via), u(via, y)) beyond the tolerance,
-    capped at 20. Idempotency under the dioid product is checked too; the
-    triple scan and the idempotency test agree by construction.
+    capped at 20, in row-major order of (x, y). Idempotency under the dioid
+    product is checked too; both are read off one product, so they agree
+    by construction.
     """
 
     n: int
@@ -198,28 +199,21 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     off = ~np.eye(n, dtype=bool)
     positive_off = bool((arr[off] > tolerance).all()) if n > 1 else True
 
-    violations = []
     if nonnegative:
-        idempotent = _matrices_close(dioid_product(arr, arr), arr, tolerance)
+        best = dioid_product(arr, arr)
+        idempotent = _matrices_close(best, arr, tolerance)
     else:
+        # The dioid rejects negative entries. min and max only select, so
+        # the product of the entries' ranks picks out the same bounds.
+        values, ranks = np.unique(arr, return_inverse=True)
+        ranks = ranks.reshape(arr.shape)
+        best = values[dioid_product(ranks, ranks).astype(int)]
         idempotent = False
-    if not idempotent:
-        # Locate offending triples for the report: u(x,y) > max(u(x,z), u(z,y)).
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                bounds = np.maximum(arr[i, :], arr[:, j])
-                best = bounds.min()
-                if arr[i, j] > best + tolerance:
-                    k = int(np.argmin(bounds))
-                    violations.append(
-                        (labels[i], labels[k], labels[j], float(arr[i, j]), float(best))
-                    )
-                    if len(violations) >= _VIOLATION_CAP:
-                        break
-            if len(violations) >= _VIOLATION_CAP:
-                break
+    # Offending triples for the report: u(x,y) > max(u(x,z), u(z,y)).
+    violations = []
+    for i, j in np.argwhere((arr > best + tolerance) & off)[:_VIOLATION_CAP]:
+        k = int(np.argmin(np.maximum(arr[i, :], arr[:, j])))
+        violations.append((labels[i], labels[k], labels[j], float(arr[i, j]), float(best[i, j])))
     return UltrametricReport(
         n=n,
         tolerance=tolerance,

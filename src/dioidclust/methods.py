@@ -17,23 +17,34 @@ powers in the (min, max) dioid:
   to an ultrametric by a single-linkage closure.
 * single linkage        the unique admissible method on symmetric inputs.
 
+The first three are one computation, the closure of max(A^t, (A^t')ᵀ):
+reciprocal is intermediate(1, 1) and semi-reciprocal(t) is
+intermediate(t-1, t-1), and all three run through one helper.
+
 Each output lands entrywise between the nonreciprocal (lower) and
 reciprocal (upper) ultrametrics. All functions are pure and safe to run
 concurrently on a shared Network.
+
+The method-spec text grammar (``GRAMMAR``, ``parse_method_spec``) lives
+here beside ``MethodSpec.describe()``. One table names each kind's
+parameters and its runner; the spec checks, the parser, ``describe()``
+and ``run_method`` all read it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dioid import dioid_power, elementwise_max, is_integer, quasi_inverse, symmetrize_max
+from .dioid import dioid_power, elementwise_max, is_integer, quasi_inverse
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
 from .network import Network, format_value
 
 __all__ = [
+    "GRAMMAR",
     "GraftCounterexample",
     "MethodSpec",
     "MethodSpecError",
@@ -44,6 +55,7 @@ __all__ = [
     "graft_rrmax",
     "intermediate",
     "nonreciprocal",
+    "parse_method_spec",
     "reciprocal",
     "run_method",
     "semi_reciprocal",
@@ -52,17 +64,37 @@ __all__ = [
 
 WEIGHT_SUM_TOLERANCE = 1e-12
 
-ADMISSIBLE_KINDS = (
-    "reciprocal",
-    "nonreciprocal",
-    "semi-reciprocal",
-    "intermediate",
-    "graft-rnr",
-    "graft-rrmax",
-    "convex",
-    "single-linkage",
-)
-ALL_KINDS = ADMISSIBLE_KINDS + ("graft-rr-invalid",)
+# Each kind's parameter names and its runner. The runners look their method
+# up when called, so a module attribute rebound at run time is the one run.
+_KINDS = {
+    "reciprocal": ((), lambda net, spec: reciprocal(net)),
+    "nonreciprocal": ((), lambda net, spec: nonreciprocal(net)),
+    "semi-reciprocal": (("t",), lambda net, spec: semi_reciprocal(net, spec.t)),
+    "intermediate": (("t_fwd", "t_bwd"), lambda net, spec: intermediate(net, spec.t_fwd, spec.t_bwd)),
+    "graft-rnr": (("beta",), lambda net, spec: graft_rnr(net, spec.beta)),
+    "graft-rrmax": (("beta",), lambda net, spec: graft_rrmax(net, spec.beta)),
+    "convex": (("weights", "constituents"), lambda net, spec: convex_combination(net, spec)),
+    "single-linkage": ((), lambda net, spec: single_linkage(net)),
+    "graft-rr-invalid": (("beta",), lambda net, spec: graft_rr_invalid(net, spec.beta)),
+}
+ALL_KINDS = tuple(_KINDS)
+ADMISSIBLE_KINDS = tuple(kind for kind in ALL_KINDS if kind != "graft-rr-invalid")
+
+GRAMMAR = """method spec grammar:
+  reciprocal | nonreciprocal | single-linkage
+  semi-reciprocal:<t>                integer t >= 2
+  intermediate:<t>,<t'>              integers t, t' >= 1
+  graft-rnr:<beta>                   beta > 0
+  graft-rrmax:<beta>                 beta > 0
+  graft-rr-invalid:<beta>            beta > 0 (counterexample demonstrator)
+  convex:<w>*<spec>+<w>*<spec>[+..]  weights in [0,1] summing to 1;
+                                     nested convex specs in parentheses"""
+
+# Only ASCII digits, points and exponents: int() and float() also take
+# underscores, other scripts' digits, "inf" and "nan", none of which
+# describe() writes back.
+_INTEGER = re.compile(r"[0-9]+")
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class MethodSpecError(ValueError):
@@ -89,35 +121,27 @@ class MethodSpec:
     constituents: tuple["MethodSpec", ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if self.kind not in _KINDS:
             raise MethodSpecError(f"unknown method kind {self.kind!r}")
-        wants_t = self.kind == "semi-reciprocal"
-        wants_tt = self.kind == "intermediate"
-        wants_beta = self.kind in ("graft-rnr", "graft-rrmax", "graft-rr-invalid")
-        wants_convex = self.kind == "convex"
-        if (self.t is not None) != wants_t:
-            raise MethodSpecError(f"parameter t is {'required' if wants_t else 'not accepted'} by {self.kind}")
-        if ((self.t_fwd is not None) != wants_tt) or ((self.t_bwd is not None) != wants_tt):
-            raise MethodSpecError(
-                f"parameters t_fwd/t_bwd are {'required' if wants_tt else 'not accepted'} by {self.kind}"
-            )
-        if (self.beta is not None) != wants_beta:
-            raise MethodSpecError(f"parameter beta is {'required' if wants_beta else 'not accepted'} by {self.kind}")
-        if bool(self.weights or self.constituents) != wants_convex:
-            raise MethodSpecError(
-                f"weights/constituents are {'required' if wants_convex else 'not accepted'} by {self.kind}"
-            )
-        if wants_t:
+        wanted = _KINDS[self.kind][0]
+        for name in ("t", "t_fwd", "t_bwd", "beta", "weights", "constituents"):
+            value = getattr(self, name)
+            given = value is not None and not (name in ("weights", "constituents") and len(value) == 0)
+            if given != (name in wanted):
+                raise MethodSpecError(
+                    f"parameter {name} is {'required' if name in wanted else 'not accepted'} by {self.kind}"
+                )
+        if self.kind == "semi-reciprocal":
             if not is_integer(self.t) or self.t < 2:
                 raise MethodSpecError(f"semi-reciprocal needs integer t >= 2, got {self.t!r}")
-        if wants_tt:
+        if self.kind == "intermediate":
             for name, val in (("t_fwd", self.t_fwd), ("t_bwd", self.t_bwd)):
                 if not is_integer(val) or val < 1:
                     raise MethodSpecError(f"intermediate needs integer {name} >= 1, got {val!r}")
-        if wants_beta:
+        if "beta" in wanted:
             if not isinstance(self.beta, (int, float)) or not math.isfinite(self.beta) or self.beta <= 0:
                 raise MethodSpecError(f"grafting needs finite beta > 0, got {self.beta!r}")
-        if wants_convex:
+        if self.kind == "convex":
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
             object.__setattr__(self, "constituents", tuple(self.constituents))
             if len(self.constituents) < 2:
@@ -139,18 +163,10 @@ class MethodSpec:
     @property
     def exact(self) -> bool:
         """True when the method uses only min/max, so comparisons are exact."""
-        if self.kind == "convex":
-            return False
-        return True
+        return self.kind != "convex"
 
     def describe(self) -> str:
-        """Canonical method string; round-trips through the CLI grammar."""
-        if self.kind == "semi-reciprocal":
-            return f"semi-reciprocal:{self.t}"
-        if self.kind == "intermediate":
-            return f"intermediate:{self.t_fwd},{self.t_bwd}"
-        if self.kind in ("graft-rnr", "graft-rrmax", "graft-rr-invalid"):
-            return f"{self.kind}:{format_value(self.beta)}"
+        """Canonical method string; parse_method_spec reads it back to an equal spec."""
         if self.kind == "convex":
             terms = []
             for w, sub in zip(self.weights, self.constituents):
@@ -159,7 +175,93 @@ class MethodSpec:
                     text = f"({text})"
                 terms.append(f"{format_value(w)}*{text}")
             return "convex:" + "+".join(terms)
-        return self.kind
+        names = _KINDS[self.kind][0]
+        if not names:
+            return self.kind
+        return f"{self.kind}:" + ",".join(format_value(getattr(self, name)) for name in names)
+
+
+def _split_top_level(text: str, sep: str) -> list[str]:
+    parts, buf, depth = [], [], 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise MethodSpecError(f"unbalanced parentheses in {text!r}\n{GRAMMAR}")
+        if ch == sep and depth == 0:
+            parts.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+    if depth != 0:
+        raise MethodSpecError(f"unbalanced parentheses in {text!r}\n{GRAMMAR}")
+    parts.append("".join(buf))
+    return parts
+
+
+def _parse_int(text: str, what: str) -> int:
+    if not _INTEGER.fullmatch(text.strip()):
+        raise MethodSpecError(f"{what} must be an integer in ASCII digits, got {text.strip()!r}\n{GRAMMAR}")
+    return int(text)
+
+
+def _parse_float(text: str, what: str) -> float:
+    if not _DECIMAL.fullmatch(text.strip()):
+        raise MethodSpecError(f"{what} must be a decimal number, got {text.strip()!r}\n{GRAMMAR}")
+    return float(text)
+
+
+def _strip_wrapping_parens(s: str) -> str:
+    while s.startswith("(") and s.endswith(")"):
+        depth = 0
+        wraps = True
+        for idx, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth < 0:
+                    raise MethodSpecError(f"unbalanced parentheses in {s!r}\n{GRAMMAR}")
+                if depth == 0 and idx != len(s) - 1:
+                    wraps = False
+                    break
+        if depth != 0:
+            raise MethodSpecError(f"unbalanced parentheses in {s!r}\n{GRAMMAR}")
+        if not wraps:
+            break
+        s = s[1:-1].strip()
+    return s
+
+
+def parse_method_spec(text: str) -> MethodSpec:
+    """Parse a method spec string; see GRAMMAR for the accepted forms."""
+    s = _strip_wrapping_parens(text.strip())
+    kind, colon, body = s.partition(":")
+    if kind not in _KINDS or bool(colon) != bool(_KINDS[kind][0]):
+        raise MethodSpecError(f"unrecognized method spec {text.strip()!r}\n{GRAMMAR}")
+    if not colon:
+        return MethodSpec(kind)
+    if kind == "convex":
+        weights, constituents = [], []
+        for term in _split_top_level(body, "+"):
+            halves = _split_top_level(term, "*")
+            if len(halves) != 2:
+                raise MethodSpecError(
+                    f"convex term must look like <weight>*<spec>, got {term.strip()!r}\n{GRAMMAR}"
+                )
+            weights.append(_parse_float(halves[0], "weight"))
+            constituents.append(parse_method_spec(halves[1]))
+        return MethodSpec("convex", weights=tuple(weights), constituents=tuple(constituents))
+    names = _KINDS[kind][0]
+    pieces = body.split(",")
+    if len(pieces) != len(names):
+        raise MethodSpecError(f"{kind} needs {' and '.join(names)}, got {body!r}\n{GRAMMAR}")
+    return MethodSpec(kind, **{
+        name: (_parse_float if name == "beta" else _parse_int)(piece, name)
+        for name, piece in zip(names, pieces)
+    })
 
 
 @dataclass(frozen=True)
@@ -186,24 +288,29 @@ def _wrap(net: Network, matrix: np.ndarray, method: str) -> Ultrametric:
     return Ultrametric(net.labels, matrix, provenance=Provenance(method=method, n=net.n))
 
 
-def _trivial(net: Network, method: str) -> Ultrametric:
-    return _wrap(net, np.zeros((1, 1)), method)
+def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametric:
+    """Closure of max(A^t_fwd, (A^t_bwd)ᵀ), each budget clamped to max(n-1, 1).
+
+    Powers have stabilized at n-1, so the clamp changes no result, and a
+    one-node network needs no case of its own. Each distinct power is
+    computed once.
+    """
+    _require_valid(net)
+    cap = max(net.n - 1, 1)
+    fwd, bwd = min(t_fwd, cap), min(t_bwd, cap)
+    powers = {hops: dioid_power(net.dissim, hops) for hops in {fwd, bwd}}
+    closure = quasi_inverse(np.maximum(powers[fwd], powers[bwd].T))
+    return _wrap(net, closure, method)
 
 
 def reciprocal(net: Network) -> Ultrametric:
     """Cluster through chains of low dissimilarity in both directions at once."""
-    _require_valid(net)
-    if net.n == 1:
-        return _trivial(net, "reciprocal")
-    closure = quasi_inverse(symmetrize_max(net.dissim))
-    return _wrap(net, closure, "reciprocal")
+    return _hop_closure(net, 1, 1, "reciprocal")
 
 
 def nonreciprocal(net: Network) -> Ultrametric:
     """Cluster through possibly different forward and backward chains."""
     _require_valid(net)
-    if net.n == 1:
-        return _trivial(net, "nonreciprocal")
     forward = quasi_inverse(net.dissim)
     return _wrap(net, elementwise_max(forward, forward.T), "nonreciprocal")
 
@@ -214,30 +321,17 @@ def semi_reciprocal(net: Network, t: int) -> Ultrametric:
     t=2 reproduces reciprocal clustering; t >= n reproduces nonreciprocal.
     """
     spec = MethodSpec("semi-reciprocal", t=t)
-    _require_valid(net)
-    if net.n == 1:
-        return _trivial(net, spec.describe())
-    hops = min(t - 1, net.n - 1)
-    limited = dioid_power(net.dissim, hops)
-    closure = quasi_inverse(symmetrize_max(limited))
-    return _wrap(net, closure, spec.describe())
+    return _hop_closure(net, t - 1, t - 1, spec.describe())
 
 
 def intermediate(net: Network, t_fwd: int, t_bwd: int) -> Ultrametric:
     """Semi-reciprocal clustering with direction-dependent hop budgets.
 
     Forward secondary chains may use at most t_fwd hops and backward ones
-    t_bwd; budgets above n-1 are clamped (powers have stabilized there).
-    The inner maximum is asymmetric but the closure is symmetric.
+    t_bwd. The inner maximum is asymmetric but the closure is symmetric.
     """
     spec = MethodSpec("intermediate", t_fwd=t_fwd, t_bwd=t_bwd)
-    _require_valid(net)
-    if net.n == 1:
-        return _trivial(net, spec.describe())
-    forward = dioid_power(net.dissim, min(t_fwd, net.n - 1))
-    backward = dioid_power(net.dissim, min(t_bwd, net.n - 1))
-    closure = quasi_inverse(elementwise_max(forward, backward.T))
-    return _wrap(net, closure, spec.describe())
+    return _hop_closure(net, t_fwd, t_bwd, spec.describe())
 
 
 def single_linkage(net: Network) -> Ultrametric:
@@ -248,8 +342,6 @@ def single_linkage(net: Network) -> Ultrametric:
             "single linkage needs a symmetric network; use reciprocal, "
             "nonreciprocal, or another asymmetric method instead"
         )
-    if net.n == 1:
-        return _trivial(net, "single-linkage")
     return _wrap(net, quasi_inverse(net.dissim), "single-linkage")
 
 
@@ -303,8 +395,6 @@ def convex_combination(net: Network, spec: MethodSpec) -> Ultrametric:
     if spec.kind != "convex":
         raise MethodSpecError(f"expected a convex spec, got {spec.kind}")
     _require_valid(net)
-    if net.n == 1:
-        return _trivial(net, spec.describe())
     combined = np.zeros((net.n, net.n))
     for weight, sub in zip(spec.weights, spec.constituents):
         if weight == 0.0:
@@ -316,22 +406,4 @@ def convex_combination(net: Network, spec: MethodSpec) -> Ultrametric:
 
 def run_method(net: Network, spec: MethodSpec) -> Ultrametric | GraftCounterexample:
     """Dispatch a MethodSpec; output carries provenance (method string and n)."""
-    if spec.kind == "reciprocal":
-        return reciprocal(net)
-    if spec.kind == "nonreciprocal":
-        return nonreciprocal(net)
-    if spec.kind == "semi-reciprocal":
-        return semi_reciprocal(net, spec.t)
-    if spec.kind == "intermediate":
-        return intermediate(net, spec.t_fwd, spec.t_bwd)
-    if spec.kind == "single-linkage":
-        return single_linkage(net)
-    if spec.kind == "graft-rnr":
-        return graft_rnr(net, spec.beta)
-    if spec.kind == "graft-rrmax":
-        return graft_rrmax(net, spec.beta)
-    if spec.kind == "graft-rr-invalid":
-        return graft_rr_invalid(net, spec.beta)
-    if spec.kind == "convex":
-        return convex_combination(net, spec)
-    raise MethodSpecError(f"unknown method kind {spec.kind!r}")
+    return _KINDS[spec.kind][1](net, spec)

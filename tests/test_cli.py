@@ -7,7 +7,7 @@ import pytest
 from dioidclust.cli import GRAMMAR, main, parse_method_spec
 from dioidclust.methods import MethodSpec, MethodSpecError
 
-from conftest import DATA
+from conftest import DATA, method_battery
 
 
 def run_cli(*argv):
@@ -60,6 +60,19 @@ def test_parse_errors_carry_the_grammar():
         parse_method_spec("convex:0.5*reciprocal+0.6*nonreciprocal")
     with pytest.raises(MethodSpecError, match="unbalanced"):
         parse_method_spec("convex:0.5*(reciprocal+0.5*nonreciprocal")
+    # int() and float() would read these as 10, 3 and 10.5.
+    for text in ("semi-reciprocal:1_0", "intermediate:\u0663,2", "graft-rnr:1_0.5",
+                 "graft-rnr:inf", "convex:0_.5*reciprocal+0.5*nonreciprocal"):
+        with pytest.raises(MethodSpecError, match="grammar"):
+            parse_method_spec(text)
+    code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "semi-reciprocal:1_0")
+    assert code == 1 and "grammar" in err and out == ""
+
+
+def test_every_kind_round_trips_through_describe():
+    specs = method_battery() + [MethodSpec("single-linkage"), MethodSpec("graft-rr-invalid", beta=4.0)]
+    for spec in specs:
+        assert parse_method_spec(spec.describe()) == spec, spec.describe()
 
 
 # ---- cluster ----------------------------------------------------------------

@@ -72,6 +72,29 @@ def test_validate_triple_scan_agrees_with_idempotency(rng):
         assert report.idempotent == idempotent == (not report.violations)
 
 
+def test_violations_match_a_literal_triple_scan(rng):
+    # Ties, +inf, nonzero diagonals and negative entries, at several tolerances.
+    def triple_scan(m, tol):
+        found = []
+        for i in range(len(m)):
+            for j in range(len(m)):
+                bounds = np.maximum(m[i, :], m[:, j])
+                if i != j and m[i, j] > bounds.min() + tol and len(found) < 20:
+                    found.append((str(i), str(int(np.argmin(bounds))), str(j), m[i, j], bounds.min()))
+        return tuple(found)
+
+    for trial in range(150):
+        n = int(rng.integers(1, 9))
+        m = rng.integers(0, 4, (n, n)).astype(float) if trial % 2 else rng.uniform(0, 5, (n, n))
+        m[rng.random((n, n)) < 0.2] = np.inf
+        if trial % 3 == 0:
+            np.fill_diagonal(m, 0.0)
+        if trial % 5 == 0:
+            m[rng.random((n, n)) < 0.3] *= -1
+        for tol in (0.0, 1e-9, 0.5):
+            assert validate_ultrametric(m, tol).violations == triple_scan(m, tol)
+
+
 def test_validation_cap_is_twenty(rng):
     m = rng.uniform(10, 20, (30, 30))
     m = np.maximum(m, m.T)

@@ -444,9 +444,10 @@ def test_methods_reject_invalid_networks():
 
 def test_single_node_network_is_trivial():
     net = Network(("only",), np.zeros((1, 1)))
-    for spec in method_battery():
+    for spec in method_battery() + [MethodSpec("single-linkage")]:
         u = run_method(net, spec)
         assert u.dist.shape == (1, 1) and u.dist[0, 0] == 0.0
+        assert u.provenance.method == spec.describe()
 
 
 def test_disconnected_network_keeps_infinite_entries():
