@@ -18,6 +18,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import exports
 from .hierarchy import (
     InvalidUltrametricError,
@@ -36,6 +38,7 @@ from .methods import (
 )
 from .network import (
     NetworkFormatError,
+    _plain_float,
     format_value,
     from_uses_table,
     load_network,
@@ -106,9 +109,7 @@ def _merge_summary(u: Ultrametric, dendrogram, stdout) -> None:
         stdout.write("merges: (none)\n")
 
 
-def cmd_cluster(args, stdout=None, stderr=None) -> int:
-    stdout = stdout or sys.stdout
-    stderr = stderr or sys.stderr
+def cmd_cluster(args, stdout, stderr) -> int:
     net = _load_input(args)
     spec = parse_method_spec(args.method)
     plan = _emission_plan(args)
@@ -152,8 +153,7 @@ def cmd_cluster(args, stdout=None, stderr=None) -> int:
     return 0
 
 
-def cmd_validate(args, stdout=None, stderr=None) -> int:
-    stdout = stdout or sys.stdout
+def cmd_validate(args, stdout, stderr) -> int:
     net = _load_input(args, strict=False)
     net_report = validate_network(net)
     for line in net_report.lines():
@@ -169,8 +169,7 @@ def cmd_validate(args, stdout=None, stderr=None) -> int:
     return 0
 
 
-def cmd_cut(args, stdout=None, stderr=None) -> int:
-    stdout = stdout or sys.stdout
+def cmd_cut(args, stdout, stderr) -> int:
     net = _load_input(args)
     spec = parse_method_spec(args.method)
     result = run_method(net, spec)
@@ -188,46 +187,39 @@ def cmd_cut(args, stdout=None, stderr=None) -> int:
     return 0
 
 
-def cmd_compare(args, stdout=None, stderr=None) -> int:
-    stdout = stdout or sys.stdout
-    stderr = stderr or sys.stderr
+def cmd_compare(args, stdout, stderr) -> int:
     net = _load_input(args)
     specs = [parse_method_spec(m) for m in args.method]
     for spec in specs:
         if spec.kind == "graft-rr-invalid":
             raise ValidationFailure("graft-rr-invalid is not admissible; compare refuses it")
     results = [run_method(net, spec) for spec in specs]
-    lower = run_method(net, MethodSpec("nonreciprocal")).dist
-    upper = run_method(net, MethodSpec("reciprocal")).dist
-
+    rows, cols = np.triu_indices(net.n, 1)
+    lower = run_method(net, MethodSpec("nonreciprocal")).dist[rows, cols]
+    upper = run_method(net, MethodSpec("reciprocal")).dist[rows, cols]
     names = [spec.describe() for spec in specs]
-    header = ["pair"] + names + ["sandwich"]
-    rows = []
-    violations = 0
-    for i in range(net.n):
-        for j in range(i + 1, net.n):
-            cells = [f"{net.labels[i]},{net.labels[j]}"]
-            bad = []
-            for spec, res in zip(specs, results):
-                v = float(res.dist[i, j])
-                cells.append(format_value(v))
-                tol = (0.0 if spec.exact else CONVEX_DEFAULT_TOLERANCE) if args.tolerance is None else args.tolerance
-                if v < lower[i, j] - tol or v > upper[i, j] + tol:
-                    bad.append(spec.describe())
-            cells.append("ok" if not bad else "VIOLATION:" + ";".join(bad))
-            violations += len(bad)
-            rows.append(cells)
-    widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
-    for r in [header] + rows:
-        stdout.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+    columns, flags = [], []
+    for spec, res in zip(specs, results):
+        tol = (0.0 if spec.exact else CONVEX_DEFAULT_TOLERANCE) if args.tolerance is None else args.tolerance
+        values = res.dist[rows, cols]
+        columns.append([format_value(v) for v in values.tolist()])
+        flags.append((values < lower - tol) | (values > upper + tol))
+    sandwich = ["ok"] * len(rows)
+    for k in np.flatnonzero(np.any(flags, axis=0)).tolist():
+        sandwich[k] = "VIOLATION:" + ";".join(name for name, bad in zip(names, flags) if bad[k])
+    pairs = [f"{net.labels[i]},{net.labels[j]}" for i, j in zip(rows.tolist(), cols.tolist())]
+    table = [["pair"] + names + ["sandwich"], *zip(pairs, *columns, sandwich)]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    for line in table:
+        stdout.write("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n")
+    violations = int(np.sum(flags))
     if violations:
         stderr.write(f"error: {violations} sandwich violations\n")
         raise ValidationFailure("sandwich bounds violated")
     return 0
 
 
-def cmd_oracle(args, stdout=None, stderr=None) -> int:
-    stdout = stdout or sys.stdout
+def cmd_oracle(args, stdout, stderr) -> int:
     net = _load_input(args)
     spec = parse_method_spec(args.method)
     if spec.kind == "reciprocal":
@@ -247,7 +239,7 @@ def cmd_oracle(args, stdout=None, stderr=None) -> int:
 def _nonnegative_float(text: str) -> float:
     """argparse type for resolutions and tolerances: a finite number >= 0."""
     try:
-        value = float(text)
+        value = _plain_float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value) or value < 0:

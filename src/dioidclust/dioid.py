@@ -145,8 +145,6 @@ def quasi_inverse(a) -> np.ndarray:
         i = int(np.nonzero(np.diagonal(a))[0][0])
         raise ValueError(f"quasi-inverse needs a zero diagonal, got {a[i, i]} at ({i}, {i})")
     n = a.shape[0]
-    if n == 1:
-        return a.copy()
     closure = a.copy()
     step = np.empty_like(closure)
     for k in range(n):

@@ -36,12 +36,17 @@ def _newick_label(label: str) -> str:
     return label
 
 
-def _newick_node(node, parent_height: float) -> str:
-    length = format_value(parent_height - node.height)
-    if not node.children:
-        return f"{_newick_label(node.min_leaf)}:{length}"
-    inner = ",".join(_newick_node(c, node.height) for c in node.children)
-    return f"({inner}):{length}"
+def _newick_tree(root) -> str:
+    """Newick text of one tree; children are written before their parents, without recursion."""
+    order, stack = [], [root]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(order[-1].children)
+    text = {}
+    for node in reversed(order):
+        inner = ",".join(f"{text.pop(id(c))}:{format_value(node.height - c.height)}" for c in node.children)
+        text[id(node)] = f"({inner})" if node.children else _newick_label(node.min_leaf)
+    return text[id(root)]
 
 
 def newick(d: Dendrogram) -> str:
@@ -49,12 +54,8 @@ def newick(d: Dendrogram) -> str:
 
     Malformed merges raise DendrogramStructureError.
     """
-    lines = []
-    for root in _forest(d):
-        if not root.children:
-            lines.append(f"{_newick_label(root.min_leaf)};")
-        else:
-            lines.append(_newick_node(root, root.height) + ";")
+    # A tree's root sits at its own height, so its branch length is 0.
+    lines = [_newick_tree(root) + (":0;" if root.children else ";") for root in _forest(d)]
     return "\n".join(lines) + "\n"
 
 

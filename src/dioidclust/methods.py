@@ -92,9 +92,12 @@ GRAMMAR = """method spec grammar:
 
 # Only ASCII digits, points and exponents: int() and float() also take
 # underscores, other scripts' digits, "inf" and "nan", none of which
-# describe() writes back.
-_INTEGER = re.compile(r"[0-9]+")
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# describe() writes back. A number is matched whole or not at all, so an
+# exponent's sign is never read as the "+" between convex terms.
+_INTEGER = re.compile(r"[0-9]+(?![\w.])")
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?![\w.])")
+_KIND = re.compile(r"[\w-]+")
+_SPACE = re.compile(r"\s*")
 
 
 class MethodSpecError(ValueError):
@@ -181,87 +184,70 @@ class MethodSpec:
         return f"{self.kind}:" + ",".join(format_value(getattr(self, name)) for name in names)
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    parts, buf, depth = [], [], 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise MethodSpecError(f"unbalanced parentheses in {text!r}\n{GRAMMAR}")
-        if ch == sep and depth == 0:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    if depth != 0:
-        raise MethodSpecError(f"unbalanced parentheses in {text!r}\n{GRAMMAR}")
-    parts.append("".join(buf))
-    return parts
-
-
-def _parse_int(text: str, what: str) -> int:
-    if not _INTEGER.fullmatch(text.strip()):
-        raise MethodSpecError(f"{what} must be an integer in ASCII digits, got {text.strip()!r}\n{GRAMMAR}")
-    return int(text)
-
-
-def _parse_float(text: str, what: str) -> float:
-    if not _DECIMAL.fullmatch(text.strip()):
-        raise MethodSpecError(f"{what} must be a decimal number, got {text.strip()!r}\n{GRAMMAR}")
-    return float(text)
-
-
-def _strip_wrapping_parens(s: str) -> str:
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        wraps = True
-        for idx, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise MethodSpecError(f"unbalanced parentheses in {s!r}\n{GRAMMAR}")
-                if depth == 0 and idx != len(s) - 1:
-                    wraps = False
-                    break
-        if depth != 0:
-            raise MethodSpecError(f"unbalanced parentheses in {s!r}\n{GRAMMAR}")
-        if not wraps:
-            break
-        s = s[1:-1].strip()
-    return s
-
-
 def parse_method_spec(text: str) -> MethodSpec:
-    """Parse a method spec string; see GRAMMAR for the accepted forms."""
-    s = _strip_wrapping_parens(text.strip())
-    kind, colon, body = s.partition(":")
-    if kind not in _KINDS or bool(colon) != bool(_KINDS[kind][0]):
-        raise MethodSpecError(f"unrecognized method spec {text.strip()!r}\n{GRAMMAR}")
-    if not colon:
-        return MethodSpec(kind)
-    if kind == "convex":
-        weights, constituents = [], []
-        for term in _split_top_level(body, "+"):
-            halves = _split_top_level(term, "*")
-            if len(halves) != 2:
-                raise MethodSpecError(
-                    f"convex term must look like <weight>*<spec>, got {term.strip()!r}\n{GRAMMAR}"
-                )
-            weights.append(_parse_float(halves[0], "weight"))
-            constituents.append(parse_method_spec(halves[1]))
-        return MethodSpec("convex", weights=tuple(weights), constituents=tuple(constituents))
-    names = _KINDS[kind][0]
-    pieces = body.split(",")
-    if len(pieces) != len(names):
-        raise MethodSpecError(f"{kind} needs {' and '.join(names)}, got {body!r}\n{GRAMMAR}")
-    return MethodSpec(kind, **{
-        name: (_parse_float if name == "beta" else _parse_int)(piece, name)
-        for name, piece in zip(names, pieces)
-    })
+    """Parse a method spec string; see GRAMMAR for the accepted forms.
+
+    One recursive-descent pass, left to right: spec := "("* kind [":" params] ")"*
+    with as many ")" as "(", convex params := weight "*" spec ("+" weight "*" spec)*,
+    and whitespace allowed between any two tokens.
+    """
+    pos = 0
+
+    def error(problem: str) -> MethodSpecError:
+        return MethodSpecError(f"{problem} (column {pos + 1} of {text!r})\n{GRAMMAR}")
+
+    def skip(char: str) -> bool:
+        """Step over whitespace, then over char if it comes next."""
+        nonlocal pos
+        pos = _SPACE.match(text, pos).end()
+        found = text.startswith(char, pos)
+        pos += found
+        return found
+
+    def token(pattern: re.Pattern, problem: str) -> str:
+        nonlocal pos
+        pos = _SPACE.match(text, pos).end()
+        if not (found := pattern.match(text, pos)):
+            raise error(problem)
+        pos = found.end()
+        return found.group()
+
+    def spec(nested: bool) -> MethodSpec:
+        opens = 0  # counted, not recursed: thousands of wrapping "(" must parse
+        while skip("("):
+            opens += 1
+        kind = token(_KIND, "expected a method kind")
+        if kind not in _KINDS:
+            raise error(f"unknown method kind {kind!r}")
+        names = _KINDS[kind][0]
+        if kind == "convex" and nested and not opens:
+            raise error("a nested convex spec needs parentheses")
+        if names and not skip(":"):
+            raise error(f"{kind} needs ':' and then {' and '.join(names)}")
+        weights, constituents, params = [], [], {}
+        if kind == "convex":
+            while not weights or skip("+"):
+                weights.append(float(token(_DECIMAL, "a weight must be a decimal number")))
+                if not skip("*"):
+                    raise error("expected '*' between a weight and its spec")
+                constituents.append(spec(True))
+        else:
+            for name in names:
+                if params and not skip(","):
+                    raise error(f"{kind} needs {' and '.join(names)}, separated by ','")
+                params[name] = (float(token(_DECIMAL, "beta must be a decimal number")) if name == "beta"
+                                else int(token(_INTEGER, f"{name} must be an integer in ASCII digits")))
+        if not all(skip(")") for _ in range(opens)):
+            raise error("unbalanced parentheses: expected ')'")
+        try:
+            return MethodSpec(kind, weights=tuple(weights), constituents=tuple(constituents), **params)
+        except MethodSpecError as exc:
+            raise error(str(exc)) from None
+
+    parsed = spec(False)
+    if pos < len(text.rstrip()):
+        raise error("unbalanced parentheses: ')' closes nothing" if skip(")") else "unexpected text after the spec")
+    return parsed
 
 
 @dataclass(frozen=True)

@@ -209,16 +209,25 @@ def _read_text(source) -> str:
         return fh.read()
 
 
+def _plain_float(text: str) -> float:
+    """float() of ASCII text without underscores: float() alone reads "1_0" as 10 and "\u0663" as 3."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def _parse_cell(cell: str, where: str) -> float:
     cell = cell.strip()
-    if cell == "" or cell.lower() == "inf":
+    if not cell:
         return math.inf
     try:
-        value = float(cell)
+        value = _plain_float(cell)
     except ValueError:
         raise NetworkFormatError(f"unparsable value {cell!r} at {where}") from None
     if math.isnan(value):
         raise NetworkFormatError(f"NaN value at {where}")
+    if math.isinf(value) and any(ch.isdigit() for ch in cell):
+        raise NetworkFormatError(f"value {cell!r} at {where} overflows to inf")
     return value
 
 
@@ -290,7 +299,7 @@ def _enforce_values(labels, matrix) -> None:
     if (matrix < 0).any():
         i, j = np.argwhere(matrix < 0)[0]
         raise NetworkFormatError(
-            f"negative entry at ({labels[i]}, {labels[j]}): {matrix[i, j]!r}"
+            f"negative entry at ({labels[i]}, {labels[j]}): {format_value(matrix[i, j])}"
         )
 
 

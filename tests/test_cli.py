@@ -3,8 +3,12 @@ import json
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dioidclust.methods
 from dioidclust.cli import GRAMMAR, main, parse_method_spec
+from dioidclust.hierarchy import Ultrametric
 from dioidclust.methods import MethodSpec, MethodSpecError
 
 from conftest import DATA, method_battery
@@ -54,12 +58,15 @@ def test_parse_errors_carry_the_grammar():
         parse_method_spec("fancy-clustering")
     with pytest.raises(MethodSpecError, match="grammar"):
         parse_method_spec("semi-reciprocal:two")
-    with pytest.raises(MethodSpecError, match="t >= 2"):
+    with pytest.raises(MethodSpecError, match="(?s)t >= 2.*grammar"):
         parse_method_spec("semi-reciprocal:1")
-    with pytest.raises(MethodSpecError, match="sum to 1"):
+    with pytest.raises(MethodSpecError, match="(?s)sum to 1.*grammar"):
         parse_method_spec("convex:0.5*reciprocal+0.6*nonreciprocal")
-    with pytest.raises(MethodSpecError, match="unbalanced"):
-        parse_method_spec("convex:0.5*(reciprocal+0.5*nonreciprocal")
+    for text in ("convex:0.5*(reciprocal+0.5*nonreciprocal", "reciprocal)", "((reciprocal)"):
+        with pytest.raises(MethodSpecError, match="(?s)unbalanced.*grammar"):
+            parse_method_spec(text)
+    with pytest.raises(MethodSpecError, match="(?s)nested convex spec needs parentheses.*grammar"):
+        parse_method_spec("convex:0.5*reciprocal+0.5*convex:0.5*reciprocal+0.5*nonreciprocal")
     # int() and float() would read these as 10, 3 and 10.5.
     for text in ("semi-reciprocal:1_0", "intermediate:\u0663,2", "graft-rnr:1_0.5",
                  "graft-rnr:inf", "convex:0_.5*reciprocal+0.5*nonreciprocal"):
@@ -73,6 +80,53 @@ def test_every_kind_round_trips_through_describe():
     specs = method_battery() + [MethodSpec("single-linkage"), MethodSpec("graft-rr-invalid", beta=4.0)]
     for spec in specs:
         assert parse_method_spec(spec.describe()) == spec, spec.describe()
+
+
+# describe() writes beta >= 1e16 with a signed exponent ("1e+20"), and
+# dyadic weights with many bits with a negative one ("9.5367431640625e-07").
+_BETAS = st.one_of(st.floats(min_value=1e-300, max_value=1e300), st.sampled_from([1e16, 1e20, 2.0**70]))
+_LEAVES = st.one_of(
+    st.sampled_from(["reciprocal", "nonreciprocal", "single-linkage"]).map(MethodSpec),
+    st.builds(lambda t: MethodSpec("semi-reciprocal", t=t), st.integers(2, 10**6)),
+    st.builds(lambda a, b: MethodSpec("intermediate", t_fwd=a, t_bwd=b), st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds(lambda kind, b: MethodSpec(kind, beta=b), st.sampled_from(["graft-rnr", "graft-rrmax"]), _BETAS),
+)
+
+
+@st.composite
+def _convex_specs(draw, constituents):
+    subs = draw(st.lists(constituents, min_size=2, max_size=3))
+    scale = 2 ** draw(st.integers(1, 60))
+    cuts = sorted(draw(st.lists(st.integers(0, scale), min_size=len(subs) - 1, max_size=len(subs) - 1)))
+    weights = tuple((b - a) / scale for a, b in zip([0] + cuts, cuts + [scale]))
+    return MethodSpec("convex", weights=weights, constituents=tuple(subs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.recursive(_LEAVES, _convex_specs, max_leaves=10),
+    st.builds(lambda b: MethodSpec("graft-rr-invalid", beta=b), _BETAS),
+))
+def test_describe_parses_back_to_an_equal_spec(spec):
+    assert parse_method_spec(spec.describe()) == spec
+
+
+def test_parse_numbers_whole_and_whitespace_anywhere():
+    assert parse_method_spec("convex:1e+0*reciprocal+0*nonreciprocal") == MethodSpec(
+        "convex", weights=(1.0, 0.0), constituents=(MethodSpec("reciprocal"), MethodSpec("nonreciprocal"))
+    )
+    spec = parse_method_spec("convex:0.5*graft-rnr:1e+20+0.5*reciprocal")
+    assert spec.constituents == (MethodSpec("graft-rnr", beta=1e20), MethodSpec("reciprocal"))
+    assert parse_method_spec(" intermediate : 2 , 5 ") == MethodSpec("intermediate", t_fwd=2, t_bwd=5)
+    assert parse_method_spec("( convex : 0.5 * ( reciprocal ) + 0.5 * nonreciprocal )").weights == (0.5, 0.5)
+
+
+def test_parse_deep_parentheses_and_nesting():
+    assert parse_method_spec("(" * 5000 + "reciprocal" + ")" * 5000) == MethodSpec("reciprocal")
+    text = "convex:0.5*reciprocal+0.5*nonreciprocal"
+    for _ in range(399):
+        text = f"convex:0.5*({text})+0.5*nonreciprocal"
+    assert parse_method_spec(text).describe() == text
 
 
 # ---- cluster ----------------------------------------------------------------
@@ -283,6 +337,53 @@ def test_non_finite_or_negative_flags_are_usage_errors():
             assert code == 1, argv
             assert f"argument {argv[-2]}: must be a finite number >= 0" in err, argv
             assert out == ""
+
+
+def test_flags_take_only_plain_ascii_numbers():
+    # float() reads these as 10, 3 and 10.5.
+    for value in ("1_0", "\u0663", "1_0.5"):
+        code, out, err = run_cli("cut", "--input", CYCLE4, "--method", "reciprocal", "--delta", value)
+        assert (code, out) == (1, ""), value
+        assert f"argument --delta: invalid float value: {value!r}" in err
+
+
+def test_compare_reports_sandwich_violations(monkeypatch):
+    # semi-reciprocal:3 is replaced by a matrix below the lower bound on (a, b)
+    # and above the upper bound on (c, d); every other pair is in bounds.
+    def out_of_bounds(net, t):
+        dist = dioidclust.methods.reciprocal(net).dist.copy()
+        dist[0, 1] = dist[1, 0] = 0.5
+        dist[2, 3] = dist[3, 2] = 9.0
+        return Ultrametric(net.labels, dist)
+
+    monkeypatch.setattr(dioidclust.methods, "semi_reciprocal", out_of_bounds)
+    code, out, err = run_cli(
+        "compare", "--input", CYCLE4, "--method", "nonreciprocal", "--method", "semi-reciprocal:3"
+    )
+    assert code == 2
+    assert out.splitlines() == [
+        "pair  nonreciprocal  semi-reciprocal:3  sandwich",
+        "a,b   1              0.5                VIOLATION:semi-reciprocal:3",
+        "a,c   1              5                  ok",
+        "a,d   1              5                  ok",
+        "b,c   1              5                  ok",
+        "b,d   1              5                  ok",
+        "c,d   1              9                  VIOLATION:semi-reciprocal:3",
+    ]
+    assert err == "error: 2 sandwich violations\nerror: sandwich bounds violated\n"
+
+
+def test_cluster_newick_of_a_400_level_chain(tmp_path):
+    # u(i, j) = max(i, j): node k joins the tree at resolution k, 399 levels deep.
+    labels = [f"n{i}" for i in range(400)]
+    rows = [labels[i] + "," + ",".join(str(max(i, j)) if i != j else "0" for j in range(400)) for i in range(400)]
+    src = tmp_path / "chain.csv"
+    src.write_text("\n".join(["," + ",".join(labels)] + rows) + "\n")
+    code, out, err = run_cli("cluster", "--input", str(src), "--method", "single-linkage", "--emit", "newick")
+    assert code == 0, err
+    tree = out.splitlines()[-1]
+    assert tree.startswith("(" * 399 + "n0:1,n1:1):1,n2:2):1,n3:3)")
+    assert tree.endswith("):1,n399:399):0;")
 
 
 def test_malformed_csv_is_a_parse_error(tmp_path):

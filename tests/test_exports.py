@@ -95,6 +95,16 @@ def test_newick_forest_emits_one_tree_per_root():
     assert newick(d) == "(p:2,q:2):0;\nr;\n"
 
 
+def test_newick_renders_a_2000_level_chain():
+    # Leaf k joins at resolution k, so the tree is 1999 merges deep.
+    leaves = tuple(f"x{k}" for k in range(2000))
+    merges = tuple(MergeEvent(float(k), (leaves[: k + 1],)) for k in range(1, 2000))
+    text = newick(Dendrogram(leaves, merges))
+    assert text.startswith("(" * 1999 + "x0:1,x1:1):1,x2:2):1,x3:3)")
+    assert text.endswith("):1,x1999:1999):0;\n")
+    assert text.count("(") == text.count(")") == 1999
+
+
 def test_newick_quotes_labels_with_metacharacters():
     net = load_network("a b\tc:1\t1\nc:1\t(d)\t2\n(d)\ta b\t3\nc:1\ta b\t2\n", fmt="edge-list")
     assert newick(to_dendrogram(nonreciprocal(net))) == "('(d)':3,('a b':2,'c:1':2):1):0;\n"

@@ -61,8 +61,42 @@ def test_edge_list_rejects_duplicates_and_garbage():
 
 def test_dense_csv_negative_entry_names_cell():
     text = ",a,b\na,0,-1\nb,2,0\n"
-    with pytest.raises(NetworkFormatError, match=r"\(a, b\)"):
+    with pytest.raises(NetworkFormatError, match=r"^negative entry at \(a, b\): -1$"):
         load_network(io.StringIO(text))
+
+
+def _dense(cell):
+    return f",a,b\na,0,{cell}\nb,2,0\n"
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_network, _dense("x"), r"unparsable value 'x' at \(a, b\)"),
+        (load_network, _dense("nan"), r"NaN value at \(a, b\)"),
+        # float() reads these as 10, 3 and +inf.
+        (load_network, _dense("1_0"), r"unparsable value '1_0' at \(a, b\)"),
+        (load_network, _dense("\u0663"), r"unparsable value '\u0663' at \(a, b\)"),
+        (load_network, _dense("1e400"), r"value '1e400' at \(a, b\) overflows to inf"),
+        (load_network, ",a,b\n", r"dense CSV needs a header and at least one row, got 1 lines"),
+        (load_network, ",a,b\nb,0,1\na,1,0\n", r"row 1 label 'b' does not match column label 'a'"),
+        # Line 3 is named although a comment and a blank line come before it.
+        (lambda t: load_network(t, fmt="edge-list"), "# edges\n\na\tb\tx\n", r"unparsable value 'x' at line 3"),
+        (lambda t: load_network(t, fmt="edge-list"), "# no edges\n\n", r"edge list is empty"),
+        (lambda t: load_network(t, fmt="matrix-market"), _dense("1"), r"unknown network format 'matrix-market'"),
+        (load_uses_table, ",s1,s2\ns1,1,inf\ns2,1,1\n", r"flows must be finite, got inf at \(s1, s2\)"),
+    ],
+    ids=["unparsable", "nan", "underscore", "arabic-digit", "overflow", "one-line-csv", "row-label",
+         "edge-list-line", "empty-edge-list", "unknown-format", "uses-inf"],
+)
+def test_input_errors_name_their_cell_line_or_sector(load, text, message):
+    with pytest.raises(NetworkFormatError, match=message):
+        load(io.StringIO(text))
+
+
+def test_cells_read_as_float_reads_them():
+    for cell in ("1e5", " 2.5 ", "-0", "+3", ".5", "7.", "1E-3", "Infinity", "INF", "1e308"):
+        assert load_network(io.StringIO(_dense(cell))).dissim[0, 1] == float(cell), cell
 
 
 def test_dense_csv_nonzero_diagonal_rejected():
