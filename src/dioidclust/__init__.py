@@ -8,12 +8,9 @@ command-line interface.
 
 from .dioid import (
     DioidStabilizationError,
-    dioid_identity,
     dioid_power,
     dioid_product,
-    elementwise_max,
     quasi_inverse,
-    symmetrize_max,
 )
 from .hierarchy import (
     Dendrogram,
@@ -77,10 +74,8 @@ __all__ = [
     "UsesTable",
     "convex_combination",
     "cut_at_resolution",
-    "dioid_identity",
     "dioid_power",
     "dioid_product",
-    "elementwise_max",
     "from_dendrogram",
     "from_uses_table",
     "graft_rnr",
@@ -96,7 +91,6 @@ __all__ = [
     "save_network",
     "semi_reciprocal",
     "single_linkage",
-    "symmetrize_max",
     "to_dendrogram",
     "validate_network",
     "validate_ultrametric",

@@ -35,6 +35,7 @@ from .methods import (
     MethodSpecError,
     parse_method_spec,
     run_method,
+    run_methods,
 )
 from .network import (
     NetworkFormatError,
@@ -190,20 +191,17 @@ def cmd_cut(args, stdout, stderr) -> int:
 def cmd_compare(args, stdout, stderr) -> int:
     net = _load_input(args)
     specs = [parse_method_spec(m) for m in args.method]
-    for spec in specs:
-        if spec.kind == "graft-rr-invalid":
-            raise ValidationFailure("graft-rr-invalid is not admissible; compare refuses it")
-    results = [run_method(net, spec) for spec in specs]
+    if any(spec.kind == "graft-rr-invalid" for spec in specs):
+        raise ValidationFailure("graft-rr-invalid is not admissible; compare refuses it")
     rows, cols = np.triu_indices(net.n, 1)
-    lower = run_method(net, MethodSpec("nonreciprocal")).dist[rows, cols]
-    upper = run_method(net, MethodSpec("reciprocal")).dist[rows, cols]
+    results = run_methods(net, [*specs, MethodSpec("nonreciprocal"), MethodSpec("reciprocal")])
+    *values, lower, upper = [res.dist[rows, cols] for res in results]
     names = [spec.describe() for spec in specs]
     columns, flags = [], []
-    for spec, res in zip(specs, results):
+    for spec, vals in zip(specs, values):
         tol = (0.0 if spec.exact else CONVEX_DEFAULT_TOLERANCE) if args.tolerance is None else args.tolerance
-        values = res.dist[rows, cols]
-        columns.append([format_value(v) for v in values.tolist()])
-        flags.append((values < lower - tol) | (values > upper + tol))
+        columns.append([format_value(v) for v in vals.tolist()])
+        flags.append((vals < lower - tol) | (vals > upper + tol))
     sandwich = ["ok"] * len(rows)
     for k in np.flatnonzero(np.any(flags, axis=0)).tolist():
         sandwich[k] = "VIOLATION:" + ";".join(name for name, bad in zip(names, flags) if bad[k])

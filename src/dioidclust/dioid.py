@@ -24,12 +24,9 @@ import numpy as np
 
 __all__ = [
     "DioidStabilizationError",
-    "dioid_identity",
     "dioid_product",
     "dioid_power",
     "quasi_inverse",
-    "symmetrize_max",
-    "elementwise_max",
 ]
 
 # Cap on the (rows x n x n) broadcast buffer used per product block, ~32 MB.
@@ -62,15 +59,6 @@ def _as_dioid_matrix(entries, name: str = "matrix") -> np.ndarray:
 def is_integer(value) -> bool:
     """True for Python and numpy integers; False for bools, which are ints in Python."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def dioid_identity(n: int) -> np.ndarray:
-    """Two-sided identity of the dioid product: zero diagonal, +inf elsewhere."""
-    if n < 1:
-        raise ValueError(f"identity needs n >= 1, got {n}")
-    ident = np.full((n, n), np.inf)
-    np.fill_diagonal(ident, 0.0)
-    return ident
 
 
 def dioid_product(a, b) -> np.ndarray:
@@ -156,17 +144,3 @@ def quasi_inverse(a) -> np.ndarray:
         )
     return closure
 
-
-def symmetrize_max(a) -> np.ndarray:
-    """Entrywise maximum of a matrix and its transpose."""
-    a = _as_dioid_matrix(a)
-    return np.maximum(a, a.T)
-
-
-def elementwise_max(a, b) -> np.ndarray:
-    """Entrywise maximum of two equal-shaped matrices."""
-    a = _as_dioid_matrix(a, "left operand")
-    b = _as_dioid_matrix(b, "right operand")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return np.maximum(a, b)

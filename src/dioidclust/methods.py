@@ -28,7 +28,9 @@ concurrently on a shared Network.
 The method-spec text grammar (``GRAMMAR``, ``parse_method_spec``) lives
 here beside ``MethodSpec.describe()``. One table names each kind's
 parameters and its runner; the spec checks, the parser, ``describe()``
-and ``run_method`` all read it.
+and ``run_methods`` all read it. ``run_methods`` is the one evaluator:
+grafts and convex combinations reuse the outputs of their parts, and each
+distinct method runs once per network within one call.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dioid import dioid_power, elementwise_max, is_integer, quasi_inverse
+from .dioid import dioid_power, is_integer, quasi_inverse
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
 from .network import Network, format_value
 
@@ -58,29 +60,31 @@ __all__ = [
     "parse_method_spec",
     "reciprocal",
     "run_method",
+    "run_methods",
     "semi_reciprocal",
     "single_linkage",
 ]
 
 WEIGHT_SUM_TOLERANCE = 1e-12
+MAX_CONVEX_DEPTH = 500
 
-# Each kind's parameter names and its runner. The runners look their method
-# up when called, so a module attribute rebound at run time is the one run.
+# Each kind's parameter names and its runner, which takes the outputs of
+# _parts(spec). The runners look their method up when called, so a module
+# attribute rebound at run time is the one run.
 _KINDS = {
-    "reciprocal": ((), lambda net, spec: reciprocal(net)),
-    "nonreciprocal": ((), lambda net, spec: nonreciprocal(net)),
-    "semi-reciprocal": (("t",), lambda net, spec: semi_reciprocal(net, spec.t)),
-    "intermediate": (("t_fwd", "t_bwd"), lambda net, spec: intermediate(net, spec.t_fwd, spec.t_bwd)),
-    "graft-rnr": (("beta",), lambda net, spec: graft_rnr(net, spec.beta)),
-    "graft-rrmax": (("beta",), lambda net, spec: graft_rrmax(net, spec.beta)),
-    "convex": (("weights", "constituents"), lambda net, spec: convex_combination(net, spec)),
-    "single-linkage": ((), lambda net, spec: single_linkage(net)),
-    "graft-rr-invalid": (("beta",), lambda net, spec: graft_rr_invalid(net, spec.beta)),
+    "reciprocal": ((), lambda net, spec, parts: reciprocal(net)),
+    "nonreciprocal": ((), lambda net, spec, parts: nonreciprocal(net)),
+    "semi-reciprocal": (("t",), lambda net, spec, parts: semi_reciprocal(net, spec.t)),
+    "intermediate": (("t_fwd", "t_bwd"), lambda net, spec, parts: intermediate(net, spec.t_fwd, spec.t_bwd)),
+    "graft-rnr": (("beta",), lambda net, spec, parts: _graft(net, spec, *parts)),
+    "graft-rrmax": (("beta",), lambda net, spec, parts: _graft(net, spec, *parts)),
+    "convex": (("weights", "constituents"), lambda net, spec, parts: _convex(net, spec, parts)),
+    "single-linkage": ((), lambda net, spec, parts: single_linkage(net)),
+    "graft-rr-invalid": (("beta",), lambda net, spec, parts: _graft(net, spec, *parts)),
 }
-ALL_KINDS = tuple(_KINDS)
-ADMISSIBLE_KINDS = tuple(kind for kind in ALL_KINDS if kind != "graft-rr-invalid")
+ADMISSIBLE_KINDS = tuple(kind for kind in _KINDS if kind != "graft-rr-invalid")
 
-GRAMMAR = """method spec grammar:
+GRAMMAR = f"""method spec grammar:
   reciprocal | nonreciprocal | single-linkage
   semi-reciprocal:<t>                integer t >= 2
   intermediate:<t>,<t'>              integers t, t' >= 1
@@ -88,7 +92,8 @@ GRAMMAR = """method spec grammar:
   graft-rrmax:<beta>                 beta > 0
   graft-rr-invalid:<beta>            beta > 0 (counterexample demonstrator)
   convex:<w>*<spec>+<w>*<spec>[+..]  weights in [0,1] summing to 1;
-                                     nested convex specs in parentheses"""
+                                     nested convex specs in parentheses,
+                                     at most {MAX_CONVEX_DEPTH} convex levels deep"""
 
 # Only ASCII digits, points and exponents: int() and float() also take
 # underscores, other scripts' digits, "inf" and "nan", none of which
@@ -212,7 +217,7 @@ def parse_method_spec(text: str) -> MethodSpec:
         pos = found.end()
         return found.group()
 
-    def spec(nested: bool) -> MethodSpec:
+    def spec(depth: int) -> MethodSpec:  # depth: the number of enclosing convex levels
         opens = 0  # counted, not recursed: thousands of wrapping "(" must parse
         while skip("("):
             opens += 1
@@ -220,8 +225,10 @@ def parse_method_spec(text: str) -> MethodSpec:
         if kind not in _KINDS:
             raise error(f"unknown method kind {kind!r}")
         names = _KINDS[kind][0]
-        if kind == "convex" and nested and not opens:
+        if kind == "convex" and depth and not opens:
             raise error("a nested convex spec needs parentheses")
+        if kind == "convex" and depth == MAX_CONVEX_DEPTH:
+            raise error(f"convex specs nest at most {MAX_CONVEX_DEPTH} levels deep")
         if names and not skip(":"):
             raise error(f"{kind} needs ':' and then {' and '.join(names)}")
         weights, constituents, params = [], [], {}
@@ -230,7 +237,7 @@ def parse_method_spec(text: str) -> MethodSpec:
                 weights.append(float(token(_DECIMAL, "a weight must be a decimal number")))
                 if not skip("*"):
                     raise error("expected '*' between a weight and its spec")
-                constituents.append(spec(True))
+                constituents.append(spec(depth + 1))
         else:
             for name in names:
                 if params and not skip(","):
@@ -244,7 +251,7 @@ def parse_method_spec(text: str) -> MethodSpec:
         except MethodSpecError as exc:
             raise error(str(exc)) from None
 
-    parsed = spec(False)
+    parsed = spec(0)
     if pos < len(text.rstrip()):
         raise error("unbalanced parentheses: ')' closes nothing" if skip(")") else "unexpected text after the spec")
     return parsed
@@ -298,7 +305,7 @@ def nonreciprocal(net: Network) -> Ultrametric:
     """Cluster through possibly different forward and backward chains."""
     _require_valid(net)
     forward = quasi_inverse(net.dissim)
-    return _wrap(net, elementwise_max(forward, forward.T), "nonreciprocal")
+    return _wrap(net, np.maximum(forward, forward.T), "nonreciprocal")
 
 
 def semi_reciprocal(net: Network, t: int) -> Ultrametric:
@@ -337,20 +344,12 @@ def graft_rnr(net: Network, beta: float) -> Ultrametric:
     Tight clusters may form through one-directional loops while looser
     ones still require bidirectional influence.
     """
-    spec = MethodSpec("graft-rnr", beta=beta)
-    lower = nonreciprocal(net).dist
-    upper = reciprocal(net).dist
-    grafted = np.where(upper <= beta, lower, upper)
-    return _wrap(net, grafted, spec.describe())
+    return run_method(net, MethodSpec("graft-rnr", beta=beta))
 
 
 def graft_rrmax(net: Network, beta: float) -> Ultrametric:
     """Reciprocal values within beta; above it, nonreciprocal saturated up to beta."""
-    spec = MethodSpec("graft-rrmax", beta=beta)
-    lower = nonreciprocal(net).dist
-    upper = reciprocal(net).dist
-    grafted = np.where(upper <= beta, upper, np.maximum(beta, lower))
-    return _wrap(net, grafted, spec.describe())
+    return run_method(net, MethodSpec("graft-rrmax", beta=beta))
 
 
 def graft_rr_invalid(net: Network, beta: float) -> GraftCounterexample:
@@ -360,9 +359,16 @@ def graft_rr_invalid(net: Network, beta: float) -> GraftCounterexample:
     the result is a demonstrator carrying its own validity report rather
     than an Ultrametric; dendrogram emission is refused downstream.
     """
-    MethodSpec("graft-rr-invalid", beta=beta)
-    lower = nonreciprocal(net).dist
-    upper = reciprocal(net).dist
+    return run_method(net, MethodSpec("graft-rr-invalid", beta=beta))
+
+
+def _graft(net: Network, spec: MethodSpec, lower: Ultrametric, upper: Ultrametric):
+    """Splice the nonreciprocal (lower) and reciprocal (upper) outputs at spec.beta."""
+    lower, upper, beta = lower.dist, upper.dist, spec.beta
+    if spec.kind == "graft-rnr":
+        return _wrap(net, np.where(upper <= beta, lower, upper), spec.describe())
+    if spec.kind == "graft-rrmax":
+        return _wrap(net, np.where(upper <= beta, upper, np.maximum(beta, lower)), spec.describe())
     grafted = np.where(upper <= beta, upper, lower)
     grafted.flags.writeable = False
     report = validate_ultrametric(grafted, 0.0, labels=net.labels)
@@ -380,16 +386,43 @@ def convex_combination(net: Network, spec: MethodSpec) -> Ultrametric:
     """
     if spec.kind != "convex":
         raise MethodSpecError(f"expected a convex spec, got {spec.kind}")
-    _require_valid(net)
+    return run_method(net, spec)
+
+
+def _convex(net: Network, spec: MethodSpec, parts: list[Ultrametric]) -> Ultrametric:
+    """Sum the nonzero-weight constituents' outputs in order from zeros, then close."""
     combined = np.zeros((net.n, net.n))
-    for weight, sub in zip(spec.weights, spec.constituents):
-        if weight == 0.0:
-            continue
-        combined = combined + weight * run_method(net, sub).dist
-    closure = quasi_inverse(combined)
-    return _wrap(net, closure, spec.describe())
+    for weight, part in zip([w for w in spec.weights if w != 0.0], parts):
+        combined = combined + weight * part.dist
+    return _wrap(net, quasi_inverse(combined), spec.describe())
+
+
+def _parts(spec: MethodSpec) -> tuple[MethodSpec, ...]:
+    """The specs whose outputs spec is built from, in the order its runner takes them."""
+    if spec.kind == "convex":
+        return tuple(sub for w, sub in zip(spec.weights, spec.constituents) if w != 0.0)
+    return (MethodSpec("nonreciprocal"), MethodSpec("reciprocal")) if spec.kind.startswith("graft") else ()
+
+
+def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | GraftCounterexample]:
+    """Run each spec on net; each distinct method runs once within the call.
+
+    Specs are walked from an explicit stack, parts before the specs built
+    from them, so convex nesting costs no Python recursion.
+    """
+    def key(spec):  # convex specs by identity: the dataclass __eq__ and __hash__ recurse per level
+        return id(spec) if spec.kind == "convex" else spec
+
+    memo, stack = {}, [(spec, False) for spec in reversed(specs)]
+    while stack:
+        spec, ready = stack.pop()
+        if ready:
+            memo[key(spec)] = _KINDS[spec.kind][1](net, spec, [memo[key(part)] for part in _parts(spec)])
+        elif key(spec) not in memo:
+            stack += [(spec, True)] + [(part, False) for part in reversed(_parts(spec))]
+    return [memo[key(spec)] for spec in specs]
 
 
 def run_method(net: Network, spec: MethodSpec) -> Ultrametric | GraftCounterexample:
     """Dispatch a MethodSpec; output carries provenance (method string and n)."""
-    return _KINDS[spec.kind][1](net, spec)
+    return run_methods(net, [spec])[0]

@@ -11,7 +11,7 @@ from dioidclust.cli import GRAMMAR, main, parse_method_spec
 from dioidclust.hierarchy import Ultrametric
 from dioidclust.methods import MethodSpec, MethodSpecError
 
-from conftest import DATA, method_battery
+from conftest import DATA, cycle4_network, method_battery
 
 
 def run_cli(*argv):
@@ -371,6 +371,46 @@ def test_compare_reports_sandwich_violations(monkeypatch):
         "c,d   1              9                  VIOLATION:semi-reciprocal:3",
     ]
     assert err == "error: 2 sandwich violations\nerror: sandwich bounds violated\n"
+
+
+def test_compare_and_grafts_run_each_extreme_once(monkeypatch):
+    argv = ["compare", "--input", CYCLE4]
+    for method in ("reciprocal", "graft-rnr:4", "graft-rrmax:4", "convex:0.5*reciprocal+0.5*nonreciprocal"):
+        argv += ["--method", method]
+    code, expected, _ = run_cli(*argv)
+    assert code == 0
+    calls = {}
+    for name in ("reciprocal", "nonreciprocal"):
+        def counted(net, name=name, method=getattr(dioidclust.methods, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return method(net)
+        monkeypatch.setattr(dioidclust.methods, name, counted)
+    assert run_cli(*argv) == (0, expected, "")
+    assert calls == {"reciprocal": 1, "nonreciprocal": 1}
+    calls.clear()
+    dioidclust.methods.graft_rnr(cycle4_network(), 4.0)
+    assert calls == {"reciprocal": 1, "nonreciprocal": 1}
+
+
+def _nested_convex(levels):
+    text = "convex:0.5*reciprocal+0.5*nonreciprocal"
+    for _ in range(levels - 1):
+        text = f"convex:0.5*({text})+0.5*nonreciprocal"
+    return text
+
+
+def test_deep_convex_specs_run_up_to_the_cap():
+    deepest = _nested_convex(500)
+    code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", deepest)
+    assert code == 0, err
+    assert out.startswith(f"method: {deepest}\n")
+    code, out, err = run_cli("compare", "--input", CYCLE4, "--method", deepest)
+    assert code == 0, err
+    assert out.splitlines()[0].split()[1] == deepest
+    for levels in (501, 5000):
+        code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", _nested_convex(levels))
+        assert code == 1 and out == ""
+        assert "convex specs nest at most 500 levels deep" in err and GRAMMAR in err
 
 
 def test_cluster_newick_of_a_400_level_chain(tmp_path):

@@ -18,7 +18,7 @@ from dioidclust import (
     single_linkage,
     validate_ultrametric,
 )
-from dioidclust.methods import GraftCounterexample
+from dioidclust.methods import GraftCounterexample, run_methods
 
 from conftest import cycle4_network, sweep8_network, method_battery, random_network
 
@@ -434,6 +434,11 @@ def test_run_method_dispatch_and_provenance(cycle4):
     assert np.array_equal(u.dist, semi_reciprocal(cycle4, 3).dist)
     bad = run_method(cycle4, MethodSpec("graft-rr-invalid", beta=4.0))
     assert isinstance(bad, GraftCounterexample)
+    # Results come back in spec order; equal flat specs share one run.
+    graft, upper, again = run_methods(cycle4, [MethodSpec("graft-rnr", beta=4.0), MethodSpec("reciprocal"),
+                                               MethodSpec("graft-rnr", beta=4.0)])
+    assert again is graft and upper.provenance.method == "reciprocal"
+    assert np.array_equal(graft.dist, graft_rnr(cycle4, 4.0).dist)
 
 
 def test_methods_reject_invalid_networks():
