@@ -6,12 +6,7 @@ conversion, exporters, a brute-force oracle for small instances, and a
 command-line interface.
 """
 
-from .dioid import (
-    DioidStabilizationError,
-    dioid_power,
-    dioid_product,
-    quasi_inverse,
-)
+from .dioid import dioid_power, dioid_product, quasi_inverse
 from .hierarchy import (
     Dendrogram,
     DendrogramStructureError,
@@ -58,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dendrogram",
     "DendrogramStructureError",
-    "DioidStabilizationError",
     "GraftCounterexample",
     "InvalidUltrametricError",
     "MergeEvent",

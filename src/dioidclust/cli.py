@@ -127,30 +127,25 @@ def cmd_cluster(args, stdout, stderr) -> int:
                 f"refusing to emit {'/'.join(refused)}: {spec.describe()} is a "
                 "counterexample demonstrator, not an admissible method"
             )
-        for fmt, path in plan:
-            if fmt == "csv":
-                _write_artifact(exports.matrix_csv(result.labels, result.matrix), path, stdout)
-            elif fmt == "dot":
-                _write_artifact(exports.threshold_dot(net, args.delta), path, stdout)
-        return 0
-
-    dendrogram = to_dendrogram(result)
-    _merge_summary(result, dendrogram, stdout)
-    roots = dendrogram.roots
-    if len(roots) > 1:
-        stderr.write(
-            f"warning: network is not minimax-connected; dendrogram is a forest with {len(roots)} roots\n"
-        )
+        matrix = result.matrix
+    else:
+        dendrogram = to_dendrogram(result)
+        _merge_summary(result, dendrogram, stdout)
+        roots = dendrogram.roots
+        if len(roots) > 1:
+            stderr.write(
+                f"warning: network is not minimax-connected; dendrogram is a forest with {len(roots)} roots\n"
+            )
+        matrix = result.dist
+    # Built only when the plan asks; a counterexample never reaches json or newick.
+    payloads = {
+        "csv": lambda: exports.matrix_csv(result.labels, matrix),
+        "json": lambda: exports.dendrogram_json(result, dendrogram),
+        "newick": lambda: exports.newick(dendrogram),
+        "dot": lambda: exports.threshold_dot(net, args.delta),
+    }
     for fmt, path in plan:
-        if fmt == "csv":
-            payload = exports.matrix_csv(result.labels, result.dist)
-        elif fmt == "json":
-            payload = exports.dendrogram_json(result, dendrogram)
-        elif fmt == "newick":
-            payload = exports.newick(dendrogram)
-        else:
-            payload = exports.threshold_dot(net, args.delta)
-        _write_artifact(payload, path, stdout)
+        _write_artifact(payloads[fmt](), path, stdout)
     return 0
 
 

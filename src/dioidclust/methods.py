@@ -109,6 +109,11 @@ class MethodSpecError(ValueError):
     """Invalid method description or parameters."""
 
 
+def _is_real(value) -> bool:
+    """True for Python and numpy ints and floats; False for bools, strings and the rest."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """A clustering method selection with its parameters.
@@ -117,7 +122,8 @@ class MethodSpec:
     semi-reciprocal (>= 2), ``t_fwd``/``t_bwd`` for intermediate (>= 1),
     ``beta`` (> 0) for the grafting kinds, ``weights``/``constituents``
     for convex combinations (weights in [0, 1] summing to 1, constituents
-    admissible).
+    admissible). Beta and weights take Python or numpy numbers, not bools,
+    and are stored as floats.
     """
 
     kind: str
@@ -147,9 +153,13 @@ class MethodSpec:
                 if not is_integer(val) or val < 1:
                     raise MethodSpecError(f"intermediate needs integer {name} >= 1, got {val!r}")
         if "beta" in wanted:
-            if not isinstance(self.beta, (int, float)) or not math.isfinite(self.beta) or self.beta <= 0:
+            if not _is_real(self.beta) or not math.isfinite(self.beta) or self.beta <= 0:
                 raise MethodSpecError(f"grafting needs finite beta > 0, got {self.beta!r}")
+            object.__setattr__(self, "beta", float(self.beta))
         if self.kind == "convex":
+            for w in self.weights:
+                if not _is_real(w) or not math.isfinite(w) or w < 0 or w > 1:
+                    raise MethodSpecError(f"weights must be numbers in [0, 1], got {w!r}")
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
             object.__setattr__(self, "constituents", tuple(self.constituents))
             if len(self.constituents) < 2:
@@ -158,9 +168,6 @@ class MethodSpec:
                 raise MethodSpecError(
                     f"{len(self.weights)} weights for {len(self.constituents)} constituents"
                 )
-            for w in self.weights:
-                if not math.isfinite(w) or w < 0 or w > 1:
-                    raise MethodSpecError(f"weights must lie in [0, 1], got {w!r}")
             total = math.fsum(self.weights)
             if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
                 raise MethodSpecError(f"weights must sum to 1, got {total!r}")
@@ -174,19 +181,27 @@ class MethodSpec:
         return self.kind != "convex"
 
     def describe(self) -> str:
-        """Canonical method string; parse_method_spec reads it back to an equal spec."""
-        if self.kind == "convex":
-            terms = []
-            for w, sub in zip(self.weights, self.constituents):
-                text = sub.describe()
-                if sub.kind == "convex":
-                    text = f"({text})"
-                terms.append(f"{format_value(w)}*{text}")
-            return "convex:" + "+".join(terms)
-        names = _KINDS[self.kind][0]
-        if not names:
-            return self.kind
-        return f"{self.kind}:" + ",".join(format_value(getattr(self, name)) for name in names)
+        """Canonical method string; parse_method_spec reads it back to an equal spec.
+
+        Rendered left to right from an explicit stack of pending text and
+        specs, so convex nesting costs no Python recursion.
+        """
+        pieces, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+            elif item.kind == "convex":
+                todo = []
+                for w, sub in zip(item.weights, item.constituents):
+                    todo += ["+" if todo else "convex:", f"{format_value(w)}*"]
+                    todo += ["(", sub, ")"] if sub.kind == "convex" else [sub]
+                stack += reversed(todo)
+            else:
+                names = _KINDS[item.kind][0]
+                pieces.append(item.kind + (":" if names else "")
+                              + ",".join(format_value(getattr(item, name)) for name in names))
+        return "".join(pieces)
 
 
 def parse_method_spec(text: str) -> MethodSpec:
@@ -372,7 +387,7 @@ def _graft(net: Network, spec: MethodSpec, lower: Ultrametric, upper: Ultrametri
     grafted = np.where(upper <= beta, upper, lower)
     grafted.flags.writeable = False
     report = validate_ultrametric(grafted, 0.0, labels=net.labels)
-    return GraftCounterexample(net.labels, grafted, float(beta), report)
+    return GraftCounterexample(net.labels, grafted, beta, report)
 
 
 def convex_combination(net: Network, spec: MethodSpec) -> Ultrametric:

@@ -60,7 +60,9 @@ def _check_labels(labels, n: int) -> tuple[str, ...]:
     if len(labels) != n:
         raise NetworkFormatError(f"{len(labels)} labels for a {n}x{n} matrix")
     seen = set()
-    for lab in labels:
+    for position, lab in enumerate(labels, start=1):
+        if not lab.strip():
+            raise NetworkFormatError(f"empty label at position {position} of {n}")
         if lab in seen:
             raise NetworkFormatError(f"duplicate label {lab!r}")
         seen.add(lab)
@@ -275,6 +277,8 @@ def _parse_edge_list(text: str):
                 f"edge list line {lineno}: expected 'src<TAB>dst<TAB>weight', got {raw!r}"
             )
         src, dst, cell = (p.strip() for p in parts)
+        if not (src and dst):
+            raise NetworkFormatError(f"edge list line {lineno}: empty node name in {raw!r}")
         weight = _parse_cell(cell, f"line {lineno}")
         i, j = node(src), node(dst)
         if (i, j) in edges:

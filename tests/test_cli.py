@@ -413,6 +413,24 @@ def test_deep_convex_specs_run_up_to_the_cap():
         assert "convex specs nest at most 500 levels deep" in err and GRAMMAR in err
 
 
+def test_describe_is_linear_and_not_recursive(monkeypatch):
+    spec = MethodSpec("convex", weights=(0.5, 0.5), constituents=(MethodSpec("reciprocal"), MethodSpec("nonreciprocal")))
+    for _ in range(1999):
+        spec = MethodSpec("convex", weights=(0.5, 0.5), constituents=(spec, MethodSpec("nonreciprocal")))
+    assert spec.describe() == _nested_convex(2000)
+    calls = []
+    original = MethodSpec.describe
+
+    def counting(self):
+        calls.append(self.kind)
+        return original(self)
+
+    monkeypatch.setattr(MethodSpec, "describe", counting)
+    code, _, err = run_cli("cluster", "--input", CYCLE4, "--method", _nested_convex(500))
+    assert code == 0, err
+    assert len(calls) <= 1000
+
+
 def test_cluster_newick_of_a_400_level_chain(tmp_path):
     # u(i, j) = max(i, j): node k joins the tree at resolution k, 399 levels deep.
     labels = [f"n{i}" for i in range(400)]
@@ -461,20 +479,30 @@ def test_help_shows_grammar_and_flags(capsys):
 
 def test_cluster_validates_each_result_once(monkeypatch):
     import dioidclust.cli
+    import dioidclust.dioid
     import dioidclust.hierarchy
 
-    calls = []
-    original = dioidclust.hierarchy.validate_ultrametric
+    def counting(original, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return wrapper
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(dioidclust.hierarchy, "validate_ultrametric", counting)
-    monkeypatch.setattr(dioidclust.cli, "validate_ultrametric", counting)
-    code, _, _ = run_cli("cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "newick")
-    assert code == 0
-    assert len(calls) == 1
+    validations, products = [], []
+    validate = counting(dioidclust.hierarchy.validate_ultrametric, validations)
+    product = counting(dioidclust.dioid.dioid_product, products)
+    monkeypatch.setattr(dioidclust.hierarchy, "validate_ultrametric", validate)
+    monkeypatch.setattr(dioidclust.cli, "validate_ultrametric", validate)
+    monkeypatch.setattr(dioidclust.dioid, "dioid_product", product)
+    monkeypatch.setattr(dioidclust.hierarchy, "dioid_product", product)
+    for method in ("reciprocal", "nonreciprocal"):
+        validations.clear()
+        products.clear()
+        code, _, _ = run_cli("cluster", "--input", CYCLE4, "--method", method, "--emit", "newick")
+        assert code == 0
+        assert len(validations) == 1, method
+        # The closure makes no product of its own: the one is the validation's.
+        assert len(products) == 1, method
 
 
 def test_tolerance_flag_overrides_validation(tmp_path):

@@ -333,6 +333,14 @@ def test_parameter_validation():
         MethodSpec("intermediate", t_fwd=2, t_bwd=True)
     with pytest.raises(MethodSpecError, match="beta > 0"):
         MethodSpec("graft-rnr", beta=0.0)
+    with pytest.raises(MethodSpecError, match="beta > 0"):
+        MethodSpec("graft-rnr", beta=True)
+    numpy_beta = MethodSpec("graft-rnr", beta=np.int64(2))
+    assert type(numpy_beta.beta) is float and numpy_beta.describe() == "graft-rnr:2"
+    pair = (MethodSpec("reciprocal"), MethodSpec("nonreciprocal"))
+    for weights in ((True, False), ("0.5", " 0.5 ")):
+        with pytest.raises(MethodSpecError, match="weights must be numbers"):
+            MethodSpec("convex", weights=weights, constituents=pair)
     with pytest.raises(MethodSpecError, match="not accepted"):
         MethodSpec("reciprocal", t=3)
     with pytest.raises(MethodSpecError, match="unknown method kind"):

@@ -85,9 +85,11 @@ def _dense(cell):
         (lambda t: load_network(t, fmt="edge-list"), "# no edges\n\n", r"edge list is empty"),
         (lambda t: load_network(t, fmt="matrix-market"), _dense("1"), r"unknown network format 'matrix-market'"),
         (load_uses_table, ",s1,s2\ns1,1,inf\ns2,1,1\n", r"flows must be finite, got inf at \(s1, s2\)"),
+        (load_network, ", ,b\n ,0,1\nb,1,0\n", r"empty label at position 1 of 2"),
+        (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\nb\t \t2\n", r"line 2: empty node name"),
     ],
     ids=["unparsable", "nan", "underscore", "arabic-digit", "overflow", "one-line-csv", "row-label",
-         "edge-list-line", "empty-edge-list", "unknown-format", "uses-inf"],
+         "edge-list-line", "empty-edge-list", "unknown-format", "uses-inf", "empty-label", "empty-node"],
 )
 def test_input_errors_name_their_cell_line_or_sector(load, text, message):
     with pytest.raises(NetworkFormatError, match=message):
