@@ -168,12 +168,9 @@ def cmd_validate(args, stdout, stderr) -> int:
 def cmd_cut(args, stdout, stderr) -> int:
     net = _load_input(args)
     spec = parse_method_spec(args.method)
-    result = run_method(net, spec)
-    if isinstance(result, GraftCounterexample):
-        raise ValidationFailure(
-            f"{spec.describe()} is a counterexample demonstrator; it has no partitions"
-        )
-    partition = cut_at_resolution(result, args.delta)
+    if spec.kind == "graft-rr-invalid":
+        raise ValidationFailure(f"{spec.describe()} is a counterexample demonstrator; it has no partitions")
+    partition = cut_at_resolution(run_method(net, spec), args.delta)
     payload = (
         exports.partition_json(partition)
         if args.emit == "json"

@@ -7,9 +7,10 @@ is the same information as a merge tree: one event per distinct finite
 resolution, listing the blocks newly formed at that resolution. +inf
 entries are first-class and yield forests (several roots).
 
-``to_dendrogram`` validates each result exactly, once. One private replay
-of the merge events into trees rejects malformed merges; roots, the
-inverse map, cuts and the Newick exporter are all derived from it.
+``to_dendrogram`` and ``cut_at_resolution`` read a validated result in a
+leaf order where each cluster is one run. One private replay of merge
+events into trees rejects malformed merges; roots, the inverse map and
+Newick are derived from it.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
 
     Tolerance 0 is exact and appropriate for anything produced purely by
     min/max operations; methods that mix in ordinary arithmetic warrant a
-    small positive tolerance.
+    small positive tolerance. An exact ultrametric is recognised in leaf
+    order without the O(n^3) dioid product that any other matrix costs.
     """
     if not math.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
@@ -191,16 +193,15 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
+    labels = tuple(str(i) for i in range(n)) if labels is None else labels
     symmetric = _matrices_close(arr, arr.T, tolerance)
     nonnegative = not (arr < 0).any()
     zero_diagonal = bool((np.abs(np.diagonal(arr)) <= tolerance).all())
     off = ~np.eye(n, dtype=bool)
     positive_off = bool((arr[off] > tolerance).all()) if n > 1 else True
 
-    if nonnegative:
-        best = dioid_product(arr, arr)
+    if nonnegative:  # an exact ultrametric is its own dioid square
+        best = arr if _is_ultrametric(arr) else dioid_product(arr, arr)
         idempotent = _matrices_close(best, arr, tolerance)
     else:
         # The dioid rejects negative entries. min and max only select, so
@@ -214,16 +215,9 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     for i, j in np.argwhere((arr > best + tolerance) & off)[:_VIOLATION_CAP]:
         k = int(np.argmin(np.maximum(arr[i, :], arr[:, j])))
         violations.append((labels[i], labels[k], labels[j], float(arr[i, j]), float(best[i, j])))
-    return UltrametricReport(
-        n=n,
-        tolerance=tolerance,
-        symmetric=symmetric,
-        zero_diagonal=zero_diagonal,
-        positive_off_diagonal=positive_off,
-        idempotent=idempotent,
-        violations=tuple(violations),
-        nonnegative=nonnegative,
-    )
+    return UltrametricReport(n=n, tolerance=tolerance, symmetric=symmetric, zero_diagonal=zero_diagonal,
+                             positive_off_diagonal=positive_off, idempotent=idempotent,
+                             violations=tuple(violations), nonnegative=nonnegative)
 
 
 def _sorted_blocks(groups) -> tuple[tuple[str, ...], ...]:
@@ -281,48 +275,60 @@ def _forest(d: Dendrogram) -> list[_Node]:
     return sorted(roots, key=lambda c: c.min_leaf)
 
 
+def _leaf_order(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leaves sorted by their rows from column 0 on, and the entries between neighbours.
+
+    Each cluster of an ultrametric is a run of this order: its members see each
+    outsider at one distance, above their mutual ones, so the cluster's first
+    column puts them before every outsider whose row agrees so far.
+    """
+    order = np.lexsort(dist[::-1]) if len(dist) else np.arange(0)
+    return order, dist[order[:-1], order[1:]]
+
+
+def _is_ultrametric(arr: np.ndarray) -> bool:
+    """Exact ultrametric test in leaf order, O(n^2) past the sort.
+
+    u is one exactly when it is symmetric with a zero diagonal, its neighbour
+    entries are positive and u(p, q) = max(u(p, q-1), u(q-1, q)) for q > p+1.
+    """
+    order, near = _leaf_order(arr)
+    ordered = arr[np.ix_(order, order)]
+    return bool(np.array_equal(arr, arr.T) and (arr.diagonal() == 0).all() and (near > 0).all()
+                and np.array_equal(np.triu(ordered[:, 1:], 1), np.triu(np.maximum(ordered[:, :-1], near), 1)))
+
+
+def _checked_order(u: Ultrametric) -> tuple[np.ndarray, np.ndarray]:
+    """u's leaf order and its neighbour entries, once validate_ultrametric passes u exactly."""
+    report = validate_ultrametric(u.dist, 0.0, labels=u.labels)
+    if not report.is_valid:
+        raise InvalidUltrametricError(report)
+    return _leaf_order(u.dist)
+
+
 def to_dendrogram(u: Ultrametric) -> Dendrogram:
     """Merge tree of an ultrametric: one event per partition-changing resolution.
 
     This is the validation point for every result turned into a dendrogram:
-    ``u`` is checked exactly (tolerance 0) first, and invalid input raises
-    InvalidUltrametricError carrying the full report. Components of the
-    threshold graph at each distinct finite value are then merged
-    simultaneously; +inf entries leave several roots.
+    validate_ultrametric checks ``u`` exactly (tolerance 0; no dioid product
+    when u is valid) and invalid input raises InvalidUltrametricError with its
+    report. Each event joins the runs of u's leaf order whose neighbour entries
+    equal its resolution; +inf entries leave several roots.
     """
-    report = validate_ultrametric(u.dist, 0.0, labels=u.labels)
-    if not report.is_valid:
-        raise InvalidUltrametricError(report)
-    iu, ju = np.triu_indices(u.n, k=1)
-    values = u.dist[iu, ju]
-    order = np.argsort(values, kind="stable")
-    order = order[np.isfinite(values[order])]
-    pairs = list(zip(values[order].tolist(), iu[order].tolist(), ju[order].tolist()))
-    owner = list(range(u.n))
-    members = [[i] for i in range(u.n)]
-    merges = []
-    pos = 0
-    while pos < len(pairs):
-        delta = pairs[pos][0]
-        touched = []
-        while pos < len(pairs) and pairs[pos][0] == delta:
-            _, i, j = pairs[pos]
-            pos += 1
-            a, b = owner[i], owner[j]
-            if a != b:
-                if len(members[a]) < len(members[b]):
-                    a, b = b, a
-                for k in members[b]:
-                    owner[k] = a
-                members[a] += members[b]
-                members[b] = []
-                touched.append(a)
-        if touched:
-            blocks = (
-                [u.labels[k] for k in members[g]]
-                for g in {owner[t] for t in touched}
-            )
-            merges.append(MergeEvent(delta, _sorted_blocks(blocks)))
+    order, near = _checked_order(u)
+    labels = [u.labels[i] for i in order]
+    start, end = list(range(u.n)), list(range(u.n))  # of the run ending / starting at each leaf
+    joins = np.argsort(near, kind="stable")
+    joins = joins[np.isfinite(near[joins])].tolist()
+    values = near[joins].tolist()
+    merges, runs = [], {}
+    for pos, (k, delta) in enumerate(zip(joins, values)):
+        s, e = start[k], end[k + 1]
+        end[s], start[e] = e, s
+        runs[s] = e  # joins of one value come left to right, so a grown run keeps its key
+        if pos + 1 == len(values) or values[pos + 1] != delta:
+            merges.append(MergeEvent(delta, _sorted_blocks(labels[lo:hi + 1] for lo, hi in runs.items())))
+            runs = {}
     return Dendrogram(u.labels, tuple(merges))
 
 
@@ -352,18 +358,11 @@ def from_dendrogram(d: Dendrogram, provenance: Provenance | None = None) -> Ultr
 def cut_at_resolution(u: Ultrametric, delta: float) -> Partition:
     """Blocks of nodes within resolution delta of each other.
 
-    The blocks are the maximal subtrees of ``to_dendrogram(u)`` whose height
-    is at most delta, so ``u`` is validated exactly first and an invalid
-    one raises InvalidUltrametricError.
+    ``u`` is validated exactly first (InvalidUltrametricError if it fails); the
+    blocks are the runs of its leaf order between neighbour entries above delta.
     """
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"resolution must be finite and >= 0, got {delta}")
-    blocks = []
-    stack = _forest(to_dendrogram(u))
-    while stack:
-        node = stack.pop()
-        if node.height <= delta:
-            blocks.append(node.leaves)
-        else:
-            stack.extend(node.children)
-    return Partition(float(delta), _sorted_blocks(blocks))
+    order, near = _checked_order(u)
+    runs = np.split(order, np.flatnonzero(near > delta) + 1) if u.n else []
+    return Partition(float(delta), _sorted_blocks([u.labels[i] for i in run] for run in runs))

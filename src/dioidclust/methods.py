@@ -405,11 +405,11 @@ def convex_combination(net: Network, spec: MethodSpec) -> Ultrametric:
 
 
 def _convex(net: Network, spec: MethodSpec, parts: list[Ultrametric]) -> Ultrametric:
-    """Sum the nonzero-weight constituents' outputs in order from zeros, then close."""
+    """Sum the nonzero-weight parts in order from zeros, then close; run_methods names it."""
     combined = np.zeros((net.n, net.n))
     for weight, part in zip([w for w in spec.weights if w != 0.0], parts):
         combined = combined + weight * part.dist
-    return _wrap(net, quasi_inverse(combined), spec.describe())
+    return Ultrametric(net.labels, quasi_inverse(combined))
 
 
 def _parts(spec: MethodSpec) -> tuple[MethodSpec, ...]:
@@ -423,7 +423,8 @@ def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | Gra
     """Run each spec on net; each distinct method runs once within the call.
 
     Specs are walked from an explicit stack, parts before the specs built
-    from them, so convex nesting costs no Python recursion.
+    from them, so convex nesting costs no Python recursion. Convex results
+    are described only when returned, not at every nested level.
     """
     def key(spec):  # convex specs by identity: the dataclass __eq__ and __hash__ recurse per level
         return id(spec) if spec.kind == "convex" else spec
@@ -435,7 +436,8 @@ def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | Gra
             memo[key(spec)] = _KINDS[spec.kind][1](net, spec, [memo[key(part)] for part in _parts(spec)])
         elif key(spec) not in memo:
             stack += [(spec, True)] + [(part, False) for part in reversed(_parts(spec))]
-    return [memo[key(spec)] for spec in specs]
+    return [_wrap(net, memo[key(spec)].dist, spec.describe()) if spec.kind == "convex" else memo[key(spec)]
+            for spec in specs]
 
 
 def run_method(net: Network, spec: MethodSpec) -> Ultrametric | GraftCounterexample:

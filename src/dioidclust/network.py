@@ -268,8 +268,8 @@ def _parse_edge_list(text: str):
         return index[name]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.rstrip()  # leading tabs delimit fields
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:

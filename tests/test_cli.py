@@ -2,13 +2,14 @@ import io
 import json
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dioidclust.methods
 from dioidclust.cli import GRAMMAR, main, parse_method_spec
-from dioidclust.hierarchy import Ultrametric
+from dioidclust.hierarchy import InvalidUltrametricError, Ultrametric, to_dendrogram, validate_ultrametric
 from dioidclust.methods import MethodSpec, MethodSpecError
 
 from conftest import DATA, cycle4_network, method_battery
@@ -312,6 +313,16 @@ def test_compare_refuses_invalid_graft():
     assert code == 2
 
 
+def test_cut_refuses_invalid_graft_before_running_it(monkeypatch):
+    calls = []
+    for name in ("reciprocal", "nonreciprocal"):
+        monkeypatch.setattr(dioidclust.methods, name, lambda net, name=name: calls.append(name))
+    code, out, err = run_cli("cut", "--input", CYCLE4, "--method", "graft-rr-invalid:4", "--delta", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: graft-rr-invalid:4 is a counterexample demonstrator; it has no partitions\n"
+    assert calls == []
+
+
 # ---- plumbing ----------------------------------------------------------------
 
 def test_exit_codes():
@@ -428,7 +439,7 @@ def test_describe_is_linear_and_not_recursive(monkeypatch):
     monkeypatch.setattr(MethodSpec, "describe", counting)
     code, _, err = run_cli("cluster", "--input", CYCLE4, "--method", _nested_convex(500))
     assert code == 0, err
-    assert len(calls) <= 1000
+    assert len(calls) <= 2
 
 
 def test_cluster_newick_of_a_400_level_chain(tmp_path):
@@ -495,14 +506,22 @@ def test_cluster_validates_each_result_once(monkeypatch):
     monkeypatch.setattr(dioidclust.cli, "validate_ultrametric", validate)
     monkeypatch.setattr(dioidclust.dioid, "dioid_product", product)
     monkeypatch.setattr(dioidclust.hierarchy, "dioid_product", product)
-    for method in ("reciprocal", "nonreciprocal"):
+    for argv in (["cluster", "--method", "reciprocal", "--emit", "newick"],
+                 ["cluster", "--method", "nonreciprocal", "--emit", "newick"],
+                 ["cut", "--method", "reciprocal", "--delta", "2.5"]):
         validations.clear()
-        products.clear()
-        code, _, _ = run_cli("cluster", "--input", CYCLE4, "--method", method, "--emit", "newick")
-        assert code == 0
-        assert len(validations) == 1, method
-        # The closure makes no product of its own: the one is the validation's.
-        assert len(products) == 1, method
+        code, _, err = run_cli(*argv, "--input", CYCLE4)
+        assert code == 0, err
+        # A valid result is recognised in its leaf order: no dioid product.
+        assert (len(validations), products) == (1, []), argv
+    # Only an invalid result pays for the product that lists its violations.
+    validations.clear()
+    m = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(InvalidUltrametricError) as err:
+        to_dendrogram(Ultrametric(("0", "1", "2"), m))
+    assert (len(validations), len(products)) == (1, 1)
+    assert err.value.report == validate_ultrametric(m, 0.0)
+    assert err.value.report.violations == (("0", "2", "1", 3.0, 1.0), ("1", "2", "0", 3.0, 1.0))
 
 
 def test_tolerance_flag_overrides_validation(tmp_path):

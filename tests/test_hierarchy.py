@@ -1,11 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dioidclust import (
     Dendrogram,
     DendrogramStructureError,
     InvalidUltrametricError,
     MergeEvent,
+    Network,
     Ultrametric,
     cut_at_resolution,
     dioid_product,
@@ -18,7 +23,9 @@ from dioidclust import (
 )
 
 from conftest import method_battery, random_network
+import dioidclust.hierarchy
 from dioidclust.exports import newick
+from dioidclust.hierarchy import Partition, _forest, _sorted_blocks
 from dioidclust.methods import run_method
 
 
@@ -232,3 +239,141 @@ def test_negative_tolerance_rejected():
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tolerance"):
             validate_ultrametric(np.zeros((2, 2)), bad)
+
+
+def test_leaf_order_edge_cases():
+    empty = Ultrametric((), np.zeros((0, 0)))
+    assert to_dendrogram(empty) == Dendrogram((), ())
+    assert cut_at_resolution(empty, 1.0).blocks == ()
+    # NaN reaches the report's dioid product, which refuses it.
+    with pytest.raises(ValueError, match=r"left operand has NaN at \(0, 1\)") as err:
+        to_dendrogram(Ultrametric(("p", "q"), np.array([[0.0, np.nan], [np.nan, 0.0]])))
+    assert not isinstance(err.value, InvalidUltrametricError)
+    for off in (0.0, -0.0):
+        with pytest.raises(InvalidUltrametricError) as err:
+            to_dendrogram(Ultrametric(("p", "q"), np.array([[0.0, off], [off, 0.0]])))
+        assert not err.value.report.positive_off_diagonal
+
+
+# ---- the all-pairs route, kept as the reference for the leaf order -----------
+
+def _product_report(m, tolerance=0.0, labels=None):
+    """validate_ultrametric with the leaf-order shortcut off, so the dioid product decides."""
+    with mock.patch.object(dioidclust.hierarchy, "_is_ultrametric", lambda arr: False):
+        return validate_ultrametric(m, tolerance, labels=labels)
+
+
+def _all_pairs_dendrogram(u):
+    """The product's report, then a union sweep over all n(n-1)/2 pairs in sorted order."""
+    report = _product_report(u.dist, labels=u.labels)
+    if not report.is_valid:
+        raise InvalidUltrametricError(report)
+    iu, ju = np.triu_indices(u.n, k=1)
+    values = u.dist[iu, ju]
+    order = np.argsort(values, kind="stable")
+    order = order[np.isfinite(values[order])]
+    pairs = list(zip(values[order].tolist(), iu[order].tolist(), ju[order].tolist()))
+    owner = list(range(u.n))
+    members = [[i] for i in range(u.n)]
+    merges = []
+    pos = 0
+    while pos < len(pairs):
+        delta = pairs[pos][0]
+        touched = []
+        while pos < len(pairs) and pairs[pos][0] == delta:
+            _, i, j = pairs[pos]
+            pos += 1
+            a, b = owner[i], owner[j]
+            if a != b:
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for k in members[b]:
+                    owner[k] = a
+                members[a] += members[b]
+                members[b] = []
+                touched.append(a)
+        if touched:
+            blocks = ([u.labels[k] for k in members[g]] for g in {owner[t] for t in touched})
+            merges.append(MergeEvent(delta, _sorted_blocks(blocks)))
+    return Dendrogram(u.labels, tuple(merges))
+
+
+def _tree_cut(u, delta):
+    """The maximal subtrees of the all-pairs dendrogram no higher than delta."""
+    if not np.isfinite(delta) or delta < 0:
+        raise ValueError(f"resolution must be finite and >= 0, got {delta}")
+    blocks, stack = [], _forest(_all_pairs_dendrogram(u))
+    while stack:
+        node = stack.pop()
+        if node.height <= delta:
+            blocks.append(node.leaves)
+        else:
+            stack.extend(node.children)
+    return Partition(float(delta), _sorted_blocks(blocks))
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_WEIGHTS = st.sampled_from([1.0, 2.0, 3.0, 4.0, np.inf])
+_MUTATIONS = ("asymmetric", "diagonal", "zero", "negative-zero", "negative", "negative-inf", "triangle", "nan")
+
+
+@st.composite
+def ultrametric_candidates(draw):
+    """Method outputs and random multiway dendrograms on 0..12 nodes, some mutated.
+
+    Resolutions and weights are small integers (so ties) or +inf (so forests).
+    """
+    n = draw(st.integers(0, 12))
+    labels = tuple(f"n{i}" for i in range(n))
+    if n and draw(st.booleans()):
+        a = np.array(draw(st.lists(_WEIGHTS, min_size=n * n, max_size=n * n))).reshape(n, n)
+        np.fill_diagonal(a, 0.0)
+        m = run_method(Network(labels, a), draw(st.sampled_from(method_battery()))).dist.copy()
+    else:
+        blocks, merges, level = [(lab,) for lab in labels], [], 0.0
+        while len(blocks) > 1 and draw(st.integers(0, 3)):  # stopping early leaves a forest
+            level += draw(st.sampled_from([0.5, 1.0, 2.0]))
+            groups = draw(st.lists(st.integers(0, len(blocks) - 1), min_size=len(blocks), max_size=len(blocks)))
+            joined = {}
+            for block, group in zip(blocks, groups):
+                joined.setdefault(group, []).append(block)
+            merged = [sum(parts, ()) for parts in joined.values() if len(parts) > 1]
+            if merged:
+                merges.append(MergeEvent(level, _sorted_blocks(merged)))
+            blocks = [sum(parts, ()) for parts in joined.values()]
+        m = from_dendrogram(Dendrogram(labels, tuple(merges))).dist.copy()
+    mutation = n > 1 and draw(st.booleans()) and draw(st.sampled_from(_MUTATIONS))
+    if mutation:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        value = {"asymmetric": m[i, j] + 1.0, "diagonal": 1.0, "zero": 0.0, "negative-zero": -0.0,
+                 "negative": -1.0, "negative-inf": -np.inf, "triangle": draw(_WEIGHTS), "nan": np.nan}[mutation]
+        if mutation == "diagonal":
+            m[i, i] = value
+        else:
+            m[i, j] = value
+            if mutation != "asymmetric":
+                m[j, i] = value
+    return Ultrametric(labels, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ultrametric_candidates())
+@example(Ultrametric((), np.zeros((0, 0))))
+@example(Ultrametric(("p", "q", "r"), [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]))  # asymmetric below the order
+@example(Ultrametric(("p", "q"), [[0.0, np.nan], [np.nan, 0.0]]))
+def test_leaf_order_matches_the_all_pairs_route(u):
+    expected = _outcome(_all_pairs_dendrogram, u)
+    assert _outcome(to_dendrogram, u) == expected
+    # Every valid result takes the shortcut; the reports agree at any tolerance.
+    assert dioidclust.hierarchy._is_ultrametric(u.dist) == isinstance(expected, Dendrogram)
+    for tolerance in (0.0, 0.75):
+        assert _outcome(validate_ultrametric, u.dist, tolerance) == _outcome(_product_report, u.dist, tolerance)
+    finite = [float(v) for v in np.unique(u.dist) if np.isfinite(v) and v >= 0]
+    for delta in [0.0, *finite, *(v + 0.25 for v in finite), 1e9]:
+        assert _outcome(cut_at_resolution, u, delta) == _outcome(_tree_cut, u, delta)

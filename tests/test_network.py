@@ -87,9 +87,13 @@ def _dense(cell):
         (load_uses_table, ",s1,s2\ns1,1,inf\ns2,1,1\n", r"flows must be finite, got inf at \(s1, s2\)"),
         (load_network, ", ,b\n ,0,1\nb,1,0\n", r"empty label at position 1 of 2"),
         (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\nb\t \t2\n", r"line 2: empty node name"),
+        # A leading tab delimits a field; trailing whitespace is still ignored.
+        (lambda t: load_network(t, fmt="edge-list"), "\tb\t1 \n", r"line 1: empty node name"),
+        (lambda t: load_network(t, fmt="edge-list"), "\ta\tb\t1\n", r"line 1: expected 'src<TAB>dst<TAB>weight'"),
     ],
     ids=["unparsable", "nan", "underscore", "arabic-digit", "overflow", "one-line-csv", "row-label",
-         "edge-list-line", "empty-edge-list", "unknown-format", "uses-inf", "empty-label", "empty-node"],
+         "edge-list-line", "empty-edge-list", "unknown-format", "uses-inf", "empty-label", "empty-node",
+         "empty-source", "four-fields"],
 )
 def test_input_errors_name_their_cell_line_or_sector(load, text, message):
     with pytest.raises(NetworkFormatError, match=message):
