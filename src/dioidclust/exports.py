@@ -3,10 +3,11 @@
 Newick trees place every leaf at height 0 and each internal node at its
 merge resolution; a branch length is the parent height minus the child
 height, so the cumulative path length from any leaf to the root equals the
-root's resolution. Children are ordered by their lexicographically
-smallest leaf so output is stable. Forests emit one tree per line. Labels
-holding a format's metacharacters are quoted: single quotes in Newick,
-standard CSV quoting, and escaped quotes and backslashes in DOT.
+root's resolution. It is written from the dendrogram's tree order, where
+children come by smallest leaf, so output is stable. Forests emit one tree
+per line. Labels holding a format's metacharacters are quoted: single
+quotes in Newick, standard CSV quoting, and escaped quotes and backslashes
+in DOT.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .hierarchy import Dendrogram, Partition, Ultrametric, _forest
+from .hierarchy import Dendrogram, Partition, Ultrametric
 from .network import Network, format_value, _matrix_csv
 
 __all__ = [
@@ -36,26 +37,25 @@ def _newick_label(label: str) -> str:
     return label
 
 
-def _newick_tree(root) -> str:
-    """Newick text of one tree; children are written before their parents, without recursion."""
-    order, stack = [], [root]
-    while stack:
-        order.append(stack.pop())
-        stack.extend(order[-1].children)
-    text = {}
-    for node in reversed(order):
-        inner = ",".join(f"{text.pop(id(c))}:{format_value(node.height - c.height)}" for c in node.children)
-        text[id(node)] = f"({inner})" if node.children else _newick_label(node.min_leaf)
-    return text[id(root)]
-
-
 def newick(d: Dendrogram) -> str:
     """Newick text of a dendrogram, one tree per root, trailing newline.
 
-    Malformed merges raise DendrogramStructureError.
+    Written along the tree order from one stack of open blocks, without
+    recursion. Malformed merges raise DendrogramStructureError.
     """
-    # A tree's root sits at its own height, so its branch length is 0.
-    lines = [_newick_tree(root) + (":0;" if root.children else ";") for root in _forest(d)]
+    order, joins, heights = d._tree_order
+    lines, stack = [], []  # open blocks, innermost last: (block, height, child texts)
+    for leaf, join in zip(order, joins):
+        text, height = _newick_label(d.leaves[leaf]), 0.0
+        while stack and (join < 0 or stack[-1][0] < join):
+            _, top, children = stack.pop()
+            text, height = "(" + ",".join(children + [f"{text}:{format_value(top - height)}"]) + ")", top
+        if join < 0:  # a root sits at its own height, so its branch length is 0; a lone leaf has none
+            lines.append(text + (":0;" if height > 0 else ";"))
+            continue
+        if not stack or stack[-1][0] != join:
+            stack.append((join, heights[join], []))
+        stack[-1][2].append(f"{text}:{format_value(stack[-1][1] - height)}")
     return "\n".join(lines) + "\n"
 
 

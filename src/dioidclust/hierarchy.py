@@ -8,16 +8,17 @@ resolution, listing the blocks newly formed at that resolution. +inf
 entries are first-class and yield forests (several roots).
 
 ``to_dendrogram`` and ``cut_at_resolution`` read a validated result in a
-leaf order where each cluster is one run. One private replay of merge
-events into trees rejects malformed merges; roots, the inverse map and
-Newick are derived from it.
+leaf order where each cluster is one run. A dendrogram is read the same
+way: one private replay of its merge events, run once per dendrogram,
+rejects malformed merges and lists the leaves in tree order with the block
+joining each pair of neighbours. Roots, the inverse map and Newick read that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -76,9 +77,15 @@ class Ultrametric:
             raise ValueError(
                 f"distance matrix shape {arr.shape} does not match {len(self.labels)} labels"
             )
+        labels = tuple(str(x) for x in self.labels)
+        seen = set()
+        for lab in labels:
+            if lab in seen:
+                raise ValueError(f"duplicate label {lab!r}")
+            seen.add(lab)
         arr.flags.writeable = False
         object.__setattr__(self, "dist", arr)
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -103,10 +110,17 @@ class Dendrogram:
     leaves: tuple[str, ...]
     merges: tuple[MergeEvent, ...]
 
+    @cached_property
+    def _tree_order(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+        """The merges replayed once, on first read; not a field, so eq, hash and repr skip it."""
+        return _replay(self)
+
     @property
     def roots(self) -> tuple[tuple[str, ...], ...]:
         """Blocks of the coarsest partition; more than one means a forest."""
-        return _sorted_blocks(root.leaves for root in _forest(self))
+        order, joins, _ = self._tree_order
+        ends = [p + 1 for p, j in enumerate(joins) if j < 0]
+        return _sorted_blocks([self.leaves[i] for i in order[s:e]] for s, e in zip([0] + ends, ends))
 
 
 @dataclass(frozen=True)
@@ -194,6 +208,8 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
     labels = tuple(str(i) for i in range(n)) if labels is None else labels
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for a {n}x{n} matrix")
     symmetric = _matrices_close(arr, arr.T, tolerance)
     nonnegative = not (arr < 0).any()
     zero_diagonal = bool((np.abs(np.diagonal(arr)) <= tolerance).all())
@@ -226,53 +242,51 @@ def _sorted_blocks(groups) -> tuple[tuple[str, ...], ...]:
     return tuple(blocks)
 
 
-class _Node(NamedTuple):
-    """A dendrogram subtree: a leaf at height 0 or a merge at its resolution."""
+def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+    """Replay the merge events into trees, read off in tree order.
 
-    height: float
-    children: tuple
-    leaves: frozenset
-    min_leaf: str
-
-
-def _forest(d: Dendrogram) -> list[_Node]:
-    """Replay the merge events into trees; roots and children ordered by smallest leaf.
-
-    Raises DendrogramStructureError for non-nested or ill-formed merges.
+    Children and roots are ordered by smallest leaf, so each tree and block is
+    one run. Returns the leaves in that order (as indices), after each the block
+    joining it to the next (counted over all events; -1 ends a tree), and each
+    block's resolution. Raises DendrogramStructureError for ill-formed merges.
     """
-    if len(set(d.leaves)) != len(d.leaves):
+    index = {lab: i for i, lab in enumerate(d.leaves)}
+    if len(index) != len(d.leaves):
         raise DendrogramStructureError("duplicate leaf labels")
-    current = {lab: _Node(0.0, (), frozenset([lab]), lab) for lab in d.leaves}
-    last = -math.inf
+    n = len(index)
+    # Per leaf: its tree's first leaf, the next leaf and their block; per first leaf: last leaf, size.
+    first, following, joined, last_leaf, size = list(range(n)), [-1] * n, [-1] * n, list(range(n)), [1] * n
+    heights, last = [], -math.inf
     for event in d.merges:
         if event.resolution < last:
-            raise DendrogramStructureError(
-                f"merge resolutions decrease at {format_value(event.resolution)}"
-            )
+            raise DendrogramStructureError(f"merge resolutions decrease at {format_value(event.resolution)}")
         if not event.resolution > 0:
             raise DendrogramStructureError("merge resolutions must be positive")
         last = event.resolution
         for block in event.blocks:
             members = frozenset(block)
-            unknown = members - current.keys()
+            unknown = members - index.keys()
             if unknown:
                 raise DendrogramStructureError(f"merge references unknown leaves {sorted(unknown)}")
-            parts = {id(current[m]): current[m] for m in members}.values()
+            parts = sorted({first[index[m]] for m in members}, key=d.leaves.__getitem__)
             if len(parts) < 2:
-                raise DendrogramStructureError(
-                    f"block {sorted(members)} at {format_value(event.resolution)} merges nothing new"
-                )
-            if sum(len(part.leaves) for part in parts) != len(members):
-                raise DendrogramStructureError(
-                    f"block {sorted(members)} at {format_value(event.resolution)} "
-                    "is not a union of existing blocks"
-                )
-            children = tuple(sorted(parts, key=lambda c: c.min_leaf))
-            joined = _Node(event.resolution, children, members, children[0].min_leaf)
+                raise DendrogramStructureError(f"block {sorted(members)} at {format_value(event.resolution)} "
+                                               "merges nothing new")
+            if sum(size[p] for p in parts) != len(members):
+                raise DendrogramStructureError(f"block {sorted(members)} at {format_value(event.resolution)} "
+                                               "is not a union of existing blocks")
+            for a, b in zip(parts, parts[1:]):
+                following[last_leaf[a]], joined[last_leaf[a]] = b, len(heights)
+            last_leaf[parts[0]], size[parts[0]] = last_leaf[parts[-1]], len(members)
             for m in members:
-                current[m] = joined
-    roots = {id(node): node for node in current.values()}.values()
-    return sorted(roots, key=lambda c: c.min_leaf)
+                first[index[m]] = parts[0]
+            heights.append(event.resolution)
+    order = []
+    for leaf in sorted(set(first), key=d.leaves.__getitem__):
+        while leaf >= 0:
+            order.append(leaf)
+            leaf = following[leaf]
+    return tuple(order), tuple(joined[leaf] for leaf in order), tuple(heights)
 
 
 def _leaf_order(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,20 +352,13 @@ def from_dendrogram(d: Dendrogram, provenance: Provenance | None = None) -> Ultr
     Exact inverse of to_dendrogram. Cross-root pairs of a forest get +inf.
     Raises DendrogramStructureError for non-nested or ill-formed merges.
     """
-    index = {lab: i for i, lab in enumerate(d.leaves)}
-    n = len(d.leaves)
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    stack = _forest(d)
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children)
-        for a, child_a in enumerate(node.children):
-            rows = [index[x] for x in child_a.leaves]
-            for child_b in node.children[a + 1:]:
-                cols = [index[y] for y in child_b.leaves]
-                dist[np.ix_(rows, cols)] = node.height
-                dist[np.ix_(cols, rows)] = node.height
+    order, joins, heights = d._tree_order
+    near = np.array([heights[j] if j >= 0 else np.inf for j in joins], dtype=float)
+    ordered = np.zeros((len(order),) * 2)
+    for q in range(1, len(order)):  # u(p, q) = max(u(p, q-1), u(q-1, q)), written below the diagonal
+        ordered[q, :q] = np.maximum(ordered[q - 1, :q], near[q - 1])
+    dist = np.empty_like(ordered)
+    dist[np.ix_(order, order)] = np.maximum(ordered, ordered.T)
     return Ultrametric(d.leaves, dist, provenance=provenance)
 
 

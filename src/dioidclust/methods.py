@@ -114,6 +114,11 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _param_text(value) -> str:
+    """Hop budgets in full digits, however large; beta as format_value writes it."""
+    return str(int(value)) if is_integer(value) else format_value(value)
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """A clustering method selection with its parameters.
@@ -200,7 +205,7 @@ class MethodSpec:
             else:
                 names = _KINDS[item.kind][0]
                 pieces.append(item.kind + (":" if names else "")
-                              + ",".join(format_value(getattr(item, name)) for name in names))
+                              + ",".join(_param_text(getattr(item, name)) for name in names))
         return "".join(pieces)
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,8 +89,8 @@ def test_every_kind_round_trips_through_describe():
 _BETAS = st.one_of(st.floats(min_value=1e-300, max_value=1e300), st.sampled_from([1e16, 1e20, 2.0**70]))
 _LEAVES = st.one_of(
     st.sampled_from(["reciprocal", "nonreciprocal", "single-linkage"]).map(MethodSpec),
-    st.builds(lambda t: MethodSpec("semi-reciprocal", t=t), st.integers(2, 10**6)),
-    st.builds(lambda a, b: MethodSpec("intermediate", t_fwd=a, t_bwd=b), st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds(lambda t: MethodSpec("semi-reciprocal", t=t), st.integers(2, 10**30)),
+    st.builds(lambda a, b: MethodSpec("intermediate", t_fwd=a, t_bwd=b), st.integers(1, 10**30), st.integers(1, 10**30)),
     st.builds(lambda kind, b: MethodSpec(kind, beta=b), st.sampled_from(["graft-rnr", "graft-rrmax"]), _BETAS),
 )
 
@@ -110,6 +111,13 @@ def _convex_specs(draw, constituents):
 ))
 def test_describe_parses_back_to_an_equal_spec(spec):
     assert parse_method_spec(spec.describe()) == spec
+
+
+def test_describe_writes_large_hop_budgets_in_full():
+    assert MethodSpec("intermediate", t_fwd=10**16 + 1, t_bwd=2).describe() == "intermediate:10000000000000001,2"
+    code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "semi-reciprocal:99999999999999999999")
+    assert code == 0, err
+    assert out.splitlines()[0] == "method: semi-reciprocal:99999999999999999999"
 
 
 def test_parse_numbers_whole_and_whitespace_anywhere():
@@ -522,6 +530,16 @@ def test_cluster_validates_each_result_once(monkeypatch):
     assert (len(validations), len(products)) == (1, 1)
     assert err.value.report == validate_ultrametric(m, 0.0)
     assert err.value.report.violations == (("0", "2", "1", 3.0, 1.0), ("1", "2", "0", 3.0, 1.0))
+
+
+def test_cluster_replays_the_merges_once():
+    import dioidclust.hierarchy
+
+    with mock.patch.object(dioidclust.hierarchy, "_replay", wraps=dioidclust.hierarchy._replay) as replay:
+        code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "newick")
+    assert code == 0, err
+    # The forest check reads the roots and Newick the tree, both off one replay.
+    assert out.endswith((DATA / "golden_cycle4_reciprocal.nwk").read_text()) and replay.call_count == 1
 
 
 def test_tolerance_flag_overrides_validation(tmp_path):

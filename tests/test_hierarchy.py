@@ -1,3 +1,5 @@
+import math
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -24,9 +26,10 @@ from dioidclust import (
 
 from conftest import method_battery, random_network
 import dioidclust.hierarchy
-from dioidclust.exports import newick
-from dioidclust.hierarchy import Partition, _forest, _sorted_blocks
+from dioidclust.exports import _newick_label, newick
+from dioidclust.hierarchy import Partition, _sorted_blocks
 from dioidclust.methods import run_method
+from dioidclust.network import format_value
 
 
 CYCLE4_RECIPROCAL = np.array([
@@ -377,3 +380,192 @@ def test_leaf_order_matches_the_all_pairs_route(u):
     finite = [float(v) for v in np.unique(u.dist) if np.isfinite(v) and v >= 0]
     for delta in [0.0, *finite, *(v + 0.25 for v in finite), 1e9]:
         assert _outcome(cut_at_resolution, u, delta) == _outcome(_tree_cut, u, delta)
+
+
+# ---- the node-tree replay, kept as the reference for the tree order -----------
+
+class _Node(NamedTuple):
+    """A dendrogram subtree: a leaf at height 0 or a merge at its resolution."""
+
+    height: float
+    children: tuple
+    leaves: frozenset
+    min_leaf: str
+
+
+def _forest(d: Dendrogram) -> list[_Node]:
+    """Replay the merge events into trees; roots and children ordered by smallest leaf.
+
+    Raises DendrogramStructureError for non-nested or ill-formed merges.
+    """
+    if len(set(d.leaves)) != len(d.leaves):
+        raise DendrogramStructureError("duplicate leaf labels")
+    current = {lab: _Node(0.0, (), frozenset([lab]), lab) for lab in d.leaves}
+    last = -math.inf
+    for event in d.merges:
+        if event.resolution < last:
+            raise DendrogramStructureError(
+                f"merge resolutions decrease at {format_value(event.resolution)}"
+            )
+        if not event.resolution > 0:
+            raise DendrogramStructureError("merge resolutions must be positive")
+        last = event.resolution
+        for block in event.blocks:
+            members = frozenset(block)
+            unknown = members - current.keys()
+            if unknown:
+                raise DendrogramStructureError(f"merge references unknown leaves {sorted(unknown)}")
+            parts = {id(current[m]): current[m] for m in members}.values()
+            if len(parts) < 2:
+                raise DendrogramStructureError(
+                    f"block {sorted(members)} at {format_value(event.resolution)} merges nothing new"
+                )
+            if sum(len(part.leaves) for part in parts) != len(members):
+                raise DendrogramStructureError(
+                    f"block {sorted(members)} at {format_value(event.resolution)} "
+                    "is not a union of existing blocks"
+                )
+            children = tuple(sorted(parts, key=lambda c: c.min_leaf))
+            joined = _Node(event.resolution, children, members, children[0].min_leaf)
+            for m in members:
+                current[m] = joined
+    roots = {id(node): node for node in current.values()}.values()
+    return sorted(roots, key=lambda c: c.min_leaf)
+
+
+def _reference_roots(d):
+    return _sorted_blocks(root.leaves for root in _forest(d))
+
+
+def _newick_tree(root) -> str:
+    """Newick text of one tree; children are written before their parents, without recursion."""
+    order, stack = [], [root]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(order[-1].children)
+    text = {}
+    for node in reversed(order):
+        inner = ",".join(f"{text.pop(id(c))}:{format_value(node.height - c.height)}" for c in node.children)
+        text[id(node)] = f"({inner})" if node.children else _newick_label(node.min_leaf)
+    return text[id(root)]
+
+
+def _reference_newick(d: Dendrogram) -> str:
+    # A tree's root sits at its own height, so its branch length is 0.
+    lines = [_newick_tree(root) + (":0;" if root.children else ";") for root in _forest(d)]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_from_dendrogram(d: Dendrogram) -> np.ndarray:
+    index = {lab: i for i, lab in enumerate(d.leaves)}
+    n = len(d.leaves)
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    stack = _forest(d)
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        for a, child_a in enumerate(node.children):
+            rows = [index[x] for x in child_a.leaves]
+            for child_b in node.children[a + 1:]:
+                cols = [index[y] for y in child_b.leaves]
+                dist[np.ix_(rows, cols)] = node.height
+                dist[np.ix_(cols, rows)] = node.height
+    return dist
+
+
+_TREE_LABELS = ("a", "b", "B", "10", "2", "c d", "it's", "(x)", "q:1", "[z]", "m,n", "é")
+_RESOLUTIONS = (-1.0, 0.0, -0.0, 0.25, 1.0, 2.0, 3.5, np.inf, np.nan)
+_TREE_MUTATIONS = ("duplicate-leaf", "resolution", "extra-block", "repeat-block", "empty-block", "unknown-leaf")
+
+
+@st.composite
+def multiway_dendrograms(draw):
+    """Dendrograms on 0..12 leaves in any order, some malformed.
+
+    Events join several blocks at once, may repeat a resolution, may nest one
+    of their blocks in another, and may stop early to leave a forest; labels
+    hold Newick metacharacters.
+    """
+    n = draw(st.integers(0, 12))
+    leaves = tuple(draw(st.permutations(_TREE_LABELS))[:n])
+    blocks, merges, level = [(lab,) for lab in leaves], [], 0.0
+    while len(blocks) > 1 and draw(st.integers(0, 3)):
+        level += draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) if merges else 1.0
+        formed = []
+        for _ in range(draw(st.integers(1, 2))):  # a second round nests blocks in the first's
+            groups = draw(st.lists(st.integers(0, len(blocks) - 1), min_size=len(blocks), max_size=len(blocks)))
+            joined = {}
+            for block, group in zip(blocks, groups):
+                joined.setdefault(group, []).append(block)
+            formed += [draw(st.permutations(sum(parts, ()))) for parts in joined.values() if len(parts) > 1]
+            blocks = [sum(parts, ()) for parts in joined.values()]
+        if formed:
+            merges.append(MergeEvent(level, tuple(tuple(b) for b in formed)))
+    mutation = draw(st.sampled_from((None, None) + _TREE_MUTATIONS))
+    if mutation == "duplicate-leaf" and n:
+        leaves += (draw(st.sampled_from(leaves)),)
+    elif mutation == "resolution" and merges:
+        k = draw(st.integers(0, len(merges) - 1))
+        merges[k] = MergeEvent(draw(st.sampled_from(_RESOLUTIONS)), merges[k].blocks)
+    elif mutation in ("extra-block", "repeat-block", "empty-block", "unknown-leaf") and n:
+        block = {"extra-block": draw(st.lists(st.sampled_from(leaves), max_size=n + 1)),
+                 "repeat-block": draw(st.sampled_from([b for e in merges for b in e.blocks] or [leaves[:1]])),
+                 "empty-block": (),
+                 "unknown-leaf": (leaves[0], "zz")}[mutation]
+        k = draw(st.integers(0, len(merges)))
+        resolution = merges[k].resolution if k < len(merges) else level + 1.0
+        extra = MergeEvent(resolution, (tuple(block),))
+        merges.insert(k, extra)
+    return Dendrogram(leaves, tuple(merges))
+
+
+@settings(max_examples=500, deadline=None)
+@given(multiway_dendrograms())
+@example(Dendrogram((), ()))
+@example(Dendrogram(("p", "q", "r"), (MergeEvent(1.0, (("p", "q"), ("r", "q", "p"))),)))  # nested in one event
+@example(Dendrogram(("p", "q", "r"), (MergeEvent(1.0, (("q", "p"),)), MergeEvent(1.0, (("p", "q", "r"),)))))
+@example(Dendrogram(("p", "q", "r"), (MergeEvent(np.inf, (("q", "p"),)), MergeEvent(np.inf, (("p", "q", "r"),)))))
+def test_tree_order_matches_the_node_tree_replay(d):
+    # One Dendrogram for all three readers: a replay that raised must raise again.
+    assert _outcome(newick, d) == _outcome(_reference_newick, d)
+    assert _outcome(lambda d: d.roots, d) == _outcome(_reference_roots, d)
+    assert (_outcome(lambda d: from_dendrogram(d).dist.tolist(), d)
+            == _outcome(lambda d: _reference_from_dendrogram(d).tolist(), d))
+
+
+def test_one_merge_event_over_1000_leaves_round_trips():
+    leaves = tuple(f"n{i:04d}" for i in range(1000))
+    d = Dendrogram(leaves, (MergeEvent(1.0, (leaves,)),))
+    u = from_dendrogram(d)
+    assert np.array_equal(u.dist, 1.0 - np.eye(1000))
+    assert to_dendrogram(u) == d
+
+
+def test_replay_runs_once_per_dendrogram():
+    d = Dendrogram(("p", "q", "r"), (MergeEvent(2.0, (("p", "q"),)),))
+    with mock.patch.object(dioidclust.hierarchy, "_replay", wraps=dioidclust.hierarchy._replay) as replay:
+        d.roots, newick(d), from_dendrogram(d), d.roots
+        assert replay.call_count == 1
+    # The cached replay is not part of the value.
+    assert d == Dendrogram(("p", "q", "r"), (MergeEvent(2.0, (("p", "q"),)),))
+    assert hash(d) == hash(Dendrogram(d.leaves, d.merges)) and "_tree_order" not in repr(d)
+    bad = Dendrogram(("p", "q"), (MergeEvent(-1.0, (("p", "q"),)),))
+    for _ in range(2):
+        with pytest.raises(DendrogramStructureError, match="must be positive"):
+            bad.roots
+
+
+def test_ultrametric_refuses_duplicate_labels():
+    with pytest.raises(ValueError, match="duplicate label 'a'"):
+        Ultrametric(("a", "a"), [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="duplicate label '1'"):
+        Ultrametric((1, "1"), [[0, 1], [1, 0]])
+
+
+def test_validate_refuses_a_wrong_label_count():
+    valid, invalid = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [2.0, 0.0]])
+    for m in (valid, invalid):
+        for labels in (("p",), ("p", "q", "r")):
+            with pytest.raises(ValueError, match=f"{len(labels)} labels for a 2x2 matrix"):
+                validate_ultrametric(m, 0.0, labels=labels)
