@@ -39,6 +39,7 @@ from .methods import (
 )
 from .network import (
     NetworkFormatError,
+    _format_array,
     _plain_float,
     format_value,
     from_uses_table,
@@ -189,10 +190,9 @@ def cmd_compare(args, stdout, stderr) -> int:
     results = run_methods(net, [*specs, MethodSpec("nonreciprocal"), MethodSpec("reciprocal")])
     *values, lower, upper = [res.dist[rows, cols] for res in results]
     names = [spec.describe() for spec in specs]
-    columns, flags = [], []
+    columns, flags = _format_array(values).tolist(), []
     for spec, vals in zip(specs, values):
         tol = (0.0 if spec.exact else CONVEX_DEFAULT_TOLERANCE) if args.tolerance is None else args.tolerance
-        columns.append([format_value(v) for v in vals.tolist()])
         flags.append((vals < lower - tol) | (vals > upper + tol))
     sandwich = ["ok"] * len(rows)
     for k in np.flatnonzero(np.any(flags, axis=0)).tolist():

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .hierarchy import Dendrogram, Partition, Ultrametric
-from .network import Network, format_value, _matrix_csv
+from .network import Network, _format_array, _matrix_csv, format_value
 
 __all__ = [
     "dendrogram_json",
@@ -59,24 +59,30 @@ def newick(d: Dendrogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable_matrix(matrix: np.ndarray) -> list[list]:
-    out = []
-    for row in matrix:
-        out.append(["inf" if math.isinf(v) else float(v) for v in row])
-    return out
+def _json_number(value: float) -> str:
+    return json.dumps("inf" if math.isinf(value) else value)
 
 
 def dendrogram_json(u: Ultrametric, d: Dendrogram) -> str:
-    """JSON document with labels, merge events, and the full matrix."""
+    """JSON document with labels, merge events, and the full matrix.
+
+    The matrix block is laid out as ``json.dumps(indent=2)`` lays it out,
+    from one text per distinct value.
+    """
     doc = {
         "labels": list(u.labels),
+        "matrix": None,
         "merges": [
             {"resolution": event.resolution, "blocks": [list(b) for b in event.blocks]}
             for event in d.merges
         ],
-        "matrix": _jsonable_matrix(u.dist),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # Labels are escaped onto one line each, so only the top level holds this line.
+    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition('\n  "matrix": null,\n')
+    rows = ["    [\n      " + ",\n      ".join(row) + "\n    ]"
+            for row in _format_array(u.dist, _json_number).tolist()]
+    matrix = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return f'{head}\n  "matrix": {matrix},\n{tail}\n'
 
 
 def partition_json(p: Partition) -> str:
@@ -96,10 +102,9 @@ def threshold_dot(net: Network, delta: float) -> str:
     for name in names:
         lines.append(f'  "{name}";')
     a = net.dissim
-    for i, src in enumerate(names):
-        for j, dst in enumerate(names):
-            if i != j and a[i, j] <= delta:
-                lines.append(f'  "{src}" -> "{dst}" [label="{format_value(a[i, j])}"];')
+    rows, cols = np.nonzero((a <= delta) & ~np.eye(net.n, dtype=bool))
+    for i, j, text in zip(rows.tolist(), cols.tolist(), _format_array(a[rows, cols]).tolist()):
+        lines.append(f'  "{names[i]}" -> "{names[j]}" [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -78,21 +78,25 @@ class Ultrametric:
                 f"distance matrix shape {arr.shape} does not match {len(self.labels)} labels"
             )
         labels = tuple(str(x) for x in self.labels)
-        seen = set()
+        index = {}  # label -> position; not a field, so eq, hash and repr skip it
         for lab in labels:
-            if lab in seen:
+            if lab in index:
                 raise ValueError(f"duplicate label {lab!r}")
-            seen.add(lab)
+            index[lab] = len(index)
         arr.flags.writeable = False
         object.__setattr__(self, "dist", arr)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def value(self, x: str, y: str) -> float:
-        return float(self.dist[self.labels.index(x), self.labels.index(y)])
+        try:
+            return float(self.dist[self._index[x], self._index[y]])
+        except KeyError as exc:
+            raise KeyError(f"unknown label {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -253,6 +257,12 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[int, ...], tuple[floa
     index = {lab: i for i, lab in enumerate(d.leaves)}
     if len(index) != len(d.leaves):
         raise DendrogramStructureError("duplicate leaf labels")
+    for leaf in d.leaves[1:]:  # blocks and trees are ordered by their leaves
+        try:
+            leaf < d.leaves[0]
+        except TypeError:
+            raise DendrogramStructureError(f"leaf {leaf!r} cannot be ordered with leaf {d.leaves[0]!r}") \
+                from None
     n = len(index)
     # Per leaf: its tree's first leaf, the next leaf and their block; per first leaf: last leaf, size.
     first, following, joined, last_leaf, size = list(range(n)), [-1] * n, [-1] * n, list(range(n)), [1] * n

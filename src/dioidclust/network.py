@@ -17,11 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dioid import quasi_inverse
 
 __all__ = [
     "Network",
@@ -53,6 +52,18 @@ def format_value(value: float) -> str:
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(float(value))
+
+
+def _format_array(values, fmt=format_value) -> np.ndarray:
+    """``fmt`` of every entry, as an object array of the same shape.
+
+    Each distinct float64 bit pattern is formatted once, so -0.0 and 0.0
+    keep their own texts; an ultrametric has at most n distinct values.
+    """
+    arr = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
+    texts = np.array([fmt(v) for v in bits.view(float).tolist()], dtype=object)
+    return texts[inverse.reshape(arr.shape)]  # the inverse's shape differs across numpy versions
 
 
 def _check_labels(labels, n: int) -> tuple[str, ...]:
@@ -163,12 +174,27 @@ class NetworkReport:
         return out
 
 
+def _reaches_all(edges: np.ndarray) -> bool:
+    """Whether node 0 reaches every node along a boolean adjacency matrix.
+
+    Each node joins the frontier once, so the search reads each row once: O(n^2).
+    """
+    seen = np.zeros(len(edges), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 def validate_network(net: Network) -> NetworkReport:
     """Report invariant violations and minimax connectivity of a network.
 
     Strong minimax connectivity means every ordered pair has a finite
     directed bottleneck chain cost; without it the clustering methods
-    produce +inf entries and dendrogram forests.
+    produce +inf entries and dendrogram forests. It holds exactly when node
+    0 reaches every node, and every node reaches node 0, along finite entries.
     """
     a = net.dissim
     negatives = []
@@ -184,9 +210,8 @@ def validate_network(net: Network) -> NetworkReport:
 
     connected: bool | None = None
     if not negatives:
-        cleaned = np.array(a)
-        np.fill_diagonal(cleaned, 0.0)
-        connected = bool(np.isfinite(quasi_inverse(cleaned)).all())
+        edges = np.isfinite(a)  # a self-loop, finite or not, reaches nothing new
+        connected = net.n == 0 or (_reaches_all(edges) and _reaches_all(edges.T))
     return NetworkReport(
         n=net.n,
         negative_entries=tuple(negatives),
@@ -233,6 +258,29 @@ def _parse_cell(cell: str, where: str) -> float:
     return value
 
 
+_PLAIN_TEXT = re.compile(r"[0-9.eE+\- ]*")
+
+
+def _plain_row(cells: list[str], out: np.ndarray) -> bool:
+    """Convert a row of plain finite decimals into ``out`` in one numpy call.
+
+    Only ASCII digits, ".", "e", "E", signs and spaces may occur. False
+    leaves the row to _parse_cell, which accepts or names each cell: a row
+    with other text (``inf``, ``1_0``, ...), a blank or malformed cell
+    (numpy raises) or a cell that overflows to inf.
+    """
+    if not _PLAIN_TEXT.fullmatch("".join(cells)):
+        return False
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        return False
+    if not np.isfinite(values).all():
+        return False
+    out[:] = values
+    return True
+
+
 def _parse_dense(text: str, what: str = "network"):
     rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
     if len(rows) < 2:
@@ -251,6 +299,8 @@ def _parse_dense(text: str, what: str = "network"):
             )
         if len(row) - 1 != n:
             raise NetworkFormatError(f"row {row_label!r} has {len(row) - 1} cells, expected {n}")
+        if _plain_row(row[1:], matrix[i]):
+            continue
         for j, cell in enumerate(row[1:]):
             matrix[i, j] = _parse_cell(cell, f"({row_label}, {labels[j]})")
     return labels, matrix
@@ -345,8 +395,8 @@ def _csv_field(text: str) -> str:
 def _matrix_csv(labels, matrix) -> str:
     names = [_csv_field(lab) for lab in labels]
     lines = ["," + ",".join(names)]
-    for i, name in enumerate(names):
-        lines.append(name + "," + ",".join(format_value(v) for v in matrix[i]))
+    for name, row in zip(names, _format_array(matrix).tolist(), strict=True):
+        lines.append(name + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,10 @@
+import io
 import json
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dioidclust import (
     Dendrogram,
@@ -17,6 +20,7 @@ from dioidclust import (
     semi_reciprocal,
     to_dendrogram,
 )
+from dioidclust.cli import main
 from dioidclust.exports import (
     dendrogram_json,
     matrix_csv,
@@ -25,6 +29,8 @@ from dioidclust.exports import (
     partition_text,
     threshold_dot,
 )
+from dioidclust.methods import parse_method_spec, run_methods
+from dioidclust.network import _csv_field, format_value
 
 from conftest import DATA
 
@@ -184,3 +190,113 @@ def test_exports_are_deterministic(sweep8):
     d = to_dendrogram(u)
     assert newick(d) == newick(to_dendrogram(semi_reciprocal(sweep8, 3)))
     assert dendrogram_json(u, d) == dendrogram_json(u, d)
+
+
+# ---- the writers against their cell-by-cell forms ----------------------------
+
+def _matrix_csv_per_cell(labels, matrix):
+    names = [_csv_field(lab) for lab in labels]
+    lines = ["," + ",".join(names)]
+    for i, name in enumerate(names):
+        lines.append(name + "," + ",".join(format_value(v) for v in matrix[i]))
+    return "\n".join(lines) + "\n"
+
+
+def _dendrogram_json_per_cell(u, d):
+    doc = {
+        "labels": list(u.labels),
+        "merges": [
+            {"resolution": event.resolution, "blocks": [list(b) for b in event.blocks]}
+            for event in d.merges
+        ],
+        "matrix": [["inf" if math.isinf(v) else float(v) for v in row] for row in u.dist],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _threshold_dot_per_cell(net, delta):
+    lines = ["digraph threshold {", f"  // dissimilarity threshold {format_value(delta)}"]
+    names = [lab.replace("\\", "\\\\").replace('"', '\\"') for lab in net.labels]
+    for name in names:
+        lines.append(f'  "{name}";')
+    a = net.dissim
+    for i, src in enumerate(names):
+        for j, dst in enumerate(names):
+            if i != j and a[i, j] <= delta:
+                lines.append(f'  "{src}" -> "{dst}" [label="{format_value(a[i, j])}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _compare_columns_per_cell(net, methods):
+    rows, cols = np.triu_indices(net.n, 1)
+    results = run_methods(net, [parse_method_spec(m) for m in methods])
+    return [[format_value(v) for v in res.dist[rows, cols].tolist()] for res in results]
+
+
+def _assert_writers_match(net, deltas):
+    u = reciprocal(net)
+    d = to_dendrogram(u)
+    assert matrix_csv(net.labels, net.dissim) == _matrix_csv_per_cell(net.labels, net.dissim)
+    assert matrix_csv(u.labels, u.dist) == _matrix_csv_per_cell(u.labels, u.dist)
+    assert dendrogram_json(u, d) == _dendrogram_json_per_cell(u, d)
+    for delta in deltas:
+        assert threshold_dot(net, delta) == _threshold_dot_per_cell(net, delta)
+
+
+ULP = np.nextafter(1.0, 2.0)
+
+
+def test_writers_match_on_negative_zero_diagonal():
+    a = np.array([[-0.0, 1.0, ULP], [2.0, 0.0, 1.0], [1.0, 3.0, -0.0]])
+    net = Network(("p", "q", "r"), a)
+    u = Ultrametric(net.labels, [[-0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, -0.0]])
+    d = to_dendrogram(u)
+    assert dendrogram_json(u, d) == _dendrogram_json_per_cell(u, d)
+    assert "-0.0" in dendrogram_json(u, d)
+    assert matrix_csv(u.labels, u.dist) == _matrix_csv_per_cell(u.labels, u.dist)
+    _assert_writers_match(net, [0.0, 1.0, ULP, math.inf])
+
+
+def test_writers_match_on_forests_small_networks_and_ulp_neighbours():
+    inf = math.inf
+    forest = np.array([[0.0, 1.0, inf, inf], [ULP, 0.0, inf, inf], [inf, inf, 0.0, 2.0], [inf, 1e16, 1e-7, 0.0]])
+    _assert_writers_match(Network(("a", "b", "c", "d"), forest), [1.0, ULP, 2.0, inf])
+    _assert_writers_match(Network(("solo",), np.zeros((1, 1))), [0.0, 1.0])
+    _assert_writers_match(Network((), np.zeros((0, 0))), [1.0])
+
+
+def test_writers_match_on_labels_that_need_quoting():
+    labels = ('x,y', 'q"r', "back\\slash", "new\nline", "\u00e9t\u00e9", "it's (a):b")
+    a = np.full((6, 6), 2.0)
+    a[np.arange(5), np.arange(1, 6)] = [1.0, ULP, 0.5, 3.0, 1.0]
+    np.fill_diagonal(a, 0.0)
+    _assert_writers_match(Network(labels, a), [1.0, 2.0])
+
+
+_VALUES = st.one_of(st.sampled_from([1.0, ULP, 0.1, 0.30000000000000004, 1e16, 1e-7, math.inf]),
+                    st.floats(min_value=5e-324, allow_infinity=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(_VALUES, min_size=n * n, max_size=n * n), st.lists(_VALUES, min_size=1, max_size=3))))
+def test_writers_match_on_generated_ultrametrics(case):
+    n, entries, deltas = case
+    a = np.array(entries).reshape(n, n)
+    np.fill_diagonal(a, 0.0)
+    _assert_writers_match(Network(tuple(f"n{i}" for i in range(n)), a), deltas)
+
+
+def test_compare_columns_match_per_cell(tmp_path):
+    inf = math.inf
+    a = np.array([[0.0, 1.0, inf, 0.1], [ULP, 0.0, 3.0, inf], [inf, 2.0, 0.0, 1e-7], [0.3, inf, 1.0, 0.0]])
+    net = Network(("a", "b", "c", "d"), a)
+    path = tmp_path / "net.csv"
+    path.write_text(save_network(net))
+    methods = ["reciprocal", "nonreciprocal", "semi-reciprocal:2"]
+    out = io.StringIO()
+    argv = ["compare", "--input", str(path)] + [arg for m in methods for arg in ("--method", m)]
+    assert main(argv, stdout=out, stderr=io.StringIO()) == 0
+    table = [line.split() for line in out.getvalue().splitlines()[1:]]
+    assert [row[1:-1] for row in table] == [list(c) for c in zip(*_compare_columns_per_cell(net, methods))]

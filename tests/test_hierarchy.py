@@ -183,6 +183,7 @@ def test_from_dendrogram_rejects_non_nested():
         (("p", "q", "r"), events((1.0, (("p", "s"),))), "unknown leaves"),
         (("p", "q", "r"), events((1.0, (("p", "q"),)), (2.0, (("q", "p"),))), "merges nothing new"),
         (("p", "q", "r"), events((-1.0, (("p", "q"),))), "must be positive"),
+        ((1, "1"), events((1.0, ((1, "1"),))), r"^leaf '1' cannot be ordered with leaf 1$"),
     ]
     for leaves, merges, message in malformed:
         d = Dendrogram(leaves, merges)
@@ -192,6 +193,15 @@ def test_from_dendrogram_rejects_non_nested():
             newick(d)
         with pytest.raises(DendrogramStructureError, match=message):
             d.roots
+
+
+def test_ultrametric_value_names_an_unknown_label():
+    u = Ultrametric(("a", "b"), [[0, 1], [1, 0]])
+    assert u.value("a", "b") == 1.0 and u.value("b", "b") == 0.0
+    with pytest.raises(KeyError, match="unknown label 'z'"):
+        u.value("a", "z")
+    with pytest.raises(KeyError, match="unknown label 'y'"):
+        u.value("y", "a")
 
 
 def test_cut_cycle4_reciprocal(cycle4):

@@ -4,6 +4,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dioidclust import (
     Network,
@@ -13,8 +15,10 @@ from dioidclust import (
     load_network,
     load_uses_table,
     save_network,
+    quasi_inverse,
     validate_network,
 )
+from dioidclust.network import _parse_cell
 
 from conftest import DATA, random_network
 
@@ -257,3 +261,69 @@ def test_network_structure_errors():
 def test_network_matrix_is_immutable(cycle4):
     with pytest.raises(ValueError):
         cycle4.dissim[0, 1] = 9.0
+
+
+# Spellings every cell parser must agree on: accepted, blank, or a named error.
+CELL_SPELLINGS = (
+    "2", ".5", "-0", "1e-3", "+1", " 7 ", " -0 ", "1E5", "0.30000000000000004", "1e400", "1_0", "\u0663",
+    "inf", "INF", "Infinity", "nan", "e", "--1", "1 2", "", "  ",
+)
+
+
+def _cells_per_cell(text):
+    """The dense-CSV cells read one _parse_cell call each, as before rows took one numpy call."""
+    rows = text.splitlines()
+    labels = rows[0].split(",")[1:]
+    matrix = np.empty((len(labels), len(labels)))
+    for i, row in enumerate(rows[1:]):
+        cells = row.split(",")
+        for j, cell in enumerate(cells[1:]):
+            matrix[i, j] = _parse_cell(cell, f"({cells[0]}, {labels[j]})")
+    return matrix
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from(CELL_SPELLINGS), min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([["-0", "0"], ["2", "-0"]])
+@example([["1", "2", "1e400"], ["1", "1", "1"], ["1", "1", "x"]])
+def test_dense_rows_parse_as_cell_by_cell(cells):
+    n = len(cells)
+    text = "," + ",".join(f"n{j}" for j in range(n)) + "\n"
+    text += "".join(f"n{i}," + ",".join(row) + "\n" for i, row in enumerate(cells))
+    try:
+        want = _cells_per_cell(text)
+    except NetworkFormatError as exc:
+        with pytest.raises(NetworkFormatError) as got:
+            load_network(text, strict=False)
+        assert str(got.value) == str(exc)
+    else:
+        got = load_network(text, strict=False).dissim
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # -0.0 stays -0.0
+
+
+def _closure_connected(net):
+    """Minimax connectivity as the O(n^3) closure decides it: every closure entry finite."""
+    cleaned = np.array(net.dissim)
+    np.fill_diagonal(cleaned, 0.0)
+    return bool(np.isfinite(quasi_inverse(cleaned)).all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from([1.0, 2.0, 0.0, np.inf, np.inf, np.inf]), min_size=n * n, max_size=n * n))))
+def test_connectivity_matches_the_closure(case):
+    n, entries = case
+    a = np.array(entries).reshape(n, n)
+    net = Network(tuple(f"n{i}" for i in range(n)), a)  # nonzero diagonals are reported, not refused
+    assert validate_network(net).minimax_connected is _closure_connected(net)
+
+
+def test_connectivity_edge_cases():
+    assert validate_network(Network((), np.zeros((0, 0)))).minimax_connected is True
+    assert validate_network(Network(("p",), np.zeros((1, 1)))).minimax_connected is True
+    one_way = Network(("p", "q"), np.array([[0.0, 1.0], [np.inf, 0.0]]))
+    assert validate_network(one_way).minimax_connected is False
+    negative = Network(("p", "q"), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert validate_network(negative).minimax_connected is None
