@@ -7,11 +7,14 @@ is the same information as a merge tree: one event per distinct finite
 resolution, listing the blocks newly formed at that resolution. +inf
 entries are first-class and yield forests (several roots).
 
-``to_dendrogram`` and ``cut_at_resolution`` read a validated result in a
-leaf order where each cluster is one run. A dendrogram is read the same
-way: one private replay of its merge events, run once per dendrogram,
-rejects malformed merges and lists the leaves in tree order with the block
-joining each pair of neighbours. Roots, the inverse map and Newick read that.
+``validate_ultrametric`` sorts the leaves once, so each cluster is one run,
+and compares the matrix with the one its neighbour entries build by the
+recurrence u(p, q) = max(u(p, q-1), u(q-1, q)); ``to_dendrogram`` and
+``cut_at_resolution`` read that order off its report. A dendrogram is read
+the same way: one private replay of its merge events, run once per
+dendrogram, rejects malformed merges and lists the leaves in tree order with
+the block joining each pair of neighbours. Roots, Newick and the inverse
+map, by the same recurrence, read that.
 """
 
 from __future__ import annotations
@@ -142,8 +145,9 @@ class UltrametricReport:
     ``violations`` holds strong-triangle-inequality triples (x, via, y)
     where u(x, y) exceeds max(u(x, via), u(via, y)) beyond the tolerance,
     capped at 20, in row-major order of (x, y). Idempotency under the dioid
-    product is checked too; both are read off one product, so they agree
-    by construction.
+    product is checked too. Both are read off one product, so they agree by
+    construction; an exact ultrametric, which its leaves sorted once rebuild
+    by the leaf-order recurrence, needs no product and is valid on every count.
     """
 
     n: int
@@ -202,8 +206,9 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
 
     Tolerance 0 is exact and appropriate for anything produced purely by
     min/max operations; methods that mix in ordinary arithmetic warrant a
-    small positive tolerance. An exact ultrametric is recognised in leaf
-    order without the O(n^3) dioid product that any other matrix costs.
+    small positive tolerance. The leaves are sorted once; an exact ultrametric,
+    the matrix its neighbour entries build, needs no dioid product and no
+    further scan. Any other matrix costs the O(n^3) product.
     """
     if not math.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
@@ -214,6 +219,16 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     labels = tuple(str(i) for i in range(n)) if labels is None else labels
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for a {n}x{n} matrix")
+    # Sorted by their rows, each cluster's leaves form one run: they see each
+    # outsider at one distance, above their mutual ones.
+    order = np.lexsort(arr[::-1]) if n else np.arange(0)
+    near = arr[order[:-1], order[1:]]
+    exact = bool((near > 0).all()) and np.array_equal(arr[np.ix_(order, order)], _in_leaf_order(near, n))
+    if exact and (near > tolerance).all():  # every finding follows from exactness
+        report = UltrametricReport(n=n, tolerance=tolerance, symmetric=True, zero_diagonal=True,
+                                   positive_off_diagonal=True, idempotent=True)
+        object.__setattr__(report, "_leaf_order", (order, near))  # not a field, so eq, hash and repr skip it
+        return report
     symmetric = _matrices_close(arr, arr.T, tolerance)
     nonnegative = not (arr < 0).any()
     zero_diagonal = bool((np.abs(np.diagonal(arr)) <= tolerance).all())
@@ -221,7 +236,7 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     positive_off = bool((arr[off] > tolerance).all()) if n > 1 else True
 
     if nonnegative:  # an exact ultrametric is its own dioid square
-        best = arr if _is_ultrametric(arr) else dioid_product(arr, arr)
+        best = arr if exact else dioid_product(arr, arr)
         idempotent = _matrices_close(best, arr, tolerance)
     else:
         # The dioid rejects negative entries. min and max only select, so
@@ -277,14 +292,14 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[int, ...], tuple[floa
             members = frozenset(block)
             unknown = members - index.keys()
             if unknown:
-                raise DendrogramStructureError(f"merge references unknown leaves {sorted(unknown)}")
+                raise DendrogramStructureError(f"merge references unknown leaves {sorted(unknown, key=repr)}")
             parts = sorted({first[index[m]] for m in members}, key=d.leaves.__getitem__)
             if len(parts) < 2:
-                raise DendrogramStructureError(f"block {sorted(members)} at {format_value(event.resolution)} "
-                                               "merges nothing new")
+                raise DendrogramStructureError(f"block {sorted(members, key=repr)} at "
+                                               f"{format_value(event.resolution)} merges nothing new")
             if sum(size[p] for p in parts) != len(members):
-                raise DendrogramStructureError(f"block {sorted(members)} at {format_value(event.resolution)} "
-                                               "is not a union of existing blocks")
+                raise DendrogramStructureError(f"block {sorted(members, key=repr)} at "
+                                               f"{format_value(event.resolution)} is not a union of existing blocks")
             for a, b in zip(parts, parts[1:]):
                 following[last_leaf[a]], joined[last_leaf[a]] = b, len(heights)
             last_leaf[parts[0]], size[parts[0]] = last_leaf[parts[-1]], len(members)
@@ -299,35 +314,20 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[int, ...], tuple[floa
     return tuple(order), tuple(joined[leaf] for leaf in order), tuple(heights)
 
 
-def _leaf_order(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leaves sorted by their rows from column 0 on, and the entries between neighbours.
-
-    Each cluster of an ultrametric is a run of this order: its members see each
-    outsider at one distance, above their mutual ones, so the cluster's first
-    column puts them before every outsider whose row agrees so far.
-    """
-    order = np.lexsort(dist[::-1]) if len(dist) else np.arange(0)
-    return order, dist[order[:-1], order[1:]]
-
-
-def _is_ultrametric(arr: np.ndarray) -> bool:
-    """Exact ultrametric test in leaf order, O(n^2) past the sort.
-
-    u is one exactly when it is symmetric with a zero diagonal, its neighbour
-    entries are positive and u(p, q) = max(u(p, q-1), u(q-1, q)) for q > p+1.
-    """
-    order, near = _leaf_order(arr)
-    ordered = arr[np.ix_(order, order)]
-    return bool(np.array_equal(arr, arr.T) and (arr.diagonal() == 0).all() and (near > 0).all()
-                and np.array_equal(np.triu(ordered[:, 1:], 1), np.triu(np.maximum(ordered[:, :-1], near), 1)))
+def _in_leaf_order(near: np.ndarray, n: int) -> np.ndarray:
+    """The n x n ultrametric, in leaf order, whose neighbour entries are ``near`` (+inf ones part trees)."""
+    ordered = np.zeros((n, n))
+    for q in range(1, n):  # u(p, q) = max(u(p, q-1), u(q-1, q)), written below the diagonal
+        ordered[q, :q] = np.maximum(ordered[q - 1, :q], near[q - 1])
+    return np.maximum(ordered, ordered.T)
 
 
 def _checked_order(u: Ultrametric) -> tuple[np.ndarray, np.ndarray]:
-    """u's leaf order and its neighbour entries, once validate_ultrametric passes u exactly."""
+    """u's leaf order and its neighbour entries, off the report of validate_ultrametric passing u exactly."""
     report = validate_ultrametric(u.dist, 0.0, labels=u.labels)
     if not report.is_valid:
         raise InvalidUltrametricError(report)
-    return _leaf_order(u.dist)
+    return report._leaf_order
 
 
 def to_dendrogram(u: Ultrametric) -> Dendrogram:
@@ -363,12 +363,9 @@ def from_dendrogram(d: Dendrogram, provenance: Provenance | None = None) -> Ultr
     Raises DendrogramStructureError for non-nested or ill-formed merges.
     """
     order, joins, heights = d._tree_order
-    near = np.array([heights[j] if j >= 0 else np.inf for j in joins], dtype=float)
-    ordered = np.zeros((len(order),) * 2)
-    for q in range(1, len(order)):  # u(p, q) = max(u(p, q-1), u(q-1, q)), written below the diagonal
-        ordered[q, :q] = np.maximum(ordered[q - 1, :q], near[q - 1])
-    dist = np.empty_like(ordered)
-    dist[np.ix_(order, order)] = np.maximum(ordered, ordered.T)
+    near = np.array([heights[j] if j >= 0 else np.inf for j in joins[:-1]], dtype=float)
+    dist = np.empty((len(order),) * 2)
+    dist[np.ix_(order, order)] = _in_leaf_order(near, len(order))
     return Ultrametric(d.leaves, dist, provenance=provenance)
 
 

@@ -48,7 +48,7 @@ def format_value(value: float) -> str:
     saved files agree byte for byte.
     """
     if math.isinf(value):
-        return "inf"
+        return "inf" if value > 0 else "-inf"
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(float(value))

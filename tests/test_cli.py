@@ -507,9 +507,10 @@ def test_cluster_validates_each_result_once(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    validations, products = [], []
+    validations, products, sorts = [], [], []
     validate = counting(dioidclust.hierarchy.validate_ultrametric, validations)
     product = counting(dioidclust.dioid.dioid_product, products)
+    monkeypatch.setattr(np, "lexsort", counting(np.lexsort, sorts))
     monkeypatch.setattr(dioidclust.hierarchy, "validate_ultrametric", validate)
     monkeypatch.setattr(dioidclust.cli, "validate_ultrametric", validate)
     monkeypatch.setattr(dioidclust.dioid, "dioid_product", product)
@@ -518,10 +519,11 @@ def test_cluster_validates_each_result_once(monkeypatch):
                  ["cluster", "--method", "nonreciprocal", "--emit", "newick"],
                  ["cut", "--method", "reciprocal", "--delta", "2.5"]):
         validations.clear()
+        sorts.clear()
         code, _, err = run_cli(*argv, "--input", CYCLE4)
         assert code == 0, err
-        # A valid result is recognised in its leaf order: no dioid product.
-        assert (len(validations), products) == (1, []), argv
+        # A valid result is recognised in its leaf order, sorted once: no dioid product.
+        assert (len(validations), len(sorts), products) == (1, 1, []), argv
     # Only an invalid result pays for the product that lists its violations.
     validations.clear()
     m = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])

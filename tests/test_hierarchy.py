@@ -184,6 +184,7 @@ def test_from_dendrogram_rejects_non_nested():
         (("p", "q", "r"), events((1.0, (("p", "q"),)), (2.0, (("q", "p"),))), "merges nothing new"),
         (("p", "q", "r"), events((-1.0, (("p", "q"),))), "must be positive"),
         ((1, "1"), events((1.0, ((1, "1"),))), r"^leaf '1' cannot be ordered with leaf 1$"),
+        (("a", "b"), events((1.0, (("a", 1, "z"),))), r"^merge references unknown leaves \['z', 1\]$"),
     ]
     for leaves, merges, message in malformed:
         d = Dendrogram(leaves, merges)
@@ -271,8 +272,9 @@ def test_leaf_order_edge_cases():
 # ---- the all-pairs route, kept as the reference for the leaf order -----------
 
 def _product_report(m, tolerance=0.0, labels=None):
-    """validate_ultrametric with the leaf-order shortcut off, so the dioid product decides."""
-    with mock.patch.object(dioidclust.hierarchy, "_is_ultrametric", lambda arr: False):
+    """validate_ultrametric with the exact test failing, so the dioid product decides."""
+    # A matrix of the wrong shape equals no reordered input, whatever its size.
+    with mock.patch.object(dioidclust.hierarchy, "_in_leaf_order", lambda near, n: np.zeros((n + 1, n + 1))):
         return validate_ultrametric(m, tolerance, labels=labels)
 
 
@@ -383,8 +385,10 @@ def ultrametric_candidates(draw):
 def test_leaf_order_matches_the_all_pairs_route(u):
     expected = _outcome(_all_pairs_dendrogram, u)
     assert _outcome(to_dendrogram, u) == expected
-    # Every valid result takes the shortcut; the reports agree at any tolerance.
-    assert dioidclust.hierarchy._is_ultrametric(u.dist) == isinstance(expected, Dendrogram)
+    # Exactly the valid results pass the exact test and return its leaf order;
+    # the reports agree at any tolerance.
+    exact = _outcome(validate_ultrametric, u.dist, 0.0)
+    assert hasattr(exact, "_leaf_order") == isinstance(expected, Dendrogram)
     for tolerance in (0.0, 0.75):
         assert _outcome(validate_ultrametric, u.dist, tolerance) == _outcome(_product_report, u.dist, tolerance)
     finite = [float(v) for v in np.unique(u.dist) if np.isfinite(v) and v >= 0]
@@ -424,15 +428,15 @@ def _forest(d: Dendrogram) -> list[_Node]:
             members = frozenset(block)
             unknown = members - current.keys()
             if unknown:
-                raise DendrogramStructureError(f"merge references unknown leaves {sorted(unknown)}")
+                raise DendrogramStructureError(f"merge references unknown leaves {sorted(unknown, key=repr)}")
             parts = {id(current[m]): current[m] for m in members}.values()
             if len(parts) < 2:
                 raise DendrogramStructureError(
-                    f"block {sorted(members)} at {format_value(event.resolution)} merges nothing new"
+                    f"block {sorted(members, key=repr)} at {format_value(event.resolution)} merges nothing new"
                 )
             if sum(len(part.leaves) for part in parts) != len(members):
                 raise DendrogramStructureError(
-                    f"block {sorted(members)} at {format_value(event.resolution)} "
+                    f"block {sorted(members, key=repr)} at {format_value(event.resolution)} "
                     "is not a union of existing blocks"
                 )
             children = tuple(sorted(parts, key=lambda c: c.min_leaf))

@@ -64,9 +64,10 @@ def test_edge_list_rejects_duplicates_and_garbage():
 
 
 def test_dense_csv_negative_entry_names_cell():
-    text = ",a,b\na,0,-1\nb,2,0\n"
-    with pytest.raises(NetworkFormatError, match=r"^negative entry at \(a, b\): -1$"):
-        load_network(io.StringIO(text))
+    for cell in ("-1", "-inf"):
+        text = f",a,b\na,0,{cell}\nb,2,0\n"
+        with pytest.raises(NetworkFormatError, match=rf"^negative entry at \(a, b\): {cell}$"):
+            load_network(io.StringIO(text))
 
 
 def _dense(cell):
@@ -153,6 +154,9 @@ def test_save_load_round_trip_is_bit_exact():
     assert save_network(load_network(DATA / "cycle4.csv")) == original
     fractional = ",p,q\np,0,0.7\nq,inf,0\n"
     assert save_network(load_network(io.StringIO(fractional))) == fractional
+    # Lenient loading keeps a -inf for validate_network; saving must keep its sign.
+    negative = ",p,q\np,0,-inf\nq,inf,0\n"
+    assert save_network(load_network(io.StringIO(negative), strict=False)) == negative
 
 
 def test_save_load_round_trip_random(rng):
