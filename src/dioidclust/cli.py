@@ -336,12 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main call, not at import, then reused
+
+
 def main(argv=None, stdout=None, stderr=None) -> int:
+    global _parser
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
+    _parser = _parser or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except UsageError as exc:
         stderr.write(f"error: {exc}\n")
         return 1

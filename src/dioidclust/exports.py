@@ -60,7 +60,7 @@ def newick(d: Dendrogram) -> str:
 
 
 def _json_number(value: float) -> str:
-    return json.dumps("inf" if math.isinf(value) else value)
+    return json.dumps(format_value(value) if math.isinf(value) else value)
 
 
 def dendrogram_json(u: Ultrametric, d: Dendrogram) -> str:

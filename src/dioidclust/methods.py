@@ -17,9 +17,10 @@ powers in the (min, max) dioid:
   to an ultrametric by a single-linkage closure.
 * single linkage        the unique admissible method on symmetric inputs.
 
-The first three are one computation, the closure of max(A^t, (A^t')ᵀ):
-reciprocal is intermediate(1, 1) and semi-reciprocal(t) is
-intermediate(t-1, t-1), and all three run through one helper.
+One helper computes five of them as the closure of max(A^t, (A^t')ᵀ):
+reciprocal is (t, t') = (1, 1), semi-reciprocal(t) is (t-1, t-1),
+nonreciprocal is (n-1, n-1) and single linkage is reciprocal on a symmetric
+network. Budget n-1 is Floyd–Warshall; at (n-1, n-1) no outer closure runs.
 
 Each output lands entrywise between the nonreciprocal (lower) and
 reciprocal (upper) ultrametrics. All functions are pure and safe to run
@@ -304,16 +305,16 @@ def _wrap(net: Network, matrix: np.ndarray, method: str) -> Ultrametric:
 def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametric:
     """Closure of max(A^t_fwd, (A^t_bwd)ᵀ), each budget clamped to max(n-1, 1).
 
-    Powers have stabilized at n-1, so the clamp changes no result, and a
-    one-node network needs no case of its own. Each distinct power is
-    computed once.
+    Powers stabilize at n-1, so the clamp changes no result. Each distinct
+    power is computed once, by Floyd–Warshall at the clamp; with both
+    budgets there, max(C, Cᵀ) is nonreciprocal and needs no outer closure.
     """
     _require_valid(net)
-    cap = max(net.n - 1, 1)
+    a, cap = net.dissim, max(net.n - 1, 1)
     fwd, bwd = min(t_fwd, cap), min(t_bwd, cap)
-    powers = {hops: dioid_power(net.dissim, hops) for hops in {fwd, bwd}}
-    closure = quasi_inverse(np.maximum(powers[fwd], powers[bwd].T))
-    return _wrap(net, closure, method)
+    powers = {hops: quasi_inverse(a) if hops == cap else dioid_power(a, hops) for hops in {fwd, bwd}}
+    joined = np.maximum(powers[fwd], powers[bwd].T)
+    return _wrap(net, joined if fwd == bwd == cap else quasi_inverse(joined), method)
 
 
 def reciprocal(net: Network) -> Ultrametric:
@@ -322,16 +323,14 @@ def reciprocal(net: Network) -> Ultrametric:
 
 
 def nonreciprocal(net: Network) -> Ultrametric:
-    """Cluster through possibly different forward and backward chains."""
-    _require_valid(net)
-    forward = quasi_inverse(net.dissim)
-    return _wrap(net, np.maximum(forward, forward.T), "nonreciprocal")
+    """Cluster through possibly different forward and backward chains: no hop bound."""
+    return _hop_closure(net, net.n + 1, net.n + 1, "nonreciprocal")
 
 
 def semi_reciprocal(net: Network, t: int) -> Ultrametric:
     """Cluster through influence loops of at most t nodes in each direction.
 
-    t=2 reproduces reciprocal clustering; t >= n reproduces nonreciprocal.
+    t=2 reproduces reciprocal clustering; t >= n is nonreciprocal, run as one closure.
     """
     spec = MethodSpec("semi-reciprocal", t=t)
     return _hop_closure(net, t - 1, t - 1, spec.describe())
@@ -348,14 +347,14 @@ def intermediate(net: Network, t_fwd: int, t_bwd: int) -> Ultrametric:
 
 
 def single_linkage(net: Network) -> Ultrametric:
-    """Minimax chain-cost closure of a symmetric network."""
+    """Minimax chain-cost closure of a symmetric network: reciprocal clustering there."""
     _require_valid(net)
     if not net.is_symmetric():
         raise ValueError(
             "single linkage needs a symmetric network; use reciprocal, "
             "nonreciprocal, or another asymmetric method instead"
         )
-    return _wrap(net, quasi_inverse(net.dissim), "single-linkage")
+    return _hop_closure(net, 1, 1, "single-linkage")
 
 
 def graft_rnr(net: Network, beta: float) -> Ultrametric:

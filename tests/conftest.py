@@ -1,9 +1,22 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dioidclust import MethodSpec, Network
+
+# Hypothesis's pytest plugin imports this module when a test fails, to
+# report the failing example; its import of libcst warns that
+# mypy_extensions.TypedDict is deprecated. Under -W error that warning
+# would end the run in INTERNALERROR instead of reporting the failure, so
+# the module is imported here once, with only that message ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 DATA = Path(__file__).parent / "data"
 

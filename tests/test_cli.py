@@ -496,6 +496,45 @@ def test_help_shows_grammar_and_flags(capsys):
     assert code == 1 and "--tolerance" in err
 
 
+def test_main_builds_the_parser_once(monkeypatch):
+    import contextlib
+
+    import dioidclust.cli
+
+    builds, build = [], dioidclust.cli.build_parser
+    monkeypatch.setattr(dioidclust.cli, "_parser", None)
+    monkeypatch.setattr(dioidclust.cli, "build_parser", lambda: builds.append(None) or build())
+
+    def call(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out):  # --help writes to sys.stdout
+            code = main(list(argv), stdout=out, stderr=err)
+        return code, out.getvalue(), err.getvalue()
+
+    for argv, expected in ((("cluster", "--input", CYCLE4, "--method", "reciprocal"), 0),
+                           (("cluster", "--input", CYCLE4), 1),
+                           (("--help",), 0)):
+        first = call(*argv)
+        assert first[0] == expected and call(*argv) == first, argv
+    assert "semi-reciprocal:<t>" in first[1]
+    assert len(builds) == 1
+
+
+def test_hop_budgets_at_the_clamp_take_one_closure_and_no_product(monkeypatch):
+    import dioidclust.dioid
+
+    closures, products = [], []
+    closure, product = dioidclust.methods.quasi_inverse, dioidclust.dioid.dioid_product
+    monkeypatch.setattr(dioidclust.methods, "quasi_inverse", lambda a: closures.append(a) or closure(a))
+    monkeypatch.setattr(dioidclust.dioid, "dioid_product", lambda a, b: products.append(a) or product(a, b))
+    for t in (4, 5, 9):
+        closures.clear()
+        code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", f"semi-reciprocal:{t}")
+        assert code == 0, err
+        assert "1 -> {a,b,c,d}" in out
+        assert (len(closures), products) == (1, []), t
+
+
 def test_cluster_validates_each_result_once(monkeypatch):
     import dioidclust.cli
     import dioidclust.dioid

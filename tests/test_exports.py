@@ -185,6 +185,12 @@ def test_json_matrix_encodes_infinity_as_string():
     assert doc["matrix"][0][1] == 1.0
 
 
+def test_json_matrix_keeps_the_sign_of_infinity():
+    u = Ultrametric(("p", "q"), [[0.0, -math.inf], [math.inf, 0.0]])
+    doc = json.loads(dendrogram_json(u, Dendrogram(u.labels, ())))
+    assert doc["matrix"] == [[0.0, "-inf"], ["inf", 0.0]]
+
+
 def test_exports_are_deterministic(sweep8):
     u = semi_reciprocal(sweep8, 3)
     d = to_dendrogram(u)
@@ -209,7 +215,7 @@ def _dendrogram_json_per_cell(u, d):
             {"resolution": event.resolution, "blocks": [list(b) for b in event.blocks]}
             for event in d.merges
         ],
-        "matrix": [["inf" if math.isinf(v) else float(v) for v in row] for row in u.dist],
+        "matrix": [[format_value(v) if math.isinf(v) else float(v) for v in row] for row in u.dist],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dioidclust import (
     MethodSpec,
     MethodSpecError,
     Network,
     convex_combination,
+    dioid_power,
     graft_rnr,
     graft_rr_invalid,
     graft_rrmax,
@@ -312,6 +315,37 @@ def test_intermediate_output_is_exactly_symmetric(rng):
                 assert np.array_equal(u, u.T), (t_fwd, t_bwd)
 
 
+@st.composite
+def hop_networks(draw):
+    """Networks of 0 to 8 nodes with integer weights (so ties) and +inf (so forests)."""
+    n = draw(st.integers(0, 8))
+    cells = st.sampled_from([1.0, 2.0, 3.0, 5.0, np.inf])
+    a = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(a, 0.0)
+    return Network(tuple(f"n{i}" for i in range(n)), a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hop_networks())
+def test_every_budget_runs_the_one_hop_closure(net):
+    a, cap = net.dissim, max(net.n - 1, 1)
+    forward = dioid_power(a, cap)
+    nr = nonreciprocal(net).dist
+    assert np.array_equal(nr, np.maximum(forward, forward.T))
+    for t in (max(net.n, 2), net.n + 3):
+        assert np.array_equal(semi_reciprocal(net, t).dist, nr)
+    # Against the route that squares to every budget and always closes.
+    for t_fwd in (1, 2, cap, cap + 1):
+        for t_bwd in (1, 2, cap, cap + 1):
+            joined = np.maximum(dioid_power(a, min(t_fwd, cap)), dioid_power(a, min(t_bwd, cap)).T)
+            u = intermediate(net, t_fwd, t_bwd).dist
+            assert np.array_equal(u, quasi_inverse(joined)), (t_fwd, t_bwd)
+            if min(t_fwd, t_bwd) >= cap:
+                assert np.array_equal(u, nr)
+    symmetric = np.maximum(a, a.T)
+    assert np.array_equal(single_linkage(Network(net.labels, symmetric)).dist, quasi_inverse(symmetric))
+
+
 def test_semi_reciprocal_monotone_in_t(rng):
     for _ in range(10):
         net = random_network(rng, n_range=(3, 9))
@@ -461,6 +495,20 @@ def test_single_node_network_is_trivial():
         u = run_method(net, spec)
         assert u.dist.shape == (1, 1) and u.dist[0, 0] == 0.0
         assert u.provenance.method == spec.describe()
+
+
+def test_every_method_runs_on_the_empty_network():
+    net = Network((), np.zeros((0, 0)))
+    for spec in method_battery() + [MethodSpec("single-linkage")]:
+        u = run_method(net, spec)
+        assert u.dist.shape == (0, 0) and u.provenance.method == spec.describe()
+    assert graft_rr_invalid(net, 1.0).is_ultrametric
+
+
+def test_single_linkage_reports_an_invalid_network_before_an_asymmetric_one():
+    broken = Network(("p", "q"), np.array([[0.0, 0.5], [-0.5, 0.0]]))
+    with pytest.raises(ValueError, match="invariants"):
+        single_linkage(broken)
 
 
 def test_disconnected_network_keeps_infinite_entries():
