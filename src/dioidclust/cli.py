@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage or parse failure, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -345,7 +346,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr or sys.stderr
     _parser = _parser or build_parser()
     try:
-        args = _parser.parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # argparse prints --help to sys.stdout
+            args = _parser.parse_args(argv)
     except UsageError as exc:
         stderr.write(f"error: {exc}\n")
         return 1

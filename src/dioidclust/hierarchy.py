@@ -229,6 +229,9 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
                                    positive_off_diagonal=True, idempotent=True)
         object.__setattr__(report, "_leaf_order", (order, near))  # not a field, so eq, hash and repr skip it
         return report
+    if np.isnan(arr).any():  # never exact, so only a matrix that failed the test above is scanned
+        i, j = np.argwhere(np.isnan(arr))[0]
+        raise ValueError(f"NaN entry at ({labels[i]}, {labels[j]})")
     symmetric = _matrices_close(arr, arr.T, tolerance)
     nonnegative = not (arr < 0).any()
     zero_diagonal = bool((np.abs(np.diagonal(arr)) <= tolerance).all())

@@ -44,7 +44,7 @@ import numpy as np
 
 from .dioid import dioid_power, is_integer, quasi_inverse
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
-from .network import Network, format_value
+from .network import Network, _first_finding, format_value
 
 __all__ = [
     "GRAMMAR",
@@ -293,9 +293,8 @@ class GraftCounterexample:
 
 
 def _require_valid(net: Network) -> None:
-    a = net.dissim
-    if (a < 0).any() or np.diagonal(a).any():
-        raise ValueError("network violates dissimilarity invariants; run validate_network")
+    if (finding := _first_finding(net)) is not None:
+        raise ValueError(f"network violates dissimilarity invariants: {finding}")
 
 
 def _wrap(net: Network, matrix: np.ndarray, method: str) -> Ultrametric:
@@ -348,8 +347,8 @@ def intermediate(net: Network, t_fwd: int, t_bwd: int) -> Ultrametric:
 
 def single_linkage(net: Network) -> Ultrametric:
     """Minimax chain-cost closure of a symmetric network: reciprocal clustering there."""
-    _require_valid(net)
     if not net.is_symmetric():
+        _require_valid(net)  # an invalid network is reported first; a valid one is checked in _hop_closure
         raise ValueError(
             "single linkage needs a symmetric network; use reciprocal, "
             "nonreciprocal, or another asymmetric method instead"

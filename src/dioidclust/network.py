@@ -4,8 +4,8 @@ A network is an ordered set of labeled nodes with a square matrix of
 pairwise dissimilarities: zero on the diagonal, positive (possibly +inf,
 possibly asymmetric) off the diagonal. Three input formats are supported:
 
-* dense CSV: header row/column carry the labels, cells are nonnegative
-  floats, "inf" (any case) or an empty cell means +inf;
+* dense CSV: header row/column carry the labels, cells are floats,
+  "inf" (any case) or an empty cell means +inf;
 * edge list: tab-separated ``src dst weight`` lines, unlisted ordered
   pairs default to +inf and the diagonal to 0;
 * uses table: dense CSV of nonnegative flows, converted to dissimilarities
@@ -85,8 +85,8 @@ class Network:
     """Labeled node set with an asymmetric dissimilarity matrix.
 
     Construction checks structure only (squareness, label uniqueness, no
-    NaN); value invariants are enforced by load_network and reported by
-    validate_network, so defective data can still be inspected.
+    NaN); validate_network reports value invariants, which load_network
+    and the methods refuse, so defective data can still be inspected.
     """
 
     labels: tuple[str, ...]
@@ -162,7 +162,7 @@ class NetworkReport:
         for x, v in self.nonzero_diagonal:
             out.append(f"  nonzero diagonal at ({x}, {x}): {format_value(v)}")
         for x, y, v in self.negative_entries:
-            out.append(f"  negative entry at ({x}, {y}): {v!r}")
+            out.append(f"  negative entry at ({x}, {y}): {format_value(v)}")
         for x, y in self.zero_off_diagonal:
             out.append(f"  zero off-diagonal at ({x}, {y})")
         if self.minimax_connected is None:
@@ -220,6 +220,14 @@ def validate_network(net: Network) -> NetworkReport:
         minimax_connected=connected,
         infinite_entries=int(np.isinf(a).sum()),
     )
+
+
+def _first_finding(net: Network) -> str | None:
+    """validate_network's first finding line, or None: a valid network's n entries <= 0 are its zero diagonal."""
+    a = net.dissim
+    if np.count_nonzero(a <= 0) == net.n and not np.diagonal(a).any():
+        return None
+    return validate_network(net).lines()[1].strip()
 
 
 def _read_text(source) -> str:
@@ -344,19 +352,6 @@ def _parse_edge_list(text: str):
     return tuple(labels), matrix
 
 
-def _enforce_values(labels, matrix) -> None:
-    for i in range(len(labels)):
-        if matrix[i, i] != 0:
-            raise NetworkFormatError(
-                f"nonzero diagonal at ({labels[i]}, {labels[i]}): {format_value(matrix[i, i])}"
-            )
-    if (matrix < 0).any():
-        i, j = np.argwhere(matrix < 0)[0]
-        raise NetworkFormatError(
-            f"negative entry at ({labels[i]}, {labels[j]}): {format_value(matrix[i, j])}"
-        )
-
-
 def load_network(source, fmt: str = "dense-csv", strict: bool = True) -> Network:
     """Parse a Network from a path, text, bytes, or open stream.
 
@@ -364,9 +359,9 @@ def load_network(source, fmt: str = "dense-csv", strict: bool = True) -> Network
     otherwise; an ``os.PathLike`` is always a path.
 
     ``fmt`` is "dense-csv" or "edge-list". Strict mode (the default)
-    rejects negative entries and nonzero diagonals with a diagnostic
-    naming the offending cell; lenient mode defers those to
-    validate_network.
+    refuses nonzero diagonals, negative entries and off-diagonal zeros with
+    validate_network's first finding, which names the cell; lenient mode
+    defers those to validate_network.
     """
     text = _read_text(source)
     if fmt == "dense-csv":
@@ -375,9 +370,10 @@ def load_network(source, fmt: str = "dense-csv", strict: bool = True) -> Network
         labels, matrix = _parse_edge_list(text)
     else:
         raise NetworkFormatError(f"unknown network format {fmt!r}")
-    if strict:
-        _enforce_values(labels, matrix)
-    return Network(labels, matrix)
+    net = Network(labels, matrix)
+    if strict and (finding := _first_finding(net)) is not None:
+        raise NetworkFormatError(finding)
+    return net
 
 
 def save_network(net: Network) -> str:

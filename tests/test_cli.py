@@ -283,7 +283,28 @@ def test_validate_reports_negative_entries(tmp_path):
     src.write_text(",p,q\np,0,-3\nq,1,0\n")
     code, out, err = run_cli("validate", "--input", str(src))
     assert code == 2
-    assert "negative entry" in out
+    assert "  negative entry at (p, q): -3\n" in out
+
+
+@pytest.mark.parametrize("fmt, text", [("dense-csv", ",a,b,c\na,0,0,1\nb,0,0,1\nc,1,1,0\n"),
+                                       ("edge-list", "a\tb\t0\nb\ta\t0\n")], ids=["dense", "edge-list"])
+def test_a_zero_off_the_diagonal_is_refused_at_load_naming_the_cell(tmp_path, fmt, text):
+    src = tmp_path / "net.txt"
+    src.write_text(text)
+    for argv in (("cluster", "--method", "reciprocal"), ("compare", "--method", "semi-reciprocal:3")):
+        code, out, err = run_cli(*argv, "--input", str(src), "--format", fmt)
+        assert (code, out, err) == (1, "", "error: zero off-diagonal at (a, b)\n"), argv
+    code, out, _ = run_cli("validate", "--input", str(src), "--format", fmt)
+    assert code == 2 and "\n  zero off-diagonal at (a, b)\n" in out
+
+
+def test_a_uses_table_normalized_to_zero_is_refused_naming_the_cell(tmp_path):
+    src = tmp_path / "uses.csv"
+    src.write_text(",s1,s2,s3\ns1,0,5,1\ns2,3,0,1\ns3,1,0,1\n")  # s1 supplies all of s2's flow
+    for argv in (("cluster", "--method", "reciprocal"), ("compare", "--method", "semi-reciprocal:3")):
+        code, out, err = run_cli(*argv, "--input", str(src), "--format", "uses")
+        assert (code, out) == (2, ""), argv
+        assert err == "error: network violates dissimilarity invariants: zero off-diagonal at (s1, s2)\n"
 
 
 def test_cut_cycle4_reciprocal_at_two_and_a_half():
@@ -471,14 +492,11 @@ def test_malformed_csv_is_a_parse_error(tmp_path):
 
 
 def test_help_shows_grammar_and_flags(capsys):
-    import contextlib
-
     def help_text(*argv):
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(list(argv), stdout=out, stderr=out)
-        assert code == 0
-        return out.getvalue() + capsys.readouterr().out
+        code = main(list(argv), stdout=out, stderr=out)
+        assert code == 0 and capsys.readouterr().out == ""  # only the stdout given to main
+        return out.getvalue()
 
     top = help_text("--help")
     for line in GRAMMAR.splitlines():
@@ -497,8 +515,6 @@ def test_help_shows_grammar_and_flags(capsys):
 
 
 def test_main_builds_the_parser_once(monkeypatch):
-    import contextlib
-
     import dioidclust.cli
 
     builds, build = [], dioidclust.cli.build_parser
@@ -507,8 +523,7 @@ def test_main_builds_the_parser_once(monkeypatch):
 
     def call(*argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out):  # --help writes to sys.stdout
-            code = main(list(argv), stdout=out, stderr=err)
+        code = main(list(argv), stdout=out, stderr=err)
         return code, out.getvalue(), err.getvalue()
 
     for argv, expected in ((("cluster", "--input", CYCLE4, "--method", "reciprocal"), 0),

@@ -259,10 +259,13 @@ def test_leaf_order_edge_cases():
     empty = Ultrametric((), np.zeros((0, 0)))
     assert to_dendrogram(empty) == Dendrogram((), ())
     assert cut_at_resolution(empty, 1.0).blocks == ()
-    # NaN reaches the report's dioid product, which refuses it.
-    with pytest.raises(ValueError, match=r"left operand has NaN at \(0, 1\)") as err:
-        to_dendrogram(Ultrametric(("p", "q"), np.array([[0.0, np.nan], [np.nan, 0.0]])))
-    assert not isinstance(err.value, InvalidUltrametricError)
+    # NaN is refused by name before the report's dioid product would see it.
+    nan = Ultrametric(("p", "q"), np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    for check in (lambda: validate_ultrametric(nan.dist, 0.0, labels=nan.labels),
+                  lambda: to_dendrogram(nan), lambda: cut_at_resolution(nan, 1.0)):
+        with pytest.raises(ValueError, match=r"^NaN entry at \(p, q\)$") as err:
+            check()
+        assert not isinstance(err.value, InvalidUltrametricError)
     for off in (0.0, -0.0):
         with pytest.raises(InvalidUltrametricError) as err:
             to_dendrogram(Ultrametric(("p", "q"), np.array([[0.0, off], [off, 0.0]])))

@@ -485,7 +485,7 @@ def test_run_method_dispatch_and_provenance(cycle4):
 
 def test_methods_reject_invalid_networks():
     broken = Network(("p", "q"), np.array([[0.0, 0.5], [-0.5, 0.0]]))
-    with pytest.raises(ValueError, match="invariants"):
+    with pytest.raises(ValueError, match=r"invariants: negative entry at \(q, p\): -0.5$"):
         reciprocal(broken)
 
 
@@ -507,8 +507,20 @@ def test_every_method_runs_on_the_empty_network():
 
 def test_single_linkage_reports_an_invalid_network_before_an_asymmetric_one():
     broken = Network(("p", "q"), np.array([[0.0, 0.5], [-0.5, 0.0]]))
-    with pytest.raises(ValueError, match="invariants"):
+    with pytest.raises(ValueError, match=r"invariants: negative entry at \(q, p\): -0.5$"):
         single_linkage(broken)
+    with pytest.raises(ValueError, match="needs a symmetric network"):
+        single_linkage(Network(("p", "q"), np.array([[0.0, 0.5], [1.0, 0.0]])))
+
+
+def test_single_linkage_checks_a_valid_symmetric_network_once(monkeypatch):
+    import dioidclust.methods
+
+    checks, check = [], dioidclust.methods._require_valid
+    monkeypatch.setattr(dioidclust.methods, "_require_valid", lambda net: checks.append(net) or check(net))
+    net = Network(("p", "q", "r"), np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]))
+    assert single_linkage(net).value("p", "r") == 2.0
+    assert checks == [net]
 
 
 def test_disconnected_network_keeps_infinite_entries():

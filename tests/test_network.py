@@ -16,6 +16,8 @@ from dioidclust import (
     load_uses_table,
     save_network,
     quasi_inverse,
+    reciprocal,
+    semi_reciprocal,
     validate_network,
 )
 from dioidclust.network import _parse_cell
@@ -106,8 +108,11 @@ def test_input_errors_name_their_cell_line_or_sector(load, text, message):
 
 
 def test_cells_read_as_float_reads_them():
-    for cell in ("1e5", " 2.5 ", "-0", "+3", ".5", "7.", "1E-3", "Infinity", "INF", "1e308"):
+    for cell in ("1e5", " 2.5 ", "+3", ".5", "7.", "1E-3", "Infinity", "INF", "1e308"):
         assert load_network(io.StringIO(_dense(cell))).dissim[0, 1] == float(cell), cell
+    # The strict loader refuses a zero off the diagonal; the parser still reads -0.
+    value = load_network(io.StringIO(_dense("-0")), strict=False).dissim[0, 1]
+    assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
 
 def test_dense_csv_nonzero_diagonal_rejected():
@@ -331,3 +336,36 @@ def test_connectivity_edge_cases():
     assert validate_network(one_way).minimax_connected is False
     negative = Network(("p", "q"), np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert validate_network(negative).minimax_connected is None
+
+
+@st.composite
+def networks_with_defects(draw):
+    """A valid network on 1..6 nodes with up to three cells overwritten by any of
+    0, -0.0, 1, 2, -1, +inf and -inf, on or off the diagonal."""
+    n = draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(st.sampled_from([1.0, 2.0, np.inf]), min_size=n * n, max_size=n * n)))
+    a = a.reshape(n, n)
+    np.fill_diagonal(a, draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)))
+    cells = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, np.inf, -np.inf])
+    for i, j, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), cells), max_size=3)):
+        a[i, j] = value
+    return Network(tuple(f"n{i}" for i in range(n)), a)
+
+
+def _refusal(run, net, error=ValueError):
+    try:
+        run(net)
+    except error as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(networks_with_defects())
+def test_the_strict_loader_and_the_methods_refuse_what_validate_network_reports(net):
+    report = validate_network(net)
+    finding = None if report.is_valid else report.lines()[1].strip()
+    assert _refusal(lambda net: load_network(save_network(net)), net, NetworkFormatError) == finding
+    from_methods = None if finding is None else f"network violates dissimilarity invariants: {finding}"
+    assert _refusal(reciprocal, net) == from_methods
+    assert _refusal(lambda net: semi_reciprocal(net, 3), net) == from_methods
