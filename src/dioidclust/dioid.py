@@ -31,10 +31,6 @@ __all__ = [
     "quasi_inverse",
 ]
 
-# Cap on the (rows x n x n) broadcast buffer used per product block, ~32 MB.
-_BLOCK_ELEMENTS = 1 << 22
-
-
 def _as_dioid_matrix(entries, name: str = "matrix") -> np.ndarray:
     """Validate a square matrix over the nonnegative reals with +inf."""
     arr = np.asarray(entries, dtype=float)
@@ -54,25 +50,30 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _min_max_sweep(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """out = min(out, max(left[:, k], right[k, :])) for k in order, in place.
+
+    One n x n scratch buffer. With out, left and right one zero-diagonal
+    matrix, this is the (min, max) Floyd-Warshall closure.
+    """
+    step = np.empty_like(out)
+    for k in range(out.shape[0]):
+        np.maximum(left[:, k, None], right[None, k, :], out=step)
+        np.minimum(out, step, out=out)
+    return out
+
+
 def dioid_product(a, b) -> np.ndarray:
     """Dioid matrix product: out[i, j] = min_k max(a[i, k], b[k, j]).
 
-    Blocked over output rows to bound the broadcast buffer; the result is
-    deterministic regardless of blocking.
+    The closure's k-sweep run out of place from an all-+inf matrix: O(n^3)
+    work in O(n^2) scratch.
     """
     a = _as_dioid_matrix(a, "left operand")
     b = _as_dioid_matrix(b, "right operand")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    n = a.shape[0]
-    out = np.empty((n, n))
-    rows = max(1, _BLOCK_ELEMENTS // max(n * n, 1))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        out[lo:hi] = np.minimum.reduce(
-            np.maximum(a[lo:hi, :, None], b[None, :, :]), axis=1
-        )
-    return out
+    return _min_max_sweep(np.full(a.shape, np.inf), a, b)
 
 
 def dioid_power(a, k: int) -> np.ndarray:
@@ -125,9 +126,5 @@ def quasi_inverse(a) -> np.ndarray:
         i = int(np.nonzero(np.diagonal(a))[0][0])
         raise ValueError(f"quasi-inverse needs a zero diagonal, got {a[i, i]} at ({i}, {i})")
     closure = a.copy()
-    step = np.empty_like(closure)
-    for k in range(a.shape[0]):
-        np.maximum(closure[:, k, None], closure[None, k, :], out=step)
-        np.minimum(closure, step, out=closure)
-    return closure
+    return _min_max_sweep(closure, closure, closure)
 

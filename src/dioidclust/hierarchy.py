@@ -145,9 +145,10 @@ class UltrametricReport:
     ``violations`` holds strong-triangle-inequality triples (x, via, y)
     where u(x, y) exceeds max(u(x, via), u(via, y)) beyond the tolerance,
     capped at 20, in row-major order of (x, y). Idempotency under the dioid
-    product is checked too. Both are read off one product, so they agree by
-    construction; an exact ultrametric, which its leaves sorted once rebuild
-    by the leaf-order recurrence, needs no product and is valid on every count.
+    product is checked too. Both are read off one dioid square, of the
+    entries' ranks, so they agree by construction; an exact ultrametric, which
+    its leaves sorted once rebuild by the leaf-order recurrence, needs no
+    product and is valid on every count.
     """
 
     n: int
@@ -192,13 +193,9 @@ class UltrametricReport:
 
 
 def _matrices_close(a: np.ndarray, b: np.ndarray, tolerance: float) -> bool:
-    """Entrywise equality, treating +inf as equal only to +inf."""
-    if tolerance == 0:
-        return bool(np.array_equal(a, b))
-    finite_a, finite_b = np.isfinite(a), np.isfinite(b)
-    if not np.array_equal(finite_a, finite_b):
-        return False
-    return bool((np.abs(a[finite_a] - b[finite_b]) <= tolerance).all())
+    """Entrywise equality within tolerance; an infinite entry matches only itself."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, but == matches it; overflow is inf
+        return bool(((a == b) | (np.abs(a - b) <= tolerance)).all())
 
 
 def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricReport:
@@ -208,7 +205,8 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     min/max operations; methods that mix in ordinary arithmetic warrant a
     small positive tolerance. The leaves are sorted once; an exact ultrametric,
     the matrix its neighbour entries build, needs no dioid product and no
-    further scan. Any other matrix costs the O(n^3) product.
+    further scan. Any other matrix costs one O(n^3) dioid square of its
+    entries' ranks, which yields the same bounds as a square of the entries.
     """
     if not math.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
@@ -238,16 +236,14 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     off = ~np.eye(n, dtype=bool)
     positive_off = bool((arr[off] > tolerance).all()) if n > 1 else True
 
-    if nonnegative:  # an exact ultrametric is its own dioid square
-        best = arr if exact else dioid_product(arr, arr)
-        idempotent = _matrices_close(best, arr, tolerance)
-    else:
-        # The dioid rejects negative entries. min and max only select, so
-        # the product of the entries' ranks picks out the same bounds.
+    best = arr  # an exact ultrametric is its own dioid square
+    if not exact:
+        # min and max only select, so the dioid square of the entries' ranks
+        # picks out the bounds, negative entries included, which the dioid rejects.
         values, ranks = np.unique(arr, return_inverse=True)
         ranks = ranks.reshape(arr.shape)
         best = values[dioid_product(ranks, ranks).astype(int)]
-        idempotent = False
+    idempotent = nonnegative and _matrices_close(best, arr, tolerance)
     # Offending triples for the report: u(x,y) > max(u(x,z), u(z,y)).
     violations = []
     for i, j in np.argwhere((arr > best + tolerance) & off)[:_VIOLATION_CAP]:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .dioid import dioid_power, is_integer, quasi_inverse
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
-from .network import Network, _first_finding, format_value
+from .network import Network, _require_valid, format_value
 
 __all__ = [
     "GRAMMAR",
@@ -290,11 +290,6 @@ class GraftCounterexample:
     @property
     def is_ultrametric(self) -> bool:
         return self.report.is_valid
-
-
-def _require_valid(net: Network) -> None:
-    if (finding := _first_finding(net)) is not None:
-        raise ValueError(f"network violates dissimilarity invariants: {finding}")
 
 
 def _wrap(net: Network, matrix: np.ndarray, method: str) -> Ultrametric:

@@ -230,6 +230,11 @@ def _first_finding(net: Network) -> str | None:
     return validate_network(net).lines()[1].strip()
 
 
+def _require_valid(net: Network) -> None:
+    if (finding := _first_finding(net)) is not None:
+        raise ValueError(f"network violates dissimilarity invariants: {finding}")
+
+
 def _read_text(source) -> str:
     if hasattr(source, "read"):
         data = source.read()

@@ -5,6 +5,8 @@ simple chains, in pure Python, with no dependence on the dioid matrix
 route it is used to cross-check. Removing a loop from a chain never
 increases its maximum link cost nor its node count, so simple chains are
 sufficient. Enumeration is factorial: inputs are capped at 8 nodes.
+The clustering oracles refuse a network that validate_network reports
+invalid, as the methods do; brute_minimax_cost takes any network.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import numpy as np
 
 from .hierarchy import Provenance, Ultrametric
-from .network import Network
+from .network import Network, _require_valid
 
 __all__ = [
     "brute_minimax_cost",
@@ -77,6 +79,13 @@ def _as_costs(matrix: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in matrix]
 
 
+def _valid_costs(net: Network) -> list[list[float]]:
+    """The costs of a network within the size cap that validate_network accepts."""
+    _guard(net.n)
+    _require_valid(net)
+    return _as_costs(net.dissim)
+
+
 def brute_minimax_cost(net: Network, src: str, dst: str, max_nodes: int | None = None) -> float:
     """Directed minimax chain cost between two nodes by enumeration.
 
@@ -113,18 +122,16 @@ def brute_reciprocal(net: Network) -> Ultrametric:
     Symmetrize each link to the larger of its two directions, then take
     minimax chain costs in the symmetrized costs.
     """
-    _guard(net.n)
     n = net.n
-    cost = _as_costs(net.dissim)
+    cost = _valid_costs(net)
     sym = [[max(cost[i][j], cost[j][i]) for j in range(n)] for i in range(n)]
     return _wrap(net, _pairwise(sym, n, n), "oracle:reciprocal")
 
 
 def brute_nonreciprocal(net: Network) -> Ultrametric:
     """Nonreciprocal ultrametric: the larger of the two directed chain costs."""
-    _guard(net.n)
     n = net.n
-    cost = _as_costs(net.dissim)
+    cost = _valid_costs(net)
     directed = _pairwise(cost, n, n)
     rows = [
         [max(directed[i][j], directed[j][i]) for j in range(n)]
@@ -142,9 +149,8 @@ def brute_semi_reciprocal(net: Network, t: int) -> Ultrametric:
     """
     if not isinstance(t, int) or t < 2:
         raise ValueError(f"semi-reciprocal needs integer t >= 2, got {t!r}")
-    _guard(net.n)
     n = net.n
-    cost = _as_costs(net.dissim)
+    cost = _valid_costs(net)
     limited = _pairwise(cost, n, min(t, n))
     sym = [[max(limited[i][j], limited[j][i]) for j in range(n)] for i in range(n)]
     return _wrap(net, _pairwise(sym, n, n), f"oracle:semi-reciprocal:{t}")
@@ -152,7 +158,7 @@ def brute_semi_reciprocal(net: Network, t: int) -> Ultrametric:
 
 def brute_single_linkage(net: Network) -> Ultrametric:
     """Minimax chain costs of a symmetric network by enumeration."""
-    _guard(net.n)
+    cost = _valid_costs(net)
     if not net.is_symmetric():
         raise ValueError("brute single linkage needs a symmetric network")
-    return _wrap(net, _pairwise(_as_costs(net.dissim), net.n, net.n), "oracle:single-linkage")
+    return _wrap(net, _pairwise(cost, net.n, net.n), "oracle:single-linkage")

@@ -611,6 +611,21 @@ def test_tolerance_flag_overrides_validation(tmp_path):
     assert strict[0] == 2
     loose = run_cli("validate", "--input", str(src), "--ultrametric", "--tolerance", "1e-9")
     assert loose[0] == 0
+    # Infinite entries match only themselves, at any tolerance.
+    src.write_text(",a,b\na,0,inf\nb,-inf,0\n")
+    for tolerance in ("0", "0.5"):
+        code, out, _ = run_cli("validate", "--input", str(src), "--ultrametric", "--tolerance", tolerance)
+        assert code == 2 and "  not symmetric\n" in out, tolerance
+
+
+def test_json_keeps_a_negative_zero_diagonal(tmp_path):
+    # np.array_equal cannot see the sign of a zero; the JSON bytes can.
+    src, target = tmp_path / "negzero.csv", tmp_path / "out.json"
+    src.write_text((DATA / "cycle4.csv").read_text().replace("\na,0,", "\na,-0,"))
+    code, _, err = run_cli("cluster", "--input", str(src), "--method", "semi-reciprocal:3",
+                           "--emit", "json", "--output", str(target))
+    assert code == 0, err
+    assert target.read_text() == (DATA / "golden_cycle4_negzero_sr3.json").read_text()
 
 
 def test_output_is_byte_identical_across_runs():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,21 @@ def test_quasi_inverse_matches_power_and_oracle_pair_by_pair(a):
     for i, src in enumerate(net.labels):
         for j, dst in enumerate(net.labels):
             assert closure[i, j] == brute_minimax_cost(net, src, dst), (src, dst)
+
+
+def test_product_and_closure_keep_quadratic_scratch(rng):
+    # Both run one k-sweep: O(n^2) scratch, never an (n x n x n) broadcast.
+    n = 128
+    a = rng.uniform(0.1, 1.0, (n, n))
+    np.fill_diagonal(a, 0.0)
+    for kernel in (lambda: dioid_product(a, a), lambda: quasi_inverse(a)):
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * a.itemsize, peak
 
 
 def test_cycle4_nonreciprocal_merges_everything_at_one():

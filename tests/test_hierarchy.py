@@ -68,6 +68,8 @@ def test_validate_flags_asymmetry_and_diagonal():
     assert not validate_ultrametric(m, 0.0).symmetric
     m2 = np.array([[1.0, 2.0], [2.0, 0.0]])
     assert not validate_ultrametric(m2, 0.0).zero_diagonal
+    far = np.array([[0.0, 1e308], [-1e308, 0.0]])  # their difference overflows, silently
+    assert not any(validate_ultrametric(far, tol).symmetric for tol in (0.0, 0.5))
 
 
 def test_validate_triple_scan_agrees_with_idempotency(rng):

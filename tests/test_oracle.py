@@ -99,6 +99,17 @@ def test_size_guard_refuses_large_networks(rng):
         brute_minimax_cost(net, "n0", "n1")
 
 
+def test_clustering_oracles_refuse_invalid_networks():
+    negative = Network(("a", "b", "c"), [[0, -1, 1], [1, 0, 1], [1, 1, 0]])
+    diagonal = Network(("a", "b"), [[5, 1], [1, 0]])
+    oracles = (brute_reciprocal, brute_nonreciprocal, lambda net: brute_semi_reciprocal(net, 2), brute_single_linkage)
+    for net, finding in ((negative, r"negative entry at \(a, b\): -1$"), (diagonal, r"nonzero diagonal at \(a, a\): 5$")):
+        for oracle in oracles:
+            with pytest.raises(ValueError, match="^network violates dissimilarity invariants: " + finding):
+                oracle(net)
+    assert brute_minimax_cost(diagonal, "a", "b") == 1.0  # chain costs stay general
+
+
 def test_single_linkage_three_node_chain():
     a = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 2.0], [5.0, 2.0, 0.0]])
     net = Network(("n1", "n2", "n3"), a)
