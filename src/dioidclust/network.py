@@ -7,9 +7,13 @@ possibly asymmetric) off the diagonal. Three input formats are supported:
 * dense CSV: header row/column carry the labels, cells are floats,
   "inf" (any case) or an empty cell means +inf;
 * edge list: tab-separated ``src dst weight`` lines, unlisted ordered
-  pairs default to +inf and the diagonal to 0;
+  pairs default to +inf and the diagonal to 0; lines led by "#" are
+  comments, so no node name may start with "#";
 * uses table: dense CSV of nonnegative flows, converted to dissimilarities
   by column normalization (one minus the column share of each supplier).
+
+Sources are UTF-8 (one leading byte-order mark is dropped). A dense CSV's
+rows of plain decimals are converted in one np.loadtxt call per file.
 """
 
 from __future__ import annotations
@@ -236,17 +240,20 @@ def _require_valid(net: Network) -> None:
 
 
 def _read_text(source) -> str:
+    """The text of a source, without one leading byte-order mark, which would otherwise start the first label."""
     if hasattr(source, "read"):
         data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    elif isinstance(source, bytes):
+        text = source.decode("utf-8")
     # A path may contain commas or tabs, so only a newline marks inline
     # text; one-line text without a newline must come as bytes or a stream.
-    if isinstance(source, str) and "\n" in source:
-        return source
-    with open(source, "r", encoding="utf-8") as fh:
-        return fh.read()
+    elif isinstance(source, str) and "\n" in source:
+        text = source
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return text.removeprefix("\ufeff")
 
 
 def _plain_float(text: str) -> float:
@@ -271,52 +278,70 @@ def _parse_cell(cell: str, where: str) -> float:
     return value
 
 
-_PLAIN_TEXT = re.compile(r"[0-9.eE+\- ]*")
+# Comma-separated cells, each non-blank and of ASCII digits, ".", "e", "E", signs and spaces only.
+_PLAIN_LINE = re.compile(r" *[0-9.eE+-][0-9.eE+ -]*(?:, *[0-9.eE+-][0-9.eE+ -]*)*")
+_BLANK_LINE = re.compile(r"[\s,]*")  # \s matches exactly what str.strip() removes
 
 
-def _plain_row(cells: list[str], out: np.ndarray) -> bool:
-    """Convert a row of plain finite decimals into ``out`` in one numpy call.
+def _dense_values(rows, labels, screen: bool) -> np.ndarray:
+    """The value matrix of a dense CSV's data rows, each a line of text or csv.reader's list of cells.
 
-    Only ASCII digits, ".", "e", "E", signs and spaces may occur. False
-    leaves the row to _parse_cell, which accepts or names each cell: a row
-    with other text (``inf``, ``1_0``, ...), a blank or malformed cell
-    (numpy raises) or a cell that overflows to inf.
+    With ``screen``, rows matching _PLAIN_LINE go into one np.loadtxt call, which raises or reads a
+    non-finite value at a fault, and other rows are read cell by cell; without it every row is, so
+    the fault raised is the first in line order.
     """
-    if not _PLAIN_TEXT.fullmatch("".join(cells)):
-        return False
-    try:
-        values = np.array(cells, dtype=float)
-    except ValueError:
-        return False
-    if not np.isfinite(values).all():
-        return False
-    out[:] = values
-    return True
+    n = len(labels)
+    matrix = np.empty((n, n))
+    block_rows, block_lines = [], []
+    for i, row in enumerate(rows):
+        if isinstance(row, str):
+            label, _, values = row.partition(",")
+            cells, count = None, row.count(",")
+        else:
+            label, cells, count = row[0], row[1:], len(row) - 1
+            values = ",".join(cells)  # a comma inside a cell shows as a column too many
+        label = label.strip()
+        if label != labels[i]:
+            raise NetworkFormatError(f"row {i + 1} label {label!r} does not match column label {labels[i]!r}")
+        if count != n:
+            raise NetworkFormatError(f"row {label!r} has {count} cells, expected {n}")
+        if screen and _PLAIN_LINE.fullmatch(values):
+            block_rows.append(i)
+            block_lines.append(values)
+            continue
+        for j, cell in enumerate(values.split(",") if cells is None else cells):
+            matrix[i, j] = _parse_cell(cell, f"({label}, {labels[j]})")
+    if block_lines:
+        # max_rows lets numpy allocate the block once, at its size, instead of growing a buffer.
+        block = np.loadtxt(
+            block_lines, delimiter=",", dtype=float, ndmin=2, comments=None, max_rows=len(block_lines)
+        )
+        if block.shape != (len(block_lines), n) or not np.isfinite(block).all():
+            raise ValueError("a screened row holds a fault")
+        if len(block_rows) == n:
+            return block
+        matrix[block_rows] = block
+    return matrix
 
 
 def _parse_dense(text: str, what: str = "network"):
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+    # Text without quotes whose carriage returns all end a line splits at newlines as csv.reader reads it.
+    lf_text = text.replace("\r\n", "\n") if "\r" in text else text
+    if '"' in text or "\r" in lf_text:
+        rows = [row for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)]
+    else:
+        rows = [line for line in lf_text.split("\n") if not _BLANK_LINE.fullmatch(line)]
     if len(rows) < 2:
         raise NetworkFormatError(f"dense CSV needs a header and at least one row, got {len(rows)} lines")
-    header = [c.strip() for c in rows[0][1:]]
-    labels = _check_labels(header, len(header))
+    header = rows[0].split(",") if isinstance(rows[0], str) else rows[0]
+    labels = _check_labels([c.strip() for c in header[1:]], len(header) - 1)
     n = len(labels)
     if len(rows) - 1 != n:
         raise NetworkFormatError(f"{what} has {n} columns but {len(rows) - 1} data rows")
-    matrix = np.empty((n, n))
-    for i, row in enumerate(rows[1:]):
-        row_label = row[0].strip()
-        if row_label != labels[i]:
-            raise NetworkFormatError(
-                f"row {i + 1} label {row_label!r} does not match column label {labels[i]!r}"
-            )
-        if len(row) - 1 != n:
-            raise NetworkFormatError(f"row {row_label!r} has {len(row) - 1} cells, expected {n}")
-        if _plain_row(row[1:], matrix[i]):
-            continue
-        for j, cell in enumerate(row[1:]):
-            matrix[i, j] = _parse_cell(cell, f"({row_label}, {labels[j]})")
-    return labels, matrix
+    try:
+        return labels, _dense_values(rows[1:], labels, screen=True)
+    except ValueError:  # a fault: read again in line order, which raises the first
+        return labels, _dense_values(rows[1:], labels, screen=False)
 
 
 def _parse_edge_list(text: str):
@@ -342,6 +367,10 @@ def _parse_edge_list(text: str):
         src, dst, cell = (p.strip() for p in parts)
         if not (src and dst):
             raise NetworkFormatError(f"edge list line {lineno}: empty node name in {raw!r}")
+        if dst.startswith("#"):  # a line it led would be a comment, so such a source never gets here
+            raise NetworkFormatError(
+                f"edge list line {lineno}: node name {dst!r} starts with '#', which marks a comment line"
+            )
         weight = _parse_cell(cell, f"line {lineno}")
         i, j = node(src), node(dst)
         if (i, j) in edges:

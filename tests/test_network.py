@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import shutil
@@ -20,7 +21,8 @@ from dioidclust import (
     semi_reciprocal,
     validate_network,
 )
-from dioidclust.network import _parse_cell
+from dioidclust import network
+from dioidclust.network import _check_labels, _parse_cell
 
 from conftest import DATA, random_network
 
@@ -97,10 +99,13 @@ def _dense(cell):
         # A leading tab delimits a field; trailing whitespace is still ignored.
         (lambda t: load_network(t, fmt="edge-list"), "\tb\t1 \n", r"line 1: empty node name"),
         (lambda t: load_network(t, fmt="edge-list"), "\ta\tb\t1\n", r"line 1: expected 'src<TAB>dst<TAB>weight'"),
+        # Line 3 would read as a comment, dropping the edge #c -> a.
+        (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\nb\t#c\t2\n#c\ta\t3\n",
+         r"^edge list line 2: node name '#c' starts with '#', which marks a comment line$"),
     ],
     ids=["unparsable", "nan", "underscore", "arabic-digit", "overflow", "one-line-csv", "row-label",
          "edge-list-line", "empty-edge-list", "unknown-format", "uses-inf", "empty-label", "empty-node",
-         "empty-source", "four-fields"],
+         "empty-source", "four-fields", "hash-led-node"],
 )
 def test_input_errors_name_their_cell_line_or_sector(load, text, message):
     with pytest.raises(NetworkFormatError, match=message):
@@ -144,6 +149,24 @@ def test_load_accepts_bytes_and_byte_streams():
     payload = b",a,b\na,0,2\nb,3,0\n"
     assert load_network(payload).dissim[1, 0] == 3.0
     assert load_network(io.BytesIO(payload)).dissim[0, 1] == 2.0
+
+
+@pytest.mark.parametrize("fmt, text", [("edge-list", "a\tb\t1\nb\ta\t2\n"), ("dense-csv", "a,b,c\nb,0,2\nc,3,0\n")])
+def test_a_leading_byte_order_mark_is_dropped_from_every_source(tmp_path, fmt, text):
+    want = load_network(text.encode(), fmt=fmt)
+    marked = "\ufeff" + text
+    path = tmp_path / "marked.txt"
+    path.write_text(marked, encoding="utf-8")
+    for source in (marked, marked.encode(), io.StringIO(marked), io.BytesIO(marked.encode()), path, str(path)):
+        got = load_network(source, fmt=fmt)
+        assert got.labels == want.labels, source
+        assert np.array_equal(got.dissim, want.dissim), source
+
+
+def test_edge_list_comment_lines_are_skipped():
+    net = load_network(b"# header\na\tb\t1\n  # indented\nb\ta\t2\n", fmt="edge-list")
+    assert net.labels == ("a", "b")
+    assert net.dissim.tolist() == [[0.0, 1.0], [2.0, 0.0]]
 
 
 def test_lenient_load_defers_value_checks():
@@ -276,19 +299,44 @@ def test_network_matrix_is_immutable(cycle4):
 CELL_SPELLINGS = (
     "2", ".5", "-0", "1e-3", "+1", " 7 ", " -0 ", "1E5", "0.30000000000000004", "1e400", "1_0", "\u0663",
     "inf", "INF", "Infinity", "nan", "e", "--1", "1 2", "", "  ",
+    "1.2.3", ".", "e5", "1e", "1e+", "- 1", "+-1", "0x10", "1e5.5",
 )
 
 
-def _cells_per_cell(text):
-    """The dense-CSV cells read one _parse_cell call each, as before rows took one numpy call."""
-    rows = text.splitlines()
-    labels = rows[0].split(",")[1:]
-    matrix = np.empty((len(labels), len(labels)))
+def _sequential_dense(text):
+    """The dense-CSV reader the block conversion replaced: csv.reader, then each row's checks and cells in line order."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+    if len(rows) < 2:
+        raise NetworkFormatError(f"dense CSV needs a header and at least one row, got {len(rows)} lines")
+    header = [c.strip() for c in rows[0][1:]]
+    labels = _check_labels(header, len(header))
+    n = len(labels)
+    if len(rows) - 1 != n:
+        raise NetworkFormatError(f"network has {n} columns but {len(rows) - 1} data rows")
+    matrix = np.empty((n, n))
     for i, row in enumerate(rows[1:]):
-        cells = row.split(",")
-        for j, cell in enumerate(cells[1:]):
-            matrix[i, j] = _parse_cell(cell, f"({cells[0]}, {labels[j]})")
-    return matrix
+        row_label = row[0].strip()
+        if row_label != labels[i]:
+            raise NetworkFormatError(f"row {i + 1} label {row_label!r} does not match column label {labels[i]!r}")
+        if len(row) - 1 != n:
+            raise NetworkFormatError(f"row {row_label!r} has {len(row) - 1} cells, expected {n}")
+        for j, cell in enumerate(row[1:]):
+            matrix[i, j] = _parse_cell(cell, f"({row_label}, {labels[j]})")
+    return labels, matrix
+
+
+def _loaded(text):
+    net = load_network(text.encode(), strict=False)
+    return net.labels, net.dissim
+
+
+def _outcome(read, text):
+    """Labels and value bit patterns (-0.0 stays -0.0), or the error's type and message."""
+    try:
+        labels, matrix = read(text)
+    except (ValueError, csv.Error) as exc:  # csv.reader itself refuses a carriage return inside a line
+        return type(exc), str(exc)
+    return labels, matrix.view(np.uint64).tolist()
 
 
 @settings(max_examples=400, deadline=None)
@@ -296,19 +344,102 @@ def _cells_per_cell(text):
     lambda n: st.lists(st.lists(st.sampled_from(CELL_SPELLINGS), min_size=n, max_size=n), min_size=n, max_size=n)))
 @example([["-0", "0"], ["2", "-0"]])
 @example([["1", "2", "1e400"], ["1", "1", "1"], ["1", "1", "x"]])
+@example([[""]])  # np.loadtxt warns on input without data, an error under -W error
 def test_dense_rows_parse_as_cell_by_cell(cells):
     n = len(cells)
     text = "," + ",".join(f"n{j}" for j in range(n)) + "\n"
     text += "".join(f"n{i}," + ",".join(row) + "\n" for i, row in enumerate(cells))
-    try:
-        want = _cells_per_cell(text)
-    except NetworkFormatError as exc:
-        with pytest.raises(NetworkFormatError) as got:
-            load_network(text, strict=False)
-        assert str(got.value) == str(exc)
-    else:
-        got = load_network(text, strict=False).dissim
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # -0.0 stays -0.0
+    assert _outcome(_loaded, text) == _outcome(_sequential_dense, text)
+
+
+def _mutate(kind, lines, i, k):
+    """Apply one structural change to the cell lists of a dense CSV at line i, a value cell picked by k."""
+    row = lines[i]
+    j = 1 + k % (len(row) - 1) if len(row) > 1 else 0
+    if kind == "label":
+        row[0] = "zz"
+    elif kind == "extra-cell":
+        row.append("1")
+    elif kind == "missing-cell" and len(row) > 1:
+        row.pop()
+    elif kind == "trailing-comma":
+        row.append("")
+    elif kind == "missing-row":
+        del lines[i]
+    elif kind in ("blank-line", "comma-line"):
+        lines.insert(i, [" \t\xa0"] if kind == "blank-line" else ["", " ", ""])  # \xa0 is whitespace to str.strip()
+    elif kind == "quoted-cell":
+        row[j] = f'"{row[j]}"'
+    elif kind == "quoted-comma-cell":
+        row[j] = '"1,5"'
+    elif kind in ("quoted-label", "comma-label") and i < len(lines[0]):  # in its row and its column
+        lines[0][i] = row[0] = f'"{row[0]}"' if kind == "quoted-label" else '"x,y"'
+    elif kind == "cr-in-cell":
+        row[j] += "\r"
+
+
+MUTATIONS = ("label", "extra-cell", "missing-cell", "trailing-comma", "missing-row", "blank-line", "comma-line",
+             "quoted-cell", "quoted-comma-cell", "quoted-label", "comma-label", "cr-in-cell")
+PLAIN_CELLS = ("1", "2.5", "0.30000000000000004", "-0", " 7 ", "1e-3", "4.9e-324")
+
+
+@st.composite
+def mutated_dense_texts(draw):
+    """A dense CSV of plain and other cells, with up to three structural changes, so faults may lie in two lines."""
+    n = draw(st.integers(1, 4))
+    cell = st.one_of(st.sampled_from(PLAIN_CELLS), st.sampled_from(PLAIN_CELLS), st.sampled_from(CELL_SPELLINGS))
+    lines = [["", *(f"n{j}" for j in range(n))]]
+    lines += [[f"n{i}", *draw(st.lists(cell, min_size=n, max_size=n))] for i in range(n)]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        if len(lines) > 1:  # the header stays
+            _mutate(kind, lines, draw(st.integers(1, len(lines) - 1)), draw(st.integers(0, 3)))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))  # "\r" alone is a carriage return csv.reader refuses
+    return ending.join(",".join(cells) for cells in lines) + draw(st.sampled_from([ending, ""]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_dense_texts())
+@example(",a,b\r\na,0,1\r\nb,2,0\r\n")
+@example(',"a,1",b\n"a,1",0,1\nb,2,0\n')
+@example(",a,b\na,0,1,\nb,x,0\n")  # two faults: the first line's is named
+@example(",a,b\na,0,1e400\nb,,0\nc,1,1\n")
+@example(',a,b\na,0,"1,5"\nb,2,0\n')
+@example(',a,b\na,"1,5"\nb,2,0\n')  # one quoted cell holding a comma: a cell too few, not a value 5
+def test_dense_reader_matches_the_sequential_reader(text):
+    assert _outcome(_loaded, text) == _outcome(_sequential_dense, text)
+
+
+def test_only_the_row_with_an_inf_cell_is_read_cell_by_cell(monkeypatch, rng):
+    n = 64
+    a = rng.uniform(1.0, 2.0, (n, n))
+    np.fill_diagonal(a, 0.0)
+    a[5, 7] = np.inf
+    text = save_network(Network(tuple(f"n{i}" for i in range(n)), a))
+    places = []
+
+    def counted(cell, where):
+        places.append(where)
+        return _parse_cell(cell, where)
+
+    monkeypatch.setattr(network, "_parse_cell", counted)
+    assert np.array_equal(load_network(text).dissim, a)
+    assert places == [f"(n5, n{j})" for j in range(n)]
+
+
+def test_np_loadtxt_reads_cells_as_the_block_conversion_needs():
+    """The behaviour of np.loadtxt that the dense reader's one block call relies on, pinned for every numpy in CI."""
+    def read(*lines):
+        return np.loadtxt(list(lines), delimiter=",", dtype=float, ndmin=2, comments=None, max_rows=len(lines))
+
+    for cell in ("1.2.3", "e", ".", "e5", "1e", "1e+", "- 1", "+-1", "--1", "1 2", "1e5.5"):
+        with pytest.raises(ValueError):
+            read(cell)
+    with pytest.raises(ValueError):
+        read("1,2", "3")
+    for cell in (" 2.5 ", "+3", ".5", "7.", "-0", "0.30000000000000004", "4.9e-324"):
+        assert read(cell).view(np.uint64).tolist() == [[np.float64(float(cell)).view(np.uint64)]], cell
+    assert read("1e400").tolist() == [[math.inf]]
+    assert read("1", "2").shape == (2, 1)
 
 
 def _closure_connected(net):
