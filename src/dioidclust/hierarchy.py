@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dioid import dioid_product
+from .dioid import _in_input_order, _in_leaf_order, dioid_product
 from .network import format_value
 
 __all__ = [
@@ -313,14 +313,6 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[int, ...], tuple[floa
     return tuple(order), tuple(joined[leaf] for leaf in order), tuple(heights)
 
 
-def _in_leaf_order(near: np.ndarray, n: int) -> np.ndarray:
-    """The n x n ultrametric, in leaf order, whose neighbour entries are ``near`` (+inf ones part trees)."""
-    ordered = np.zeros((n, n))
-    for q in range(1, n):  # u(p, q) = max(u(p, q-1), u(q-1, q)), written below the diagonal
-        ordered[q, :q] = np.maximum(ordered[q - 1, :q], near[q - 1])
-    return np.maximum(ordered, ordered.T)
-
-
 def _checked_order(u: Ultrametric) -> tuple[np.ndarray, np.ndarray]:
     """u's leaf order and its neighbour entries, off the report of validate_ultrametric passing u exactly."""
     report = validate_ultrametric(u.dist, 0.0, labels=u.labels)
@@ -363,9 +355,7 @@ def from_dendrogram(d: Dendrogram, provenance: Provenance | None = None) -> Ultr
     """
     order, joins, heights = d._tree_order
     near = np.array([heights[j] if j >= 0 else np.inf for j in joins[:-1]], dtype=float)
-    dist = np.empty((len(order),) * 2)
-    dist[np.ix_(order, order)] = _in_leaf_order(near, len(order))
-    return Ultrametric(d.leaves, dist, provenance=provenance)
+    return Ultrametric(d.leaves, _in_input_order(order, near), provenance=provenance)
 
 
 def cut_at_resolution(u: Ultrametric, delta: float) -> Partition:

@@ -20,7 +20,10 @@ powers in the (min, max) dioid:
 One helper computes five of them as the closure of max(A^t, (A^t')ᵀ):
 reciprocal is (t, t') = (1, 1), semi-reciprocal(t) is (t-1, t-1),
 nonreciprocal is (n-1, n-1) and single linkage is reciprocal on a symmetric
-network. Budget n-1 is Floyd–Warshall; at (n-1, n-1) no outer closure runs.
+network. Budget n-1 is the directed closure, Floyd–Warshall on an asymmetric
+network; at (n-1, n-1) no outer closure runs. Every outer closure, and the
+one that restores a convex combination, is of a symmetric matrix, so
+quasi_inverse runs it on Prim's visit order in O(n^2).
 
 Each output lands entrywise between the nonreciprocal (lower) and
 reciprocal (upper) ultrametrics. All functions are pure and safe to run
@@ -300,15 +303,18 @@ def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametr
     """Closure of max(A^t_fwd, (A^t_bwd)ᵀ), each budget clamped to max(n-1, 1).
 
     Powers stabilize at n-1, so the clamp changes no result. Each distinct
-    power is computed once, by Floyd–Warshall at the clamp; with both
+    power is computed once, by quasi_inverse at the clamp; with both
     budgets there, max(C, Cᵀ) is nonreciprocal and needs no outer closure.
+    Any other joined matrix B is closed as min(B, Bᵀ), which is symmetric,
+    so quasi_inverse takes its tree kernel: closure(B) is symmetric and at
+    most B, so it equals closure(min(B, Bᵀ)).
     """
     _require_valid(net)
     a, cap = net.dissim, max(net.n - 1, 1)
     fwd, bwd = min(t_fwd, cap), min(t_bwd, cap)
     powers = {hops: quasi_inverse(a) if hops == cap else dioid_power(a, hops) for hops in {fwd, bwd}}
     joined = np.maximum(powers[fwd], powers[bwd].T)
-    return _wrap(net, joined if fwd == bwd == cap else quasi_inverse(joined), method)
+    return _wrap(net, joined if fwd == bwd == cap else quasi_inverse(np.minimum(joined, joined.T)), method)
 
 
 def reciprocal(net: Network) -> Ultrametric:

@@ -278,17 +278,17 @@ def _parse_cell(cell: str, where: str) -> float:
     return value
 
 
-# Comma-separated cells, each non-blank and of ASCII digits, ".", "e", "E", signs and spaces only.
-_PLAIN_LINE = re.compile(r" *[0-9.eE+-][0-9.eE+ -]*(?:, *[0-9.eE+-][0-9.eE+ -]*)*")
+# ASCII digits, ".", "e", "E", signs, spaces and commas only; a blank cell is looked for apart.
+_PLAIN_LINE = re.compile(r"[0-9.eE+ ,-]+")
 _BLANK_LINE = re.compile(r"[\s,]*")  # \s matches exactly what str.strip() removes
 
 
 def _dense_values(rows, labels, screen: bool) -> np.ndarray:
     """The value matrix of a dense CSV's data rows, each a line of text or csv.reader's list of cells.
 
-    With ``screen``, rows matching _PLAIN_LINE go into one np.loadtxt call, which raises or reads a
-    non-finite value at a fault, and other rows are read cell by cell; without it every row is, so
-    the fault raised is the first in line order.
+    With ``screen``, rows matching _PLAIN_LINE that hold no blank (+inf) cell go into one np.loadtxt
+    call, which raises or reads a non-finite value at a fault, and other rows are read cell by cell;
+    without it every row is, so the fault raised is the first in line order.
     """
     n = len(labels)
     matrix = np.empty((n, n))
@@ -305,7 +305,7 @@ def _dense_values(rows, labels, screen: bool) -> np.ndarray:
             raise NetworkFormatError(f"row {i + 1} label {label!r} does not match column label {labels[i]!r}")
         if count != n:
             raise NetworkFormatError(f"row {label!r} has {count} cells, expected {n}")
-        if screen and _PLAIN_LINE.fullmatch(values):
+        if screen and _PLAIN_LINE.fullmatch(values) and ",," not in f",{values.replace(' ', '')},":
             block_rows.append(i)
             block_lines.append(values)
             continue
@@ -357,7 +357,7 @@ def _parse_edge_list(text: str):
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()  # leading tabs delimit fields
-        if not line.strip() or line.lstrip().startswith("#"):
+        if not line.strip() or line.split("\t", 1)[0].strip().startswith("#"):  # "#" opens the first field
             continue
         parts = line.split("\t")
         if len(parts) != 3:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dioidclust import Network, dioid_power, dioid_product, quasi_inverse
+from dioidclust.dioid import _min_max_sweep
 from dioidclust.oracle import brute_minimax_cost
 
 from conftest import cycle4_network, random_network
@@ -231,11 +232,13 @@ def test_quasi_inverse_matches_power_and_oracle_pair_by_pair(a):
 
 
 def test_product_and_closure_keep_quadratic_scratch(rng):
-    # Both run one k-sweep: O(n^2) scratch, never an (n x n x n) broadcast.
+    # The product and the asymmetric closure run one k-sweep, the symmetric closure Prim:
+    # O(n^2) scratch, never an (n x n x n) broadcast nor a copy of the input per step.
     n = 128
     a = rng.uniform(0.1, 1.0, (n, n))
     np.fill_diagonal(a, 0.0)
-    for kernel in (lambda: dioid_product(a, a), lambda: quasi_inverse(a)):
+    symmetric = np.maximum(a, a.T)
+    for kernel in (lambda: dioid_product(a, a), lambda: quasi_inverse(a), lambda: quasi_inverse(symmetric)):
         tracemalloc.start()
         try:
             kernel()
@@ -253,3 +256,46 @@ def test_cycle4_nonreciprocal_merges_everything_at_one():
     assert (merged[off] == 1.0).all()
     assert (np.diagonal(merged) == 0.0).all()
 
+
+
+@st.composite
+def symmetric_closure_inputs(draw):
+    """Symmetric zero-diagonal matrices of 0 to 60 nodes: reals or small integers
+    (so ties), +inf forests, and +0.0 or -0.0 on the diagonal."""
+    n = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(1, 4, (n, n)).astype(float) if draw(st.booleans()) else 1.0 - rng.random((n, n))
+    if draw(st.booleans()):
+        group = np.arange(n) % int(rng.integers(1, 4))
+        a[group[:, None] != group[None, :]] = np.inf
+        a[rng.random((n, n)) < 0.5] = np.inf
+    a = np.minimum(a, a.T)
+    np.fill_diagonal(a, np.where(rng.random(n) < 0.5, -0.0, 0.0))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_closure_inputs())
+def test_symmetric_closure_matches_floyd_warshall_bit_for_bit(a):
+    closure, swept = quasi_inverse(a), a.copy()
+    _min_max_sweep(swept, swept, swept)
+    assert closure.view(np.uint64).tolist() == swept.view(np.uint64).tolist()
+    n = a.shape[0]
+    if n <= 8:
+        net = Network(tuple(f"n{i}" for i in range(n)), a)
+        for i, src in enumerate(net.labels):
+            for j, dst in enumerate(net.labels):
+                if i != j:
+                    assert closure[i, j] == brute_minimax_cost(net, src, dst), (src, dst)
+
+
+def test_a_negative_zero_off_the_diagonal_is_kept_by_value_only():
+    # validate_network refuses such zeros, so only a direct call meets them. Floyd-Warshall's
+    # sign of zero then follows its sweep order: its result is not even bitwise symmetric.
+    a = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    swept = a.copy()
+    _min_max_sweep(swept, swept, swept)
+    assert not np.array_equal(swept.view(np.uint64), swept.T.view(np.uint64))
+    closure = quasi_inverse(a)
+    assert np.array_equal(closure, swept)
+    assert np.array_equal(closure, np.zeros((3, 3)))

@@ -1,0 +1,101 @@
+"""Every admissible method held to the frozen copy of the library.
+
+``perfbench/baseline/dioidclust`` is the library as it stood when the
+benchmark was defined, and it is never changed after. It computes every
+closure the paper's way, as the dioid power A^(n-1), and it shares no
+kernel with ``src/dioidclust``. It is loaded here in process under the
+name ``dioidclust_frozen`` and only read.
+
+Results must agree bit for bit (values compared by ``.view(np.uint64)``),
+and Newick and JSON bytes must be equal. The networks drawn are ones that
+``validate_network`` accepts, since the frozen copy accepts some that are
+now refused; errors are never compared.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dioidclust import MethodSpec, Network, exports, run_method, to_dendrogram, validate_network
+
+BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline" / "dioidclust"
+
+
+def _load_frozen():
+    if "dioidclust_frozen" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            "dioidclust_frozen", BASELINE / "__init__.py", submodule_search_locations=[str(BASELINE)]
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its relative imports resolve through this entry
+        spec.loader.exec_module(module)
+    return sys.modules["dioidclust_frozen"]
+
+
+frozen = _load_frozen()
+frozen_exports = importlib.import_module("dioidclust_frozen.exports")
+
+
+@st.composite
+def valid_networks(draw):
+    """Networks of 2 to 40 nodes: reals or integer ties, +inf forests, symmetric or not, ±0.0 diagonal cells.
+
+    One node is left out: the frozen copy answers a fresh +0.0 there, whatever the sign of the diagonal.
+    """
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.integers(1, 5, (n, n)).astype(float)
+    else:
+        a = 1.0 - rng.random((n, n))
+    if draw(st.booleans()):
+        group = np.arange(n) % int(rng.integers(1, 4))
+        a[group[:, None] != group[None, :]] = np.inf
+        a[rng.random((n, n)) < 0.3] = np.inf
+    if draw(st.booleans()):
+        a = np.minimum(a, a.T)
+    np.fill_diagonal(a, np.where(rng.random(n) < 0.5, -0.0, 0.0))
+    net = Network(tuple(f"n{i}" for i in range(n)), a)
+    assert validate_network(net).is_valid
+    return net
+
+
+def _specs(draw, symmetric):
+    t = draw(st.integers(2, 6))
+    t_fwd, t_bwd = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    beta = draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))
+    w = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    specs = [
+        MethodSpec("reciprocal"),
+        MethodSpec("nonreciprocal"),
+        MethodSpec("semi-reciprocal", t=t),
+        MethodSpec("intermediate", t_fwd=t_fwd, t_bwd=t_bwd),
+        MethodSpec("graft-rnr", beta=beta),
+        MethodSpec("graft-rrmax", beta=beta),
+        MethodSpec("convex", weights=(w, 1.0 - w),
+                   constituents=(MethodSpec("reciprocal"), MethodSpec("semi-reciprocal", t=t))),
+    ]
+    return specs + [MethodSpec("single-linkage")] if symmetric else specs
+
+
+def _frozen_spec(spec):
+    """The same spec built with the frozen copy's class."""
+    return frozen.MethodSpec(spec.kind, t=spec.t, t_fwd=spec.t_fwd, t_bwd=spec.t_bwd, beta=spec.beta,
+                             weights=spec.weights, constituents=tuple(_frozen_spec(s) for s in spec.constituents))
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_networks(), st.data())
+def test_every_admissible_kind_matches_the_frozen_reference(net, data):
+    old_net = frozen.Network(net.labels, net.dissim.copy())
+    for spec in _specs(data.draw, net.is_symmetric()):
+        new, old = run_method(net, spec), frozen.run_method(old_net, _frozen_spec(spec))
+        assert new.dist.view(np.uint64).tolist() == old.dist.view(np.uint64).tolist(), spec.describe()
+        new_tree, old_tree = to_dendrogram(new), frozen.to_dendrogram(old)
+        assert exports.newick(new_tree) == frozen_exports.newick(old_tree), spec.describe()
+        assert exports.dendrogram_json(new, new_tree) == frozen_exports.dendrogram_json(old, old_tree), spec.describe()

@@ -21,7 +21,7 @@ from dioidclust import (
     single_linkage,
     validate_ultrametric,
 )
-from dioidclust.methods import GraftCounterexample, run_methods
+from dioidclust.methods import GraftCounterexample, parse_method_spec, run_methods
 
 from conftest import cycle4_network, sweep8_network, method_battery, random_network
 
@@ -534,3 +534,22 @@ def test_disconnected_network_keeps_infinite_entries():
     assert u.value("p", "q") == 2.0
     assert u.value("p", "r") == np.inf
     assert validate_ultrametric(u.dist, 0.0).is_valid
+
+
+def test_only_a_directed_closure_runs_floyd_warshall(monkeypatch, rng):
+    # A sweep run in place on its own operands is the Floyd-Warshall closure; a product
+    # sweeps into a fresh +inf matrix. Every symmetric closure takes the tree kernel.
+    import dioidclust.dioid
+
+    closures, sweep = [], dioidclust.dioid._min_max_sweep
+    monkeypatch.setattr(dioidclust.dioid, "_min_max_sweep",
+                        lambda out, left, right: closures.append(out is left) or sweep(out, left, right))
+    net = random_network(rng, n=8)
+    symmetric = random_network(rng, n=8, symmetric=True)
+    runs = [(net, "reciprocal", 0), (net, "semi-reciprocal:3", 0), (net, "intermediate:2,4", 0),
+            (symmetric, "single-linkage", 0), (net, "convex:0.5*reciprocal+0.5*semi-reciprocal:3", 0),
+            (net, "nonreciprocal", 1), (symmetric, "nonreciprocal", 0)]
+    for network, text, count in runs:
+        closures.clear()
+        run_method(network, parse_method_spec(text))
+        assert sum(closures) == count, text

@@ -99,13 +99,16 @@ def _dense(cell):
         # A leading tab delimits a field; trailing whitespace is still ignored.
         (lambda t: load_network(t, fmt="edge-list"), "\tb\t1 \n", r"line 1: empty node name"),
         (lambda t: load_network(t, fmt="edge-list"), "\ta\tb\t1\n", r"line 1: expected 'src<TAB>dst<TAB>weight'"),
+        # Only a "#" opening the first field marks a comment: this line has an empty source.
+        (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\n\t#c\t1\nb\ta\t2\n",
+         r"^edge list line 2: empty node name in '\\t#c\\t1'$"),
         # Line 3 would read as a comment, dropping the edge #c -> a.
         (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\nb\t#c\t2\n#c\ta\t3\n",
          r"^edge list line 2: node name '#c' starts with '#', which marks a comment line$"),
     ],
     ids=["unparsable", "nan", "underscore", "arabic-digit", "overflow", "one-line-csv", "row-label",
          "edge-list-line", "empty-edge-list", "unknown-format", "uses-inf", "empty-label", "empty-node",
-         "empty-source", "four-fields", "hash-led-node"],
+         "empty-source", "four-fields", "hash-led-destination-of-empty-source", "hash-led-node"],
 )
 def test_input_errors_name_their_cell_line_or_sector(load, text, message):
     with pytest.raises(NetworkFormatError, match=message):
@@ -164,7 +167,7 @@ def test_a_leading_byte_order_mark_is_dropped_from_every_source(tmp_path, fmt, t
 
 
 def test_edge_list_comment_lines_are_skipped():
-    net = load_network(b"# header\na\tb\t1\n  # indented\nb\ta\t2\n", fmt="edge-list")
+    net = load_network(b"# header\na\tb\t1\n  # indented\n#\tsrc\tdst\nb\ta\t2\n", fmt="edge-list")
     assert net.labels == ("a", "b")
     assert net.dissim.tolist() == [[0.0, 1.0], [2.0, 0.0]]
 
@@ -426,12 +429,31 @@ def test_only_the_row_with_an_inf_cell_is_read_cell_by_cell(monkeypatch, rng):
     assert places == [f"(n5, n{j})" for j in range(n)]
 
 
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_only_the_rows_with_a_blank_cell_are_read_cell_by_cell(monkeypatch, rng, blank):
+    # A blank cell is an absent edge, +inf: it keeps its row out of the block, never the whole file.
+    n = 64
+    a = rng.uniform(1.0, 2.0, (n, n))
+    np.fill_diagonal(a, 0.0)
+    a[5, 7] = a[9, 0] = np.inf
+    text = save_network(Network(tuple(f"n{i}" for i in range(n)), a)).replace(",inf", "," + blank)
+    places = []
+
+    def counted(cell, where):
+        places.append(where)
+        return _parse_cell(cell, where)
+
+    monkeypatch.setattr(network, "_parse_cell", counted)
+    assert np.array_equal(load_network(text).dissim, a)
+    assert places == [f"(n{i}, n{j})" for i in (5, 9) for j in range(n)]
+
+
 def test_np_loadtxt_reads_cells_as_the_block_conversion_needs():
     """The behaviour of np.loadtxt that the dense reader's one block call relies on, pinned for every numpy in CI."""
     def read(*lines):
         return np.loadtxt(list(lines), delimiter=",", dtype=float, ndmin=2, comments=None, max_rows=len(lines))
 
-    for cell in ("1.2.3", "e", ".", "e5", "1e", "1e+", "- 1", "+-1", "--1", "1 2", "1e5.5"):
+    for cell in ("1.2.3", "e", ".", "e5", "1e", "1e+", "- 1", "+-1", "--1", "1 2", "1e5.5", "1,,2", "1, ,2", " "):
         with pytest.raises(ValueError):
             read(cell)
     with pytest.raises(ValueError):
