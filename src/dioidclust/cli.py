@@ -9,7 +9,8 @@ The method-spec grammar, ``GRAMMAR`` and ``parse_method_spec``, is
 defined in ``methods`` and re-exported here.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 validation failure,
-3 I/O failure. Output for identical inputs is byte-identical across runs.
+3 I/O failure, 4 out of memory. Output for identical inputs is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class ValidationFailure(Exception):
 
 
 def _load_input(args, strict: bool = True):
-    with open(args.input, "r", encoding="utf-8") as fh:
+    if args.uses_exclude_diagonal and args.format != "uses":
+        raise UsageError("--uses-exclude-diagonal needs --format uses")
+    with open(args.input, "rb") as fh:  # load_network decodes and reads the line ends
         if args.format == "uses":
             table = load_uses_table(fh)
             return from_uses_table(table, exclude_diagonal=args.uses_exclude_diagonal)
@@ -116,8 +119,9 @@ def cmd_cluster(args, stdout, stderr) -> int:
     net = _load_input(args)
     spec = parse_method_spec(args.method)
     plan = _emission_plan(args)
-    if any(fmt == "dot" for fmt, _ in plan) and args.delta is None:
-        raise UsageError("--emit dot needs --delta")
+    dot = any(fmt == "dot" for fmt, _ in plan)
+    if dot != (args.delta is not None):  # each is read only with the other
+        raise UsageError("--emit dot needs --delta" if dot else "--delta is read only by --emit dot")
 
     result = run_method(net, spec)
     if isinstance(result, GraftCounterexample):
@@ -152,13 +156,15 @@ def cmd_cluster(args, stdout, stderr) -> int:
 
 
 def cmd_validate(args, stdout, stderr) -> int:
+    if args.tolerance is not None and not args.ultrametric:
+        raise UsageError("--tolerance is read only by --ultrametric")
     net = _load_input(args, strict=False)
     net_report = validate_network(net)
     for line in net_report.lines():
         stdout.write(line + "\n")
     failed = not net_report.is_valid
     if args.ultrametric:
-        u_report = validate_ultrametric(net.dissim, args.tolerance, labels=net.labels)
+        u_report = validate_ultrametric(net.dissim, args.tolerance or 0.0, labels=net.labels)
         for line in u_report.lines():
             stdout.write(line + "\n")
         failed = failed or not u_report.is_valid
@@ -254,7 +260,7 @@ def _add_common(sub) -> None:
     sub.add_argument(
         "--uses-exclude-diagonal",
         action="store_true",
-        help="leave self-flows out of the uses-table column totals",
+        help="leave self-flows out of the uses-table column totals (--format uses only)",
     )
 
 
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument(
         "--tolerance",
         type=_nonnegative_float,
-        default=0.0,
+        default=None,
         help="tolerance of the --ultrametric check (default 0, exact)",
     )
     validate.set_defaults(func=cmd_validate)
@@ -364,6 +370,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except OSError as exc:
         stderr.write(f"error: {exc}\n")
         return 3
+    except MemoryError as exc:  # numpy's message names the shape it could not allocate
+        stderr.write(f"error: out of memory: {exc}\n")
+        return 4
 
 
 def entrypoint() -> None:

@@ -154,13 +154,16 @@ class MethodSpec:
                 raise MethodSpecError(
                     f"parameter {name} is {'required' if name in wanted else 'not accepted'} by {self.kind}"
                 )
-        if self.kind == "semi-reciprocal":
-            if not is_integer(self.t) or self.t < 2:
-                raise MethodSpecError(f"semi-reciprocal needs integer t >= 2, got {self.t!r}")
-        if self.kind == "intermediate":
-            for name, val in (("t_fwd", self.t_fwd), ("t_bwd", self.t_bwd)):
-                if not is_integer(val) or val < 1:
-                    raise MethodSpecError(f"intermediate needs integer {name} >= 1, got {val!r}")
+        for name, least in (("t", 2), ("t_fwd", 1), ("t_bwd", 1)):
+            if name not in wanted:
+                continue
+            val = getattr(self, name)
+            try:  # describe() writes a budget in full digits, which Python limits
+                shown = _param_text(val) if is_integer(val) else repr(val)
+            except ValueError as exc:
+                raise MethodSpecError(f"{self.kind} {name} has too many digits to write: {exc}") from None
+            if not is_integer(val) or val < least:
+                raise MethodSpecError(f"{self.kind} needs integer {name} >= {least}, got {shown}")
         if "beta" in wanted:
             if not _is_real(self.beta) or not math.isfinite(self.beta) or self.beta <= 0:
                 raise MethodSpecError(f"grafting needs finite beta > 0, got {self.beta!r}")
@@ -241,6 +244,15 @@ def parse_method_spec(text: str) -> MethodSpec:
         pos = found.end()
         return found.group()
 
+    def integer(name: str) -> int:
+        nonlocal pos
+        digits = token(_INTEGER, f"{name} must be an integer in ASCII digits")
+        try:
+            return int(digits)
+        except ValueError as exc:  # past Python's limit on text-to-int digits
+            pos -= len(digits)
+            raise error(f"{name} has too many digits: {exc}") from None
+
     def spec(depth: int) -> MethodSpec:  # depth: the number of enclosing convex levels
         opens = 0  # counted, not recursed: thousands of wrapping "(" must parse
         while skip("("):
@@ -267,7 +279,7 @@ def parse_method_spec(text: str) -> MethodSpec:
                 if params and not skip(","):
                     raise error(f"{kind} needs {' and '.join(names)}, separated by ','")
                 params[name] = (float(token(_DECIMAL, "beta must be a decimal number")) if name == "beta"
-                                else int(token(_INTEGER, f"{name} must be an integer in ASCII digits")))
+                                else integer(name))
         if not all(skip(")") for _ in range(opens)):
             raise error("unbalanced parentheses: expected ')'")
         try:

@@ -12,8 +12,12 @@ possibly asymmetric) off the diagonal. Three input formats are supported:
 * uses table: dense CSV of nonnegative flows, converted to dissimilarities
   by column normalization (one minus the column share of each supplier).
 
-Sources are UTF-8 (one leading byte-order mark is dropped). A dense CSV's
-rows of plain decimals are converted in one np.loadtxt call per file.
+Every source goes through one reader, so a file gives the same network
+from a path, bytes, a stream or the command line: it is decoded as UTF-8
+(a byte that is not names its line), one leading byte-order mark is
+dropped, and lines end at LF, CRLF or CR, inside quoted labels too. A
+dense CSV's rows of plain decimals are converted in one np.loadtxt call
+per file.
 """
 
 from __future__ import annotations
@@ -240,20 +244,32 @@ def _require_valid(net: Network) -> None:
 
 
 def _read_text(source) -> str:
-    """The text of a source, without one leading byte-order mark, which would otherwise start the first label."""
+    """The text of a source: the one place where input is decoded and its line ends are read.
+
+    Bytes, from a path, a ``bytes`` object or a binary stream, are decoded as UTF-8; a
+    text stream's ``str`` is taken as it is. One leading byte-order mark is dropped, since
+    it would otherwise start the first label, and CRLF and then a lone CR become LF, so
+    a file reads the same from every source. A ``str`` holding LF or CR is inline text;
+    a path may contain commas or tabs, so one-line text must come as bytes or a stream.
+    """
     if hasattr(source, "read"):
         data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    # A path may contain commas or tabs, so only a newline marks inline
-    # text; one-line text without a newline must come as bytes or a stream.
-    elif isinstance(source, str) and "\n" in source:
-        text = source
+    elif isinstance(source, bytes) or (isinstance(source, str) and ("\n" in source or "\r" in source)):
+        data = source
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return text.removeprefix("\ufeff")
+        with open(source, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise NetworkFormatError(f"line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
+    del data  # the raw bytes are not held beside the text
+    text = text.removeprefix("\ufeff")
+    if "\r" in text:  # one fold at a time, so that at most two copies of the text are alive
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    return text
 
 
 def _plain_float(text: str) -> float:
@@ -325,12 +341,13 @@ def _dense_values(rows, labels, screen: bool) -> np.ndarray:
 
 
 def _parse_dense(text: str, what: str = "network"):
-    # Text without quotes whose carriage returns all end a line splits at newlines as csv.reader reads it.
-    lf_text = text.replace("\r\n", "\n") if "\r" in text else text
-    if '"' in text or "\r" in lf_text:
-        rows = [row for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)]
+    if '"' in text:  # only a quote needs csv.reader; text without one splits at LF as csv.reader reads it
+        try:
+            rows = [row for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)]
+        except csv.Error as exc:  # a field past csv.field_size_limit()
+            raise NetworkFormatError(f"dense CSV: {exc}") from None
     else:
-        rows = [line for line in lf_text.split("\n") if not _BLANK_LINE.fullmatch(line)]
+        rows = [line for line in text.split("\n") if not _BLANK_LINE.fullmatch(line)]
     if len(rows) < 2:
         raise NetworkFormatError(f"dense CSV needs a header and at least one row, got {len(rows)} lines")
     header = rows[0].split(",") if isinstance(rows[0], str) else rows[0]
@@ -355,7 +372,7 @@ def _parse_edge_list(text: str):
             labels.append(name)
         return index[name]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip()  # leading tabs delimit fields
         if not line.strip() or line.split("\t", 1)[0].strip().startswith("#"):  # "#" opens the first field
             continue
@@ -389,8 +406,10 @@ def _parse_edge_list(text: str):
 def load_network(source, fmt: str = "dense-csv", strict: bool = True) -> Network:
     """Parse a Network from a path, text, bytes, or open stream.
 
-    A ``str`` is inline text when it contains a newline and a path
-    otherwise; an ``os.PathLike`` is always a path.
+    A ``str`` is inline text when it contains a line end (LF or CR) and a
+    path otherwise; an ``os.PathLike`` is always a path. Bytes are read as
+    UTF-8, and every source is read by the same rules (see the module
+    docstring).
 
     ``fmt`` is "dense-csv" or "edge-list". Strict mode (the default)
     refuses nonzero diagonals, negative entries and off-diagonal zeros with

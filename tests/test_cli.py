@@ -55,27 +55,38 @@ def test_parse_convex_flat_and_nested():
     assert parse_method_spec(nested.describe()) == nested
 
 
+# Each malformed spec with the problem its error names; int() and float() would read
+# "1_0", "\u0663" and "1_0.5" as 10, 3 and 10.5.
+PARSE_ERRORS = [
+    ("fancy-clustering", "unknown method kind 'fancy-clustering'"),
+    ("semi-reciprocal:two", "t must be an integer in ASCII digits"),
+    ("semi-reciprocal:1", "t >= 2"),
+    ("convex:0.5*reciprocal+0.6*nonreciprocal", "sum to 1"),
+    ("convex:0.5*(reciprocal+0.5*nonreciprocal", "unbalanced"),
+    ("reciprocal)", "unbalanced"),
+    ("((reciprocal)", "unbalanced"),
+    ("convex:0.5*reciprocal+0.5*convex:0.5*reciprocal+0.5*nonreciprocal", "nested convex spec needs parentheses"),
+    ("semi-reciprocal:1_0", "t must be an integer"),
+    ("intermediate:\u0663,2", "t_fwd must be an integer"),
+    ("graft-rnr:1_0.5", "beta must be a decimal number"),
+    ("graft-rnr:inf", "beta must be a decimal number"),
+    ("convex:0_.5*reciprocal+0.5*nonreciprocal", "a weight must be a decimal number"),
+    ("semi-reciprocal", "semi-reciprocal needs ':' and then t"),
+    ("convex:0.5 reciprocal+0.5*nonreciprocal", "expected '\\*' between a weight and its spec"),
+    ("intermediate:2 5", "intermediate needs t_fwd and t_bwd, separated by ','"),
+    # More digits than int() converts: the column is where the number starts.
+    ("semi-reciprocal:" + "9" * 5000, r"t has too many digits: .*\(column 17 of"),
+    ("convex:0.5*reciprocal+0.5*intermediate:2," + "9" * 4400, r"t_bwd has too many digits: .*\(column 42 of"),
+]
+
+
 def test_parse_errors_carry_the_grammar():
-    with pytest.raises(MethodSpecError, match="grammar"):
-        parse_method_spec("fancy-clustering")
-    with pytest.raises(MethodSpecError, match="grammar"):
-        parse_method_spec("semi-reciprocal:two")
-    with pytest.raises(MethodSpecError, match="(?s)t >= 2.*grammar"):
-        parse_method_spec("semi-reciprocal:1")
-    with pytest.raises(MethodSpecError, match="(?s)sum to 1.*grammar"):
-        parse_method_spec("convex:0.5*reciprocal+0.6*nonreciprocal")
-    for text in ("convex:0.5*(reciprocal+0.5*nonreciprocal", "reciprocal)", "((reciprocal)"):
-        with pytest.raises(MethodSpecError, match="(?s)unbalanced.*grammar"):
+    for text, problem in PARSE_ERRORS:
+        with pytest.raises(MethodSpecError, match=f"(?s){problem}.*grammar"):
             parse_method_spec(text)
-    with pytest.raises(MethodSpecError, match="(?s)nested convex spec needs parentheses.*grammar"):
-        parse_method_spec("convex:0.5*reciprocal+0.5*convex:0.5*reciprocal+0.5*nonreciprocal")
-    # int() and float() would read these as 10, 3 and 10.5.
-    for text in ("semi-reciprocal:1_0", "intermediate:\u0663,2", "graft-rnr:1_0.5",
-                 "graft-rnr:inf", "convex:0_.5*reciprocal+0.5*nonreciprocal"):
-        with pytest.raises(MethodSpecError, match="grammar"):
-            parse_method_spec(text)
-    code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "semi-reciprocal:1_0")
-    assert code == 1 and "grammar" in err and out == ""
+    for text in ("semi-reciprocal:1_0", "semi-reciprocal:" + "9" * 5000):
+        code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", text)
+        assert code == 1 and "grammar" in err and out == ""
 
 
 def test_every_kind_round_trips_through_describe():
@@ -140,13 +151,17 @@ def test_parse_deep_parentheses_and_nesting():
 
 # ---- cluster ----------------------------------------------------------------
 
-def test_cluster_prints_merge_summary():
+def test_cluster_prints_merge_summary(tmp_path):
     code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "reciprocal")
     assert code == 0
     assert "method: reciprocal" in out
     assert "  2 -> {c,d}" in out
     assert "  3 -> {a,b}" in out
     assert "  5 -> {a,b,c,d}" in out
+    single = tmp_path / "single.csv"
+    single.write_text(",a\na,0\n")
+    code, out, err = run_cli("cluster", "--input", str(single), "--method", "reciprocal")
+    assert (code, out, err) == (0, "method: reciprocal\nnodes: 1\nmerges: (none)\n", "")
 
 
 def test_cluster_graft_json_merges_at_one_and_five(tmp_path):
@@ -363,6 +378,47 @@ def test_exit_codes():
     assert code == 2  # asymmetric input rejected by single linkage
     code, _, err = run_cli("bogus-command")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cluster", "--method", "reciprocal", "--output", "out.csv"), "--output given without --emit"),
+        (("cluster", "--method", "reciprocal", "--delta", "2"), "--delta is read only by --emit dot"),
+        (("cluster", "--method", "reciprocal", "--emit", "csv", "--delta", "2"), "--delta is read only by --emit dot"),
+        (("validate", "--tolerance", "0.5"), "--tolerance is read only by --ultrametric"),
+        *(((command, *extra, "--uses-exclude-diagonal"), "--uses-exclude-diagonal needs --format uses")
+          for command, *extra in (("cluster", "--method", "reciprocal"), ("validate",),
+                                  ("cut", "--method", "reciprocal", "--delta", "1"),
+                                  ("compare", "--method", "reciprocal"), ("oracle", "--method", "reciprocal"))),
+    ],
+    ids=["output-without-emit", "delta-without-emit", "delta-without-dot", "tolerance-without-ultrametric",
+         *(f"uses-flag-{command}" for command in ("cluster", "validate", "cut", "compare", "oracle"))],
+)
+def test_flags_that_would_do_nothing_are_refused(argv, message):
+    command, *rest = argv
+    code, out, err = run_cli(command, "--input", CYCLE4, *rest)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_out_of_memory_exits_4_with_one_line(monkeypatch):
+    import dioidclust.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 671. GiB for an array with shape (300001, 300001) and data type float64")
+
+    monkeypatch.setattr(dioidclust.cli, "load_network", exhausted)
+    code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "reciprocal")
+    assert (code, out) == (4, "")
+    assert err == "error: out of memory: Unable to allocate 671. GiB for an array with shape (300001, 300001) " \
+                  "and data type float64\n"
+
+
+def test_a_file_that_is_not_utf8_exits_1_naming_the_line_and_byte(tmp_path):
+    src = tmp_path / "latin1.csv"
+    src.write_bytes(",a,b\r\na,0,1\r\nb,".encode() + "\u00e9".encode("latin-1") + b",0\r\n")
+    code, out, err = run_cli("cluster", "--input", str(src), "--method", "reciprocal")
+    assert (code, out, err) == (1, "", "error: line 3: byte 0xe9 is not valid UTF-8\n")
 
 
 def test_non_finite_or_negative_flags_are_usage_errors():
@@ -643,6 +699,13 @@ def test_oracle_subcommand_generates_fixterritory(tmp_path):
     assert target.read_text().splitlines()[1] == "a,0,3,5,5"
     code, out, err = run_cli("oracle", "--input", CYCLE4, "--method", "graft-rnr:4")
     assert code == 1
+    symmetric = tmp_path / "symmetric.csv"
+    symmetric.write_text(",a,b,c\na,0,1,3\nb,1,0,2\nc,3,2,0\n")
+    for path, method in ((CYCLE4, "nonreciprocal"), (CYCLE4, "semi-reciprocal:3"), (str(symmetric), "single-linkage")):
+        code, out, err = run_cli("oracle", "--input", path, "--method", method)
+        assert code == 0, err
+        assert run_cli("cluster", "--input", path, "--method", method, "--emit", "csv", "--output", str(target))[0] == 0
+        assert out == target.read_text(), method
 
 
 def test_installed_console_script_exists():

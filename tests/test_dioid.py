@@ -57,6 +57,8 @@ def test_cycle4_symmetrized_square_entry_matches_brute():
 def test_product_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         dioid_product(np.zeros((2, 2)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+        dioid_product(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 def test_product_rejects_negative_and_nan():

@@ -578,6 +578,8 @@ def test_replay_runs_once_per_dendrogram():
 def test_ultrametric_refuses_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate label 'a'"):
         Ultrametric(("a", "a"), [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match=r"distance matrix shape \(2, 2\) does not match 3 labels"):
+        Ultrametric(("a", "b", "c"), [[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="duplicate label '1'"):
         Ultrametric((1, "1"), [[0, 1], [1, 0]])
 
@@ -588,3 +590,5 @@ def test_validate_refuses_a_wrong_label_count():
         for labels in (("p",), ("p", "q", "r")):
             with pytest.raises(ValueError, match=f"{len(labels)} labels for a 2x2 matrix"):
                 validate_ultrametric(m, 0.0, labels=labels)
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        validate_ultrametric(np.zeros((2, 3)), 0.0)

@@ -183,6 +183,10 @@ def test_convex_weight_validation():
         MethodSpec("convex", weights=(1.5, -0.5), constituents=(r, nr))
     with pytest.raises(MethodSpecError, match="two constituents"):
         MethodSpec("convex", weights=(1.0,), constituents=(r,))
+    with pytest.raises(MethodSpecError, match="3 weights for 2 constituents"):
+        MethodSpec("convex", weights=(0.5, 0.25, 0.25), constituents=(r, nr))
+    with pytest.raises(MethodSpecError, match="expected a convex spec, got reciprocal"):
+        convex_combination(cycle4_network(), r)
     with pytest.raises(MethodSpecError, match="not admissible"):
         MethodSpec(
             "convex",
@@ -365,6 +369,12 @@ def test_parameter_validation():
         MethodSpec("intermediate", t_fwd=True, t_bwd=2)
     with pytest.raises(MethodSpecError, match="t_bwd >= 1"):
         MethodSpec("intermediate", t_fwd=2, t_bwd=True)
+    # describe() could not write these budgets back, in full digits.
+    for budget in (10**5000, -(10**5000)):
+        with pytest.raises(MethodSpecError, match="semi-reciprocal t has too many digits to write"):
+            MethodSpec("semi-reciprocal", t=budget)
+        with pytest.raises(MethodSpecError, match="intermediate t_bwd has too many digits to write"):
+            MethodSpec("intermediate", t_fwd=2, t_bwd=budget)
     with pytest.raises(MethodSpecError, match="beta > 0"):
         MethodSpec("graft-rnr", beta=0.0)
     with pytest.raises(MethodSpecError, match="beta > 0"):

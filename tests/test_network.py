@@ -105,10 +105,15 @@ def _dense(cell):
         # Line 3 would read as a comment, dropping the edge #c -> a.
         (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\nb\t#c\t2\n#c\ta\t3\n",
          r"^edge list line 2: node name '#c' starts with '#', which marks a comment line$"),
+        # Lines end only at LF, CRLF or CR: \v and U+2028 are characters of a line.
+        (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\vb\ta\t2\r\n", r"^edge list line 1: expected 'src"),
+        (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\nb\ta\t2\u2028c\ta\t3\r",
+         r"^edge list line 2: expected 'src"),
     ],
     ids=["unparsable", "nan", "underscore", "arabic-digit", "overflow", "one-line-csv", "row-label",
          "edge-list-line", "empty-edge-list", "unknown-format", "uses-inf", "empty-label", "empty-node",
-         "empty-source", "four-fields", "hash-led-destination-of-empty-source", "hash-led-node"],
+         "empty-source", "four-fields", "hash-led-destination-of-empty-source", "hash-led-node",
+         "vertical-tab-in-a-line", "line-separator-in-a-line"],
 )
 def test_input_errors_name_their_cell_line_or_sector(load, text, message):
     with pytest.raises(NetworkFormatError, match=message):
@@ -164,6 +169,82 @@ def test_a_leading_byte_order_mark_is_dropped_from_every_source(tmp_path, fmt, t
         got = load_network(source, fmt=fmt)
         assert got.labels == want.labels, source
         assert np.array_equal(got.dissim, want.dissim), source
+
+
+# One file's bytes per case, with its labels: line ends CR, CRLF and LF, quoted labels holding CRLF or CR, a BOM.
+SAME_FILE_CASES = {
+    "cr": ("dense-csv", b",a,b\ra,0,1\rb,2,0\r", ("a", "b")),
+    "crlf": ("dense-csv", b",a,b\r\na,0,1.5\r\nb,inf,0\r\n", ("a", "b")),
+    "quoted-crlf-label": ("dense-csv", b',"x\r\ny",b\r\n"x\r\ny",0,1\r\nb,2,0\r\n', ("x\ny", "b")),
+    "quoted-cr-label": ("dense-csv", b',"x\ry",b\n"x\ry",0,1\rb,2,0', ("x\ny", "b")),
+    "bom-utf8": ("dense-csv", b"\xef\xbb\xbf,\xc3\xa9,b\n\xc3\xa9,0,1\nb,2,0\n", ("\u00e9", "b")),
+    "edge-list-cr": ("edge-list", b"# pairs\ra\tb\t1\rb\ta\t2\r", ("a", "b")),
+    "edge-list-crlf": ("edge-list", b"a\tb\t1\r\n\r\nb\ta\t2\r\n", ("a", "b")),
+    "uses-cr": ("uses", b",s1,s2\rs1,90,30\rs2,10,70\r", ("s1", "s2")),
+}
+
+
+@pytest.mark.parametrize("fmt, data, labels", SAME_FILE_CASES.values(), ids=SAME_FILE_CASES)
+def test_one_file_reads_the_same_from_every_source(tmp_path, monkeypatch, fmt, data, labels):
+    import dioidclust.cli
+
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    name = "load_uses_table" if fmt == "uses" else "load_network"
+    load = getattr(network, name)
+    kwargs = {} if fmt == "uses" else {"fmt": fmt}
+    text = data.decode()  # inline text holds a line end, so it is not taken for a path
+    got = [load(source, **kwargs) for source in (path, data, io.BytesIO(data), io.StringIO(text), text)]
+
+    def recording(source, *args, **kwargs):
+        assert isinstance(source.read(0), bytes) and source.fileno() >= 0  # the file as opened, in binary mode
+        got.append(load(source, *args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(dioidclust.cli, name, recording)
+    assert dioidclust.cli.main(["validate", "--input", str(path), "--format", fmt], stdout=io.StringIO()) == 0
+    assert len(got) == 6
+    bits = [(table.flow if fmt == "uses" else table.dissim).view(np.uint64).tolist() for table in got]
+    for table, matrix in zip(got, bits):
+        assert table.labels == labels and matrix == bits[0]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b",a,b\na,0,1\nb,\xff,0\n", r"^line 3: byte 0xff is not valid UTF-8$"),
+        (b",a,b\r\na,0,1\r\n\xc3", r"^line 3: byte 0xc3 is not valid UTF-8$"),
+        (b",a,b\ra,0,1\r\rb,\xe9,0", r"^line 4: byte 0xe9 is not valid UTF-8$"),
+    ],
+    ids=["lf", "crlf-truncated", "cr"],
+)
+def test_a_byte_that_is_not_utf8_is_named_with_its_line(tmp_path, data, message):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    for source in (data, io.BytesIO(data), path):
+        with pytest.raises(NetworkFormatError, match=message):
+            load_network(source)
+
+
+# Fragments of input, among them every line end, quotes, a BOM, invalid UTF-8, \v and U+2028.
+_FRAGMENTS = st.sampled_from([
+    b"\n", b"\r", b"\r\n", b",", b"\t", b'"', b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xe2\x80", b"\x0b",
+    "\u2028".encode(), "\x85".encode(), b"\x0c", b"#", b" ", b"a", b"b", b"0", b"1", b"2.5", b"-", b"e", b"inf",
+    b"a\tb\t1", b",a,b",
+])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.binary(max_size=80), st.lists(_FRAGMENTS, max_size=40).map(b"".join)))
+@example(b",a\ra,0\r\xff")
+@example(b'"' + b"x" * 140_000 + b'"')  # one field past csv.field_size_limit()
+def test_every_failure_on_arbitrary_bytes_is_a_format_error(data):
+    for load in (lambda d: load_network(d, fmt="dense-csv"), lambda d: load_network(d, fmt="edge-list"),
+                 load_uses_table):
+        try:
+            load(data)
+        except NetworkFormatError:
+            pass
 
 
 def test_edge_list_comment_lines_are_skipped():
@@ -285,6 +366,12 @@ def test_validate_detects_disconnected_components():
 def test_network_structure_errors():
     with pytest.raises(NetworkFormatError, match="square"):
         Network(("a",), np.zeros((1, 2)))
+    with pytest.raises(NetworkFormatError, match=r"uses table must be square, got \(1, 2\)"):
+        UsesTable(("a",), np.zeros((1, 2)))
+    with pytest.raises(NetworkFormatError, match=r"NaN flow at \(0, 1\)"):
+        UsesTable(("a", "b"), np.array([[0.0, np.nan], [1.0, 0.0]]))
+    with pytest.raises(KeyError, match="unknown node 'z'"):
+        Network(("a", "b"), np.zeros((2, 2))).index("z")
     with pytest.raises(NetworkFormatError, match="labels"):
         Network(("a", "b", "c"), np.zeros((2, 2)))
     with pytest.raises(NetworkFormatError, match="duplicate"):
@@ -307,7 +394,11 @@ CELL_SPELLINGS = (
 
 
 def _sequential_dense(text):
-    """The dense-CSV reader the block conversion replaced: csv.reader, then each row's checks and cells in line order."""
+    """The dense-CSV reader the block conversion replaced: csv.reader, then each row's checks and cells in line order.
+
+    It reads the text the loader's parsers see, with CRLF and then a lone CR folded to LF.
+    """
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
     if len(rows) < 2:
         raise NetworkFormatError(f"dense CSV needs a header and at least one row, got {len(rows)} lines")
@@ -337,7 +428,7 @@ def _outcome(read, text):
     """Labels and value bit patterns (-0.0 stays -0.0), or the error's type and message."""
     try:
         labels, matrix = read(text)
-    except (ValueError, csv.Error) as exc:  # csv.reader itself refuses a carriage return inside a line
+    except ValueError as exc:
         return type(exc), str(exc)
     return labels, matrix.view(np.uint64).tolist()
 
@@ -396,7 +487,7 @@ def mutated_dense_texts(draw):
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
         if len(lines) > 1:  # the header stays
             _mutate(kind, lines, draw(st.integers(1, len(lines) - 1)), draw(st.integers(0, 3)))
-    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))  # "\r" alone is a carriage return csv.reader refuses
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return ending.join(",".join(cells) for cells in lines) + draw(st.sampled_from([ending, ""]))
 
 

@@ -16,6 +16,8 @@ from conftest import sweep8_network, random_network
 
 def test_same_node_costs_zero(sweep8):
     assert brute_minimax_cost(sweep8, "x3", "x3") == 0.0
+    with pytest.raises(ValueError, match="max_nodes must be >= 1, got 0"):
+        brute_minimax_cost(sweep8, "x3", "x3", max_nodes=0)
 
 
 def test_sweep8_outer_cycle_reaches_everything_cheaply(sweep8):
