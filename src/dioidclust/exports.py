@@ -40,22 +40,22 @@ def _newick_label(label: str) -> str:
 def newick(d: Dendrogram) -> str:
     """Newick text of a dendrogram, one tree per root, trailing newline.
 
-    Written along the tree order from one stack of open blocks, without
-    recursion. Malformed merges raise DendrogramStructureError.
+    Written along the tree order from one stack of open blocks, each closed
+    at the first larger resolution. Malformed merges raise DendrogramStructureError.
     """
-    order, joins, heights = d._tree_order
-    lines, stack = [], []  # open blocks, innermost last: (block, height, child texts)
-    for leaf, join in zip(order, joins):
-        text, height = _newick_label(d.leaves[leaf]), 0.0
-        while stack and (join < 0 or stack[-1][0] < join):
-            _, top, children = stack.pop()
+    order, near = d._tree_order
+    lines, stack = [], []  # open blocks, innermost last: (height, child texts)
+    for leaf, join in zip(order, near + (math.inf,)):
+        text, height = _newick_label(str(d.leaves[leaf])), 0.0
+        while stack and stack[-1][0] < join:
+            top, children = stack.pop()
             text, height = "(" + ",".join(children + [f"{text}:{format_value(top - height)}"]) + ")", top
-        if join < 0:  # a root sits at its own height, so its branch length is 0; a lone leaf has none
+        if join == math.inf:  # a root sits at its own height, so its branch length is 0; a lone leaf has none
             lines.append(text + (":0;" if height > 0 else ";"))
             continue
         if not stack or stack[-1][0] != join:
-            stack.append((join, heights[join], []))
-        stack[-1][2].append(f"{text}:{format_value(stack[-1][1] - height)}")
+            stack.append((join, []))
+        stack[-1][1].append(f"{text}:{format_value(join - height)}")
     return "\n".join(lines) + "\n"
 
 

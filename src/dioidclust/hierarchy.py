@@ -7,14 +7,14 @@ is the same information as a merge tree: one event per distinct finite
 resolution, listing the blocks newly formed at that resolution. +inf
 entries are first-class and yield forests (several roots).
 
-``validate_ultrametric`` sorts the leaves once, so each cluster is one run,
-and compares the matrix with the one its neighbour entries build by the
-recurrence u(p, q) = max(u(p, q-1), u(q-1, q)); ``to_dendrogram`` and
-``cut_at_resolution`` read that order off its report. A dendrogram is read
-the same way: one private replay of its merge events, run once per
-dendrogram, rejects malformed merges and lists the leaves in tree order with
-the block joining each pair of neighbours. Roots, Newick and the inverse
-map, by the same recurrence, read that.
+Both are read as one tree order: the leaves, each cluster one run, and the
+resolution joining each pair of neighbours (+inf between trees), which fix
+the matrix by u(p, q) = max(u(p, q-1), u(q-1, q)). ``validate_ultrametric``
+sorts the leaves once and compares the matrix with that recurrence's;
+``to_dendrogram`` and ``cut_at_resolution`` read its order. A dendrogram
+replays its merge events once, refusing malformed ones (an event at +inf, a
+block nesting one of its own resolution: neither has an ultrametric); roots,
+Newick and ``from_dendrogram`` read that replay.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class Ultrametric:
 
 @dataclass(frozen=True)
 class MergeEvent:
-    """Blocks newly formed at one resolution; each is a union of >= 2 older blocks."""
+    """Blocks newly formed at one positive finite resolution, each a union of >= 2 blocks formed below it."""
 
     resolution: float
     blocks: tuple[tuple[str, ...], ...]
@@ -112,22 +112,22 @@ class MergeEvent:
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Nested merge structure: leaves plus one event per merging resolution."""
+    """Nested merge structure: leaves plus one event per merging resolution, read in tree order."""
 
     leaves: tuple[str, ...]
     merges: tuple[MergeEvent, ...]
 
     @cached_property
-    def _tree_order(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+    def _tree_order(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """The merges replayed once, on first read; not a field, so eq, hash and repr skip it."""
         return _replay(self)
 
     @property
     def roots(self) -> tuple[tuple[str, ...], ...]:
         """Blocks of the coarsest partition; more than one means a forest."""
-        order, joins, _ = self._tree_order
-        ends = [p + 1 for p, j in enumerate(joins) if j < 0]
-        return _sorted_blocks([self.leaves[i] for i in order[s:e]] for s, e in zip([0] + ends, ends))
+        order, near = self._tree_order
+        ends = [p + 1 for p, r in enumerate(near) if r == math.inf] + [len(order)]
+        return _sorted_blocks([self.leaves[i] for i in order[s:e]] for s, e in zip([0] + ends, ends) if s < e)
 
 
 @dataclass(frozen=True)
@@ -260,13 +260,14 @@ def _sorted_blocks(groups) -> tuple[tuple[str, ...], ...]:
     return tuple(blocks)
 
 
-def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Replay the merge events into trees, read off in tree order.
 
     Children and roots are ordered by smallest leaf, so each tree and block is
-    one run. Returns the leaves in that order (as indices), after each the block
-    joining it to the next (counted over all events; -1 ends a tree), and each
-    block's resolution. Raises DendrogramStructureError for ill-formed merges.
+    one run. Returns the leaves in that order (as indices) and the resolution,
+    as its event holds it, joining each to the next (+inf between trees).
+    Raises DendrogramStructureError for ill-formed merges, a resolution not
+    positive and finite and a block nesting one of its own resolution among them.
     """
     index = {lab: i for i, lab in enumerate(d.leaves)}
     if len(index) != len(d.leaves):
@@ -278,14 +279,14 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[int, ...], tuple[floa
             raise DendrogramStructureError(f"leaf {leaf!r} cannot be ordered with leaf {d.leaves[0]!r}") \
                 from None
     n = len(index)
-    # Per leaf: its tree's first leaf, the next leaf and their block; per first leaf: last leaf, size.
-    first, following, joined, last_leaf, size = list(range(n)), [-1] * n, [-1] * n, list(range(n)), [1] * n
-    heights, last = [], -math.inf
+    # Per leaf: its block's first leaf, the next leaf and their resolution; per first leaf: last leaf, size, resolution.
+    first, following, joined = list(range(n)), [-1] * n, [math.inf] * n
+    last_leaf, size, formed, last = list(range(n)), [1] * n, [0.0] * n, -math.inf
     for event in d.merges:
         if event.resolution < last:
             raise DendrogramStructureError(f"merge resolutions decrease at {format_value(event.resolution)}")
-        if not event.resolution > 0:
-            raise DendrogramStructureError("merge resolutions must be positive")
+        if not 0 < event.resolution < math.inf:
+            raise DendrogramStructureError("merge resolutions must be positive and finite")
         last = event.resolution
         for block in event.blocks:
             members = frozenset(block)
@@ -299,18 +300,20 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[int, ...], tuple[floa
             if sum(size[p] for p in parts) != len(members):
                 raise DendrogramStructureError(f"block {sorted(members, key=repr)} at "
                                                f"{format_value(event.resolution)} is not a union of existing blocks")
+            if event.resolution in [formed[p] for p in parts]:
+                raise DendrogramStructureError(f"block {sorted(members, key=repr)} at {format_value(event.resolution)}"
+                                               " nests a block formed at the same resolution")
             for a, b in zip(parts, parts[1:]):
-                following[last_leaf[a]], joined[last_leaf[a]] = b, len(heights)
-            last_leaf[parts[0]], size[parts[0]] = last_leaf[parts[-1]], len(members)
+                following[last_leaf[a]], joined[last_leaf[a]] = b, event.resolution
+            last_leaf[parts[0]], size[parts[0]], formed[parts[0]] = last_leaf[parts[-1]], len(members), event.resolution
             for m in members:
                 first[index[m]] = parts[0]
-            heights.append(event.resolution)
     order = []
     for leaf in sorted(set(first), key=d.leaves.__getitem__):
         while leaf >= 0:
             order.append(leaf)
             leaf = following[leaf]
-    return tuple(order), tuple(joined[leaf] for leaf in order), tuple(heights)
+    return tuple(order), tuple(joined[leaf] for leaf in order[:-1])
 
 
 def _checked_order(u: Ultrametric) -> tuple[np.ndarray, np.ndarray]:
@@ -327,23 +330,20 @@ def to_dendrogram(u: Ultrametric) -> Dendrogram:
     This is the validation point for every result turned into a dendrogram:
     validate_ultrametric checks ``u`` exactly (tolerance 0; no dioid product
     when u is valid) and invalid input raises InvalidUltrametricError with its
-    report. Each event joins the runs of u's leaf order whose neighbour entries
-    equal its resolution; +inf entries leave several roots.
+    report. Blocks are read along u's leaf order as Newick reads them: each
+    opens at a neighbour entry and closes at the first larger one (+inf: a root).
     """
     order, near = _checked_order(u)
     labels = [u.labels[i] for i in order]
-    start, end = list(range(u.n)), list(range(u.n))  # of the run ending / starting at each leaf
-    joins = np.argsort(near, kind="stable")
-    joins = joins[np.isfinite(near[joins])].tolist()
-    values = near[joins].tolist()
-    merges, runs = [], {}
-    for pos, (k, delta) in enumerate(zip(joins, values)):
-        s, e = start[k], end[k + 1]
-        end[s], start[e] = e, s
-        runs[s] = e  # joins of one value come left to right, so a grown run keeps its key
-        if pos + 1 == len(values) or values[pos + 1] != delta:
-            merges.append(MergeEvent(delta, _sorted_blocks(labels[lo:hi + 1] for lo, hi in runs.items())))
-            runs = {}
+    formed, stack = {}, []  # blocks by resolution; open blocks, innermost last: (resolution, first position)
+    for p, delta in enumerate(near.tolist() + [math.inf]):
+        start = p
+        while stack and stack[-1][0] < delta:
+            height, start = stack.pop()
+            formed.setdefault(height, []).append(labels[start:p + 1])
+        if delta < math.inf and (not stack or stack[-1][0] != delta):
+            stack.append((delta, start))
+    merges = (MergeEvent(delta, _sorted_blocks(formed[delta])) for delta in sorted(formed))
     return Dendrogram(u.labels, tuple(merges))
 
 
@@ -353,9 +353,7 @@ def from_dendrogram(d: Dendrogram, provenance: Provenance | None = None) -> Ultr
     Exact inverse of to_dendrogram. Cross-root pairs of a forest get +inf.
     Raises DendrogramStructureError for non-nested or ill-formed merges.
     """
-    order, joins, heights = d._tree_order
-    near = np.array([heights[j] if j >= 0 else np.inf for j in joins[:-1]], dtype=float)
-    return Ultrametric(d.leaves, _in_input_order(order, near), provenance=provenance)
+    return Ultrametric(d.leaves, _in_input_order(*d._tree_order), provenance=provenance)
 
 
 def cut_at_resolution(u: Ultrametric, delta: float) -> Partition:

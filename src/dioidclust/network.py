@@ -128,7 +128,7 @@ class Network:
 
 @dataclass(frozen=True)
 class UsesTable:
-    """Square table of nonnegative flows between labeled sectors."""
+    """Square table of finite nonnegative flows between labeled sectors."""
 
     labels: tuple[str, ...]
     flow: np.ndarray
@@ -144,6 +144,9 @@ class UsesTable:
             i, j = np.argwhere(arr < 0)[0]
             raise NetworkFormatError(f"negative flow {arr[i, j]} at ({i}, {j})")
         labels = _check_labels(self.labels, arr.shape[0])
+        if np.isinf(arr).any():
+            i, j = np.argwhere(np.isinf(arr))[0]
+            raise NetworkFormatError(f"uses table flows must be finite, got inf at ({labels[i]}, {labels[j]})")
         arr.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "flow", arr)
@@ -451,13 +454,7 @@ def _matrix_csv(labels, matrix) -> str:
 
 def load_uses_table(source) -> UsesTable:
     """Parse a uses table (dense CSV of nonnegative flows)."""
-    labels, matrix = _parse_dense(_read_text(source), what="uses table")
-    if np.isinf(matrix).any():
-        i, j = np.argwhere(np.isinf(matrix))[0]
-        raise NetworkFormatError(
-            f"uses table flows must be finite, got inf at ({labels[i]}, {labels[j]})"
-        )
-    return UsesTable(labels, matrix)
+    return UsesTable(*_parse_dense(_read_text(source), what="uses table"))
 
 
 def from_uses_table(table: UsesTable, exclude_diagonal: bool = False) -> Network:

@@ -117,6 +117,8 @@ def test_newick_quotes_labels_with_metacharacters():
     d = Dendrogram(("it's", "q"), (MergeEvent(1.0, (("it's", "q"),)),))
     assert newick(d) == "('it''s':1,q:1):0;\n"
     assert newick(Dendrogram(("[x]",), ())) == "'[x]';\n"
+    # Other leaves are written as text, as from_dendrogram names them.
+    assert newick(Dendrogram((10, 2), (MergeEvent(1.0, ((10, 2),)),))) == "(2:1,10:1):0;\n"
 
 
 def test_threshold_dot_lists_edges_at_or_below_delta(cycle4):

@@ -185,6 +185,11 @@ def test_from_dendrogram_rejects_non_nested():
         (("p", "q", "r"), events((1.0, (("p", "s"),))), "unknown leaves"),
         (("p", "q", "r"), events((1.0, (("p", "q"),)), (2.0, (("q", "p"),))), "merges nothing new"),
         (("p", "q", "r"), events((-1.0, (("p", "q"),))), "must be positive"),
+        # neither has an ultrametric: a root at +inf, a block of one resolution inside another
+        (("p", "q", "r"), events((1.0, (("p", "q"),)), (np.inf, (("p", "q", "r"),))), "must be positive and finite$"),
+        (("p", "q", "r"), events((1.0, (("p", "q"), ("r", "q", "p")))),
+         r"^block \['p', 'q', 'r'\] at 1 nests a block formed at the same resolution$"),
+        (("p", "q", "r"), events((1.0, (("q", "r"),)), (1.0, (("p", "r", "q"),))), "at 1 nests a block"),
         ((1, "1"), events((1.0, ((1, "1"),))), r"^leaf '1' cannot be ordered with leaf 1$"),
         (("a", "b"), events((1.0, (("a", 1, "z"),))), r"^merge references unknown leaves \['z', 1\]$"),
     ]
@@ -426,8 +431,8 @@ def _forest(d: Dendrogram) -> list[_Node]:
             raise DendrogramStructureError(
                 f"merge resolutions decrease at {format_value(event.resolution)}"
             )
-        if not event.resolution > 0:
-            raise DendrogramStructureError("merge resolutions must be positive")
+        if not 0 < event.resolution < math.inf:
+            raise DendrogramStructureError("merge resolutions must be positive and finite")
         last = event.resolution
         for block in event.blocks:
             members = frozenset(block)
@@ -445,6 +450,12 @@ def _forest(d: Dendrogram) -> list[_Node]:
                     "is not a union of existing blocks"
                 )
             children = tuple(sorted(parts, key=lambda c: c.min_leaf))
+            for child in children:  # a block of one resolution nested in another has no ultrametric
+                if child.height == event.resolution:
+                    raise DendrogramStructureError(
+                        f"block {sorted(members, key=repr)} at {format_value(event.resolution)} "
+                        "nests a block formed at the same resolution"
+                    )
             joined = _Node(event.resolution, children, members, children[0].min_leaf)
             for m in members:
                 current[m] = joined
@@ -503,8 +514,8 @@ def multiway_dendrograms(draw):
     """Dendrograms on 0..12 leaves in any order, some malformed.
 
     Events join several blocks at once, may repeat a resolution, may nest one
-    of their blocks in another, and may stop early to leave a forest; labels
-    hold Newick metacharacters.
+    of their blocks in another (which has no ultrametric), and may stop early
+    to leave a forest; labels hold Newick metacharacters.
     """
     n = draw(st.integers(0, 12))
     leaves = tuple(draw(st.permutations(_TREE_LABELS))[:n])
@@ -546,11 +557,23 @@ def multiway_dendrograms(draw):
 @example(Dendrogram(("p", "q", "r"), (MergeEvent(1.0, (("q", "p"),)), MergeEvent(1.0, (("p", "q", "r"),)))))
 @example(Dendrogram(("p", "q", "r"), (MergeEvent(np.inf, (("q", "p"),)), MergeEvent(np.inf, (("p", "q", "r"),)))))
 def test_tree_order_matches_the_node_tree_replay(d):
+    # The last three examples have no ultrametric, so both replays refuse them alike.
     # One Dendrogram for all three readers: a replay that raised must raise again.
     assert _outcome(newick, d) == _outcome(_reference_newick, d)
     assert _outcome(lambda d: d.roots, d) == _outcome(_reference_roots, d)
     assert (_outcome(lambda d: from_dendrogram(d).dist.tolist(), d)
             == _outcome(lambda d: _reference_from_dendrogram(d).tolist(), d))
+
+
+@settings(max_examples=500, deadline=None)
+@given(multiway_dendrograms())
+def test_accepted_dendrograms_round_trip_through_their_ultrametric(d):
+    try:
+        expected = newick(d), d.roots
+    except DendrogramStructureError:
+        return
+    back = to_dendrogram(from_dendrogram(d))
+    assert (newick(back), back.roots) == expected
 
 
 def test_one_merge_event_over_1000_leaves_round_trips():

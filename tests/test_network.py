@@ -370,6 +370,8 @@ def test_network_structure_errors():
         UsesTable(("a",), np.zeros((1, 2)))
     with pytest.raises(NetworkFormatError, match=r"NaN flow at \(0, 1\)"):
         UsesTable(("a", "b"), np.array([[0.0, np.nan], [1.0, 0.0]]))
+    with pytest.raises(NetworkFormatError, match=r"^uses table flows must be finite, got inf at \(a, b\)$"):
+        UsesTable(("a", "b"), np.array([[1.0, np.inf], [1.0, 1.0]]))
     with pytest.raises(KeyError, match="unknown node 'z'"):
         Network(("a", "b"), np.zeros((2, 2))).index("z")
     with pytest.raises(NetworkFormatError, match="labels"):
