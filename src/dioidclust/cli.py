@@ -41,7 +41,7 @@ from .methods import (
 )
 from .network import (
     NetworkFormatError,
-    _format_array,
+    _distinct_texts,
     _plain_float,
     format_value,
     from_uses_table,
@@ -188,6 +188,14 @@ def cmd_cut(args, stdout, stderr) -> int:
     return 0
 
 
+def _column(head: str, texts: list[str], index: np.ndarray | None = None) -> list[str]:
+    """A padded table column: head, then texts, or texts[index] when given; each text is padded once."""
+    width = max(map(len, [head, *texts]))
+    padded = [text.ljust(width) for text in texts]
+    cells = padded if index is None else np.array(padded, dtype=object)[index].tolist()
+    return [head.ljust(width), *cells]
+
+
 def cmd_compare(args, stdout, stderr) -> int:
     net = _load_input(args)
     specs = [parse_method_spec(m) for m in args.method]
@@ -196,8 +204,7 @@ def cmd_compare(args, stdout, stderr) -> int:
     rows, cols = np.triu_indices(net.n, 1)
     results = run_methods(net, [*specs, MethodSpec("nonreciprocal"), MethodSpec("reciprocal")])
     *values, lower, upper = [res.dist[rows, cols] for res in results]
-    names = [spec.describe() for spec in specs]
-    columns, flags = _format_array(values).tolist(), []
+    names, flags = [spec.describe() for spec in specs], []
     for spec, vals in zip(specs, values):
         tol = (0.0 if spec.exact else CONVEX_DEFAULT_TOLERANCE) if args.tolerance is None else args.tolerance
         flags.append((vals < lower - tol) | (vals > upper + tol))
@@ -205,10 +212,8 @@ def cmd_compare(args, stdout, stderr) -> int:
     for k in np.flatnonzero(np.any(flags, axis=0)).tolist():
         sandwich[k] = "VIOLATION:" + ";".join(name for name, bad in zip(names, flags) if bad[k])
     pairs = [f"{net.labels[i]},{net.labels[j]}" for i, j in zip(rows.tolist(), cols.tolist())]
-    table = [["pair"] + names + ["sandwich"], *zip(pairs, *columns, sandwich)]
-    widths = [max(map(len, column)) for column in zip(*table)]
-    for line in table:
-        stdout.write("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n")
+    columns = [_column("pair", pairs), *(_column(name, *_distinct_texts(vals)) for name, vals in zip(names, values))]
+    stdout.write("\n".join(map("  ".join, zip(*columns, ["sandwich", *sandwich]))) + "\n")
     violations = int(np.sum(flags))
     if violations:
         stderr.write(f"error: {violations} sandwich violations\n")

@@ -20,6 +20,7 @@ Newick and ``from_dendrogram`` read that replay.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -266,8 +267,9 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[float, ...]]:
     Children and roots are ordered by smallest leaf, so each tree and block is
     one run. Returns the leaves in that order (as indices) and the resolution,
     as its event holds it, joining each to the next (+inf between trees).
-    Raises DendrogramStructureError for ill-formed merges, a resolution not
-    positive and finite and a block nesting one of its own resolution among them.
+    Raises DendrogramStructureError for ill-formed merges, a resolution that is
+    not a real number (bools and Decimals included) or not positive and finite,
+    and a block nesting one of its own resolution among them.
     """
     index = {lab: i for i, lab in enumerate(d.leaves)}
     if len(index) != len(d.leaves):
@@ -283,6 +285,8 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[float, ...]]:
     first, following, joined = list(range(n)), [-1] * n, [math.inf] * n
     last_leaf, size, formed, last = list(range(n)), [1] * n, [0.0] * n, -math.inf
     for event in d.merges:
+        if not isinstance(event.resolution, numbers.Real) or isinstance(event.resolution, bool):
+            raise DendrogramStructureError(f"merge resolution {event.resolution!r} is not a real number")
         if event.resolution < last:
             raise DendrogramStructureError(f"merge resolutions decrease at {format_value(event.resolution)}")
         if not 0 < event.resolution < math.inf:

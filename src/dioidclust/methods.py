@@ -33,19 +33,21 @@ The method-spec text grammar (``GRAMMAR``, ``parse_method_spec``) lives
 here beside ``MethodSpec.describe()``. One table names each kind's
 parameters and its runner; the spec checks, the parser, ``describe()``
 and ``run_methods`` all read it. ``run_methods`` is the one evaluator:
-grafts and convex combinations reuse the outputs of their parts, and each
-distinct method runs once per network within one call.
+grafts and convex combinations reuse the outputs of their parts, each
+distinct method runs once per network within one call, and every hop
+budget of the call comes from one power chain of the network.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dioid import dioid_power, is_integer, quasi_inverse
+from .dioid import PowerChain, is_integer, quasi_inverse
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
 from .network import Network, _require_valid, format_value
 
@@ -71,6 +73,10 @@ __all__ = [
 
 WEIGHT_SUM_TOLERANCE = 1e-12
 MAX_CONVEX_DEPTH = 500
+
+# [dissimilarity matrix, its PowerChain once opened] of the network that the
+# innermost run_methods call in this context evaluates; None outside one.
+_HOP_POWERS: ContextVar[list | None] = ContextVar("dioidclust_hop_powers", default=None)
 
 # Each kind's parameter names and its runner, which takes the outputs of
 # _parts(spec). The runners look their method up when called, so a module
@@ -311,12 +317,24 @@ def _wrap(net: Network, matrix: np.ndarray, method: str) -> Ultrametric:
     return Ultrametric(net.labels, matrix, provenance=Provenance(method=method, n=net.n))
 
 
+def _power_chain(a: np.ndarray) -> PowerChain:
+    """The run_methods call's chain if it evaluates a (opened on first use), else one of a's own."""
+    shared = _HOP_POWERS.get()
+    if shared is None or shared[0] is not a:
+        return PowerChain(a)
+    if shared[1] is None:
+        shared[1] = PowerChain(a)
+    return shared[1]
+
+
 def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametric:
     """Closure of max(A^t_fwd, (A^t_bwd)ᵀ), each budget clamped to max(n-1, 1).
 
-    Powers stabilize at n-1, so the clamp changes no result. Each distinct
-    power is computed once, by quasi_inverse at the clamp; with both
-    budgets there, max(C, Cᵀ) is nonreciprocal and needs no outer closure.
+    Powers stabilize at n-1, so the clamp changes no result. A budget at
+    the clamp is quasi_inverse's closure; one below it comes from the
+    power chain that the whole run_methods call shares, so budgets on one
+    network share their squarings, and A^1 is A itself. With both budgets
+    at the clamp, max(C, Cᵀ) is nonreciprocal and needs no outer closure.
     Any other joined matrix B is closed as min(B, Bᵀ), which is symmetric,
     so quasi_inverse takes its tree kernel: closure(B) is symmetric and at
     most B, so it equals closure(min(B, Bᵀ)).
@@ -324,7 +342,7 @@ def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametr
     _require_valid(net)
     a, cap = net.dissim, max(net.n - 1, 1)
     fwd, bwd = min(t_fwd, cap), min(t_bwd, cap)
-    powers = {hops: quasi_inverse(a) if hops == cap else dioid_power(a, hops) for hops in {fwd, bwd}}
+    powers = {hops: quasi_inverse(a) if hops == cap else _power_chain(a).power(hops) for hops in {fwd, bwd}}
     joined = np.maximum(powers[fwd], powers[bwd].T)
     return _wrap(net, joined if fwd == bwd == cap else quasi_inverse(np.minimum(joined, joined.T)), method)
 
@@ -440,18 +458,24 @@ def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | Gra
 
     Specs are walked from an explicit stack, parts before the specs built
     from them, so convex nesting costs no Python recursion. Convex results
-    are described only when returned, not at every nested level.
+    are described only when returned, not at every nested level. Every hop
+    budget below n-1 comes from one power chain of net, opened on first use
+    and dropped when the call returns.
     """
     def key(spec):  # convex specs by identity: the dataclass __eq__ and __hash__ recurse per level
         return id(spec) if spec.kind == "convex" else spec
 
     memo, stack = {}, [(spec, False) for spec in reversed(specs)]
-    while stack:
-        spec, ready = stack.pop()
-        if ready:
-            memo[key(spec)] = _KINDS[spec.kind][1](net, spec, [memo[key(part)] for part in _parts(spec)])
-        elif key(spec) not in memo:
-            stack += [(spec, True)] + [(part, False) for part in reversed(_parts(spec))]
+    token = _HOP_POWERS.set([net.dissim, None])
+    try:
+        while stack:
+            spec, ready = stack.pop()
+            if ready:
+                memo[key(spec)] = _KINDS[spec.kind][1](net, spec, [memo[key(part)] for part in _parts(spec)])
+            elif key(spec) not in memo:
+                stack += [(spec, True)] + [(part, False) for part in reversed(_parts(spec))]
+    finally:
+        _HOP_POWERS.reset(token)
     return [_wrap(net, memo[key(spec)].dist, spec.describe()) if spec.kind == "convex" else memo[key(spec)]
             for spec in specs]
 

@@ -62,16 +62,22 @@ def format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _format_array(values, fmt=format_value) -> np.ndarray:
-    """``fmt`` of every entry, as an object array of the same shape.
+def _distinct_texts(values, fmt=format_value) -> tuple[list[str], np.ndarray]:
+    """``fmt`` of each distinct float64 bit pattern of ``values``, and each entry's index into those texts.
 
-    Each distinct float64 bit pattern is formatted once, so -0.0 and 0.0
-    keep their own texts; an ultrametric has at most n distinct values.
+    Bit patterns, not values, so -0.0 and 0.0 keep their own texts; an
+    ultrametric has at most n distinct values. The index has the shape of
+    ``values``.
     """
     arr = np.ascontiguousarray(values, dtype=float)
     bits, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
-    texts = np.array([fmt(v) for v in bits.view(float).tolist()], dtype=object)
-    return texts[inverse.reshape(arr.shape)]  # the inverse's shape differs across numpy versions
+    return [fmt(v) for v in bits.view(float).tolist()], inverse.reshape(arr.shape)  # its shape varies by numpy
+
+
+def _format_array(values, fmt=format_value) -> np.ndarray:
+    """``fmt`` of every entry, as an object array of the same shape; each distinct entry is formatted once."""
+    texts, index = _distinct_texts(values, fmt)
+    return np.array(texts, dtype=object)[index]
 
 
 def _check_labels(labels, n: int) -> tuple[str, ...]:

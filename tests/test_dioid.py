@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dioidclust import Network, dioid_power, dioid_product, quasi_inverse
-from dioidclust.dioid import _min_max_sweep
+from dioidclust.dioid import PowerChain, _min_max_sweep
 from dioidclust.oracle import brute_minimax_cost
 
 from conftest import cycle4_network, random_network
@@ -125,6 +125,44 @@ def test_power_matches_sequential_products(rng):
         for k in range(2, 9):
             seq = dioid_product(seq, a)
             assert np.array_equal(dioid_power(a, k), seq), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from(["reals", "ties", "ultrametric", "diagonal"]))
+def test_one_chain_gives_every_power_bit_for_bit(n, seed, kind):
+    # Asked in shuffled order, one chain's A^k is dioid_power's, ±0.0 cells included: integer ties
+    # and ultrametrics stabilize early (an ultrametric squares to itself), reals later.
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, 4, (n, n)).astype(float) if kind == "ties" else 1.0 - rng.random((n, n))
+    a[rng.random((n, n)) < 0.2] = np.inf
+    if kind == "ultrametric":
+        a = np.minimum(a, a.T)
+        np.fill_diagonal(a, 0.0)
+        a = quasi_inverse(a)
+    if kind != "diagonal":  # "diagonal" keeps positive diagonal cells, so powers need not stabilize at n-1
+        np.fill_diagonal(a, np.where(rng.random(n) < 0.5, -0.0, 0.0))
+    before = a.copy()
+    chain = PowerChain(a)
+    for k in [*rng.permutation(np.arange(1, n + 2)).tolist(), 1, n + 1]:
+        assert chain.power(k).view(np.uint64).tolist() == dioid_power(a, k).view(np.uint64).tolist(), k
+    assert a.view(np.uint64).tolist() == before.view(np.uint64).tolist()
+
+
+def test_chain_builds_each_square_and_power_once(monkeypatch):
+    import dioidclust.dioid
+
+    products = []
+    product = dioidclust.dioid.dioid_product
+    monkeypatch.setattr(dioidclust.dioid, "dioid_product", lambda a, b: products.append(1) or product(a, b))
+    a = np.array([np.roll([0.0, 1.0] + [9.0] * 7, i) for i in range(9)])  # a directed 9-cycle: stable from A^8
+    chain = PowerChain(a)
+    assert chain.power(4) is chain.power(4) and len(products) == 2  # A^2, A^4
+    chain.power(5)
+    assert len(products) == 3  # A * A^4 on the squares already built
+    chain.power(6)
+    assert len(products) == 4  # A^2 * A^4
+    assert chain.power(1) is chain.a and len(products) == 4
+    assert dioid_power(a, 1) is not a and np.array_equal(dioid_power(a, 1), a)
 
 
 def test_ultrametric_square_is_itself():

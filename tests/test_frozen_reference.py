@@ -7,13 +7,16 @@ kernel with ``src/dioidclust``. It is loaded here in process under the
 name ``dioidclust_frozen`` and only read.
 
 Results must agree bit for bit (values compared by ``.view(np.uint64)``),
-and Newick and JSON bytes must be equal. The networks drawn are ones that
-``validate_network`` accepts, since the frozen copy accepts some that are
-now refused; errors are never compared.
+whether a spec runs alone or beside the others in one ``run_methods`` call,
+and Newick and JSON bytes must be equal, as must the exit code, stdout and
+stderr of ``compare``. The networks drawn are ones that ``validate_network``
+accepts, since the frozen copy accepts some that are now refused; errors
+are never compared.
 """
 
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -21,7 +24,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioidclust import MethodSpec, Network, exports, run_method, to_dendrogram, validate_network
+from dioidclust import MethodSpec, Network, exports, run_method, save_network, to_dendrogram, validate_network
+from dioidclust.cli import main
+from dioidclust.methods import run_methods
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline" / "dioidclust"
 
@@ -39,6 +44,7 @@ def _load_frozen():
 
 frozen = _load_frozen()
 frozen_exports = importlib.import_module("dioidclust_frozen.exports")
+frozen_main = importlib.import_module("dioidclust_frozen.cli").main
 
 
 @st.composite
@@ -93,9 +99,30 @@ def _frozen_spec(spec):
 @given(valid_networks(), st.data())
 def test_every_admissible_kind_matches_the_frozen_reference(net, data):
     old_net = frozen.Network(net.labels, net.dissim.copy())
-    for spec in _specs(data.draw, net.is_symmetric()):
+    specs = _specs(data.draw, net.is_symmetric())
+    for spec, shared in zip(specs, run_methods(net, specs)):  # one call: every hop budget on one power chain
         new, old = run_method(net, spec), frozen.run_method(old_net, _frozen_spec(spec))
         assert new.dist.view(np.uint64).tolist() == old.dist.view(np.uint64).tolist(), spec.describe()
+        assert shared.dist.view(np.uint64).tolist() == old.dist.view(np.uint64).tolist(), spec.describe()
         new_tree, old_tree = to_dendrogram(new), frozen.to_dendrogram(old)
         assert exports.newick(new_tree) == frozen_exports.newick(old_tree), spec.describe()
         assert exports.dendrogram_json(new, new_tree) == frozen_exports.dendrogram_json(old, old_tree), spec.describe()
+
+
+def _run(entry, argv):
+    out, err = io.StringIO(), io.StringIO()
+    return entry(argv, stdout=out, stderr=err), out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_networks(), st.data())
+def test_compare_output_matches_the_frozen_reference(tmp_path_factory, net, data):
+    # Labels of mixed widths, so the pair column pads its cells to different lengths.
+    widths = data.draw(st.lists(st.integers(0, 9), min_size=net.n, max_size=net.n))
+    labeled = Network(tuple("v" * w + str(i) for i, w in enumerate(widths)), net.dissim)
+    path = tmp_path_factory.mktemp("compare") / "net.csv"
+    path.write_text(save_network(labeled))
+    argv = ["compare", "--input", str(path)]
+    for spec in _specs(data.draw, net.is_symmetric()):
+        argv += ["--method", spec.describe()]
+    assert _run(main, argv) == _run(frozen_main, argv)

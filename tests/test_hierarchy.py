@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 from typing import NamedTuple
 from unittest import mock
 
@@ -192,6 +194,13 @@ def test_from_dendrogram_rejects_non_nested():
         (("p", "q", "r"), events((1.0, (("q", "r"),)), (1.0, (("p", "r", "q"),))), "at 1 nests a block"),
         ((1, "1"), events((1.0, ((1, "1"),))), r"^leaf '1' cannot be ordered with leaf 1$"),
         (("a", "b"), events((1.0, (("a", 1, "z"),))), r"^merge references unknown leaves \['z', 1\]$"),
+        # a resolution that is not a real number: never compared, subtracted or formatted
+        (("a", "b"), events(("1.0", (("a", "b"),))), r"^merge resolution '1.0' is not a real number$"),
+        (("a", "b"), events((None, (("a", "b"),))), r"^merge resolution None is not a real number$"),
+        (("a", "b"), events((Decimal("1.5"), (("a", "b"),))), r"^merge resolution Decimal\('1.5'\) is not a real"),
+        (("a", "b"), events((True, (("a", "b"),))), r"^merge resolution True is not a real number$"),
+        (("a", "b", "c"), events((1.0, (("a", "b"),)), (np.bool_(True), (("a", "b", "c"),))),
+         r"^merge resolution (np\.)?True_? is not a real number$"),
     ]
     for leaves, merges, message in malformed:
         d = Dendrogram(leaves, merges)
@@ -201,6 +210,16 @@ def test_from_dendrogram_rejects_non_nested():
             newick(d)
         with pytest.raises(DendrogramStructureError, match=message):
             d.roots
+
+
+def test_every_real_resolution_is_read_alike():
+    # Ints, Fractions and numpy floats are numbers.Real: all three readers take them as the float would be.
+    as_float = Dendrogram(("a", "b", "c"), (MergeEvent(1.5, (("a", "b"),)), MergeEvent(2.0, (("a", "b", "c"),))))
+    for low, high in ((Fraction(3, 2), 2), (np.float64(1.5), np.float32(2.0))):
+        d = Dendrogram(as_float.leaves, (MergeEvent(low, (("a", "b"),)), MergeEvent(high, (("a", "b", "c"),))))
+        assert d.roots == as_float.roots
+        assert newick(d) == newick(as_float)
+        assert from_dendrogram(d).dist.tolist() == from_dendrogram(as_float).dist.tolist()
 
 
 def test_ultrametric_value_names_an_unknown_label():

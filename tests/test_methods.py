@@ -563,3 +563,48 @@ def test_only_a_directed_closure_runs_floyd_warshall(monkeypatch, rng):
         closures.clear()
         run_method(network, parse_method_spec(text))
         assert sum(closures) == count, text
+
+
+def test_one_run_methods_call_shares_one_power_chain(rng, monkeypatch):
+    import dioidclust.dioid
+    import dioidclust.methods
+
+    net = random_network(rng, n=12)
+    specs = [parse_method_spec(text) for text in ("semi-reciprocal:3", "semi-reciprocal:6", "intermediate:2,4")]
+    alone = [run_method(net, spec).dist for spec in specs]
+    products = []
+    product = dioidclust.dioid.dioid_product
+    monkeypatch.setattr(dioidclust.dioid, "dioid_product", lambda a, b: products.append(1) or product(a, b))
+    together = run_methods(net, specs)
+    # A^2, A^4 and A * A^4 for the budgets 2, 5, 2 and 4, all below the clamp at 11 hops.
+    assert len(products) <= 3
+    for spec, u, v in zip(specs, together, alone):
+        assert u.dist.view(np.uint64).tolist() == v.view(np.uint64).tolist(), spec.describe()
+    # Nothing outlives the call: a later call builds its powers again.
+    assert dioidclust.methods._HOP_POWERS.get() is None
+    products.clear()
+    semi_reciprocal(net, 6)
+    assert len(products) == 3  # A^2, A^4 and A * A^4, on a chain of its own
+
+
+def test_concurrent_calls_on_one_network_agree(rng):
+    from concurrent.futures import ThreadPoolExecutor
+
+    net = random_network(rng, n=24)
+    spec_lists = [[parse_method_spec(f"semi-reciprocal:{t}"), parse_method_spec("intermediate:2,5")] for t in range(2, 10)]
+    serial = [[u.dist.tobytes() for u in run_methods(net, specs)] for specs in spec_lists]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda specs: [u.dist.tobytes() for u in run_methods(net, specs)], spec_lists))
+    assert threaded == serial
+
+
+def test_a_method_on_another_network_inside_run_methods_gets_its_own_powers(rng, monkeypatch):
+    import dioidclust.methods
+
+    net, other = random_network(rng, n=8), random_network(rng, n=8)
+    real = dioidclust.methods.semi_reciprocal
+    expected = real(other, 4).dist.tobytes()
+    monkeypatch.setattr(dioidclust.methods, "semi_reciprocal", lambda _, t: real(other, t))
+    # intermediate:3,3 opens net's chain with A^3 first; the runner then asks for A^3 of other.
+    _, swapped = run_methods(net, [MethodSpec("intermediate", t_fwd=3, t_bwd=3), MethodSpec("semi-reciprocal", t=4)])
+    assert swapped.dist.tobytes() == expected
