@@ -16,10 +16,11 @@ otherwise. Functions here check their inputs, not their outputs: each
 clustering result is checked once, downstream, and the tests hold both
 closure kernels to each other, to dioid_power and to the brute-force oracle.
 
-Bounded-hop powers come from a PowerChain: one matrix's squares A, A^2,
-A^4, ... and every power taken from them, each built once. dioid_power is
-a chain used once; a caller that needs several powers of one matrix keeps
-one chain, and each new power costs at most its set bits in products.
+Bounded-hop powers run one binary exponentiation over the squaring
+sequence A, A^2, A^4, ... dioid_power drops each square once the next is
+built; a caller that needs several powers of one matrix keeps a
+PowerChain, which builds each square once and keeps it, so each new power
+costs at most its set bits in products.
 
 All entries are ordinary float64 values; +inf is represented by the IEEE
 infinity, never by a large sentinel. min/max never create new values, so
@@ -29,6 +30,8 @@ are safe to share across threads, a PowerChain is not.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -84,67 +87,87 @@ def dioid_product(a, b) -> np.ndarray:
     return _min_max_sweep(np.full(a.shape, np.inf), a, b)
 
 
+def _squaring(a: np.ndarray):
+    """Yield A, A^2, A^4, ..., each square built when asked for; None follows the first one that repeats."""
+    base = a
+    while True:
+        yield base
+        squared = dioid_product(base, base)
+        if np.array_equal(squared, base):
+            yield None
+            return
+        base = squared
+
+
+def _checked_exponent(k) -> int:
+    if not is_integer(k):
+        raise ValueError(f"power must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"power must be >= 1, got {k}")
+    return int(k)
+
+
+def _binary_power(squares, k: int) -> np.ndarray:
+    """A^k from the squaring sequence ``squares`` (see _squaring): the set bits of k from the lowest.
+
+    A square is asked for only while bits remain. Once a square repeats,
+    the base is idempotent (base^j == base for every j >= 1), so the rest
+    of the factorization collapses into one extra product.
+    """
+    result, base = None, next(squares)
+    while True:
+        if k & 1:
+            result = base if result is None else dioid_product(result, base)
+        k >>= 1
+        if not k:
+            return result
+        following = next(squares)
+        if following is None:
+            return base if result is None else dioid_product(result, base)
+        base = following
+
+
 class PowerChain:
     """Dioid powers of one matrix that share its squaring sequence A, A^2, A^4, ...
 
-    ``power(k)`` runs binary exponentiation over that sequence, product
-    for product as ``dioid_power`` always has: the set bits of k from the
-    lowest, an early exit once a square repeats (an idempotent base absorbs
-    every remaining factor, so the rest collapses into one extra product).
-    Each square is built once, on first need, and each power once; a new k
-    then costs at most one product per set bit beyond the squares already
-    built. The arrays returned belong to the chain, which may hand them out
-    again: read them, never write them. A chain serves one thread.
+    ``power(k)`` runs ``dioid_power``'s binary exponentiation over squares
+    that the chain keeps: each is built once, on first need, so a new k
+    costs at most one product per set bit beyond the squares already
+    built. The chain holds about log2(k) n x n squares for the largest k
+    asked, until it is dropped; powers are not kept. The arrays returned
+    may be the chain's own squares: read them, never write them. A chain
+    serves one thread.
     """
 
     def __init__(self, a):
         self.a = _as_dioid_matrix(a)
-        self._squares: list[np.ndarray | None] = [self.a]  # A^(2^i), then None after one that repeats
-        self._powers: dict[int, np.ndarray] = {}
+        self._built: list[np.ndarray | None] = []  # A^(2^i) so far, then None after one that repeats
+        self._source = _squaring(self.a)
 
-    def _square_of(self, i: int) -> np.ndarray | None:
-        """The square of A^(2^i), built on first need; None when A^(2^i) squares to itself."""
-        if i + 1 == len(self._squares):
-            base = self._squares[i]
-            squared = dioid_product(base, base)
-            self._squares.append(None if np.array_equal(squared, base) else squared)
-        return self._squares[i + 1]
+    def _squares(self):
+        for i in itertools.count():
+            if i == len(self._built):
+                self._built.append(next(self._source))
+            yield self._built[i]
 
     def power(self, k: int) -> np.ndarray:
         """A^k, k >= 1; O(n^3 log k) worst case, and usually far less on matrices that stabilize early."""
-        if not is_integer(k):
-            raise ValueError(f"power must be an integer, got {k!r}")
-        if k < 1:
-            raise ValueError(f"power must be >= 1, got {k}")
-        k = int(k)
-        if k not in self._powers:
-            result, i, remaining = None, 0, k
-            while True:
-                base = self._squares[i]
-                if remaining & 1:
-                    result = base if result is None else dioid_product(result, base)
-                remaining >>= 1
-                if not remaining:
-                    break
-                if self._square_of(i) is None:  # base is idempotent: base^j == base for every j >= 1
-                    result = base if result is None else dioid_product(result, base)
-                    break
-                i += 1
-            self._powers[k] = result
-        return self._powers[k]
+        return _binary_power(self._squares(), _checked_exponent(k))
 
 
 def dioid_power(a, k: int) -> np.ndarray:
-    """k-th dioid power of a square matrix, k >= 1: a fresh array, from a chain of its own.
+    """k-th dioid power of a square matrix, k >= 1: a fresh array.
 
     Binary exponentiation over the squaring sequence A, A^2, A^4, ... with
-    an early exit once the current square repeats (see PowerChain), so the
-    cost is O(n^3 log k) worst case and usually far less on matrices that
-    stabilize early.
+    an early exit once the current square repeats (see _binary_power), so
+    the cost is O(n^3 log k) worst case and usually far less on matrices
+    that stabilize early. Each square is dropped once the next is built,
+    so four n x n arrays (base, its square, the result and one product
+    buffer) are live at most, whatever k is.
     """
-    chain = PowerChain(a)
-    result = chain.power(k)
-    return result.copy() if result is chain.a else result
+    a = _as_dioid_matrix(a)
+    result = _binary_power(_squaring(a), _checked_exponent(k))
+    return result.copy() if result is a else result
 
 
 def _in_leaf_order(near: np.ndarray | list[float], n: int) -> np.ndarray:

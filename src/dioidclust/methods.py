@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dioid import PowerChain, is_integer, quasi_inverse
+from .dioid import PowerChain, dioid_power, is_integer, quasi_inverse
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
 from .network import Network, _require_valid, format_value
 
@@ -317,14 +317,14 @@ def _wrap(net: Network, matrix: np.ndarray, method: str) -> Ultrametric:
     return Ultrametric(net.labels, matrix, provenance=Provenance(method=method, n=net.n))
 
 
-def _power_chain(a: np.ndarray) -> PowerChain:
-    """The run_methods call's chain if it evaluates a (opened on first use), else one of a's own."""
+def _hop_power(a: np.ndarray, hops: int) -> np.ndarray:
+    """A^hops from the chain of the run_methods call that evaluates a (opened on first use), else from dioid_power."""
     shared = _HOP_POWERS.get()
     if shared is None or shared[0] is not a:
-        return PowerChain(a)
+        return dioid_power(a, hops)
     if shared[1] is None:
         shared[1] = PowerChain(a)
-    return shared[1]
+    return shared[1].power(hops)
 
 
 def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametric:
@@ -333,7 +333,9 @@ def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametr
     Powers stabilize at n-1, so the clamp changes no result. A budget at
     the clamp is quasi_inverse's closure; one below it comes from the
     power chain that the whole run_methods call shares, so budgets on one
-    network share their squarings, and A^1 is A itself. With both budgets
+    network share their squarings, and A^1 is A itself. A direct call
+    outside run_methods takes each budget from dioid_power, which keeps no
+    squares. With both budgets
     at the clamp, max(C, Cᵀ) is nonreciprocal and needs no outer closure.
     Any other joined matrix B is closed as min(B, Bᵀ), which is symmetric,
     so quasi_inverse takes its tree kernel: closure(B) is symmetric and at
@@ -342,7 +344,7 @@ def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametr
     _require_valid(net)
     a, cap = net.dissim, max(net.n - 1, 1)
     fwd, bwd = min(t_fwd, cap), min(t_bwd, cap)
-    powers = {hops: quasi_inverse(a) if hops == cap else _power_chain(a).power(hops) for hops in {fwd, bwd}}
+    powers = {hops: quasi_inverse(a) if hops == cap else _hop_power(a, hops) for hops in {fwd, bwd}}
     joined = np.maximum(powers[fwd], powers[bwd].T)
     return _wrap(net, joined if fwd == bwd == cap else quasi_inverse(np.minimum(joined, joined.T)), method)
 

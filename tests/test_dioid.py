@@ -148,7 +148,7 @@ def test_one_chain_gives_every_power_bit_for_bit(n, seed, kind):
     assert a.view(np.uint64).tolist() == before.view(np.uint64).tolist()
 
 
-def test_chain_builds_each_square_and_power_once(monkeypatch):
+def test_chain_builds_each_square_once(monkeypatch):
     import dioidclust.dioid
 
     products = []
@@ -161,8 +161,28 @@ def test_chain_builds_each_square_and_power_once(monkeypatch):
     assert len(products) == 3  # A * A^4 on the squares already built
     chain.power(6)
     assert len(products) == 4  # A^2 * A^4
-    assert chain.power(1) is chain.a and len(products) == 4
+    chain.power(5)
+    assert len(products) == 5  # powers are not kept: A * A^4 again
+    assert chain.power(1) is chain.a and len(products) == 5
     assert dioid_power(a, 1) is not a and np.array_equal(dioid_power(a, 1), a)
+
+
+def test_power_keeps_no_squares_it_has_used():
+    import tracemalloc
+
+    # A directed path changes until A^(n-1), so A^63 walks six squares; the loop needs four arrays
+    # live at once beside the input (base, its square, the result and one product buffer).
+    n = 64
+    a = np.full((n, n), 9.0)
+    np.fill_diagonal(a, 0.0)
+    a[np.arange(n - 1), np.arange(1, n)] = 1.0
+    tracemalloc.start()
+    try:
+        dioid_power(a, n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * a.nbytes
 
 
 def test_ultrametric_square_is_itself():
