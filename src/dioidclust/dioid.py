@@ -16,22 +16,33 @@ otherwise. Functions here check their inputs, not their outputs: each
 clustering result is checked once, downstream, and the tests hold both
 closure kernels to each other, to dioid_power and to the brute-force oracle.
 
+Products, powers and Floyd-Warshall closures run in rank space. min and max
+only ever select entries, so a kernel run on the ranks of a matrix's
+distinct values (see _ranked) and mapped back through those values gives
+the same bits as one run on the values, while it moves two bytes an entry
+(four past 65,536 distinct values) instead of eight. _min_max_sweep is the
+one (min, max) kernel: every product and every Floyd-Warshall closure is
+one sweep of it over ranks. -0.0 and 0.0 share a rank; each kernel restores
+the signed zeros of its diagonal as the sweep over the values sets them
+(see _from_ranks), and a zero off the diagonal, which validate_network
+refuses, comes back as 0.0.
+
 Bounded-hop powers run one binary exponentiation over the squaring
 sequence A, A^2, A^4, ... dioid_power drops each square once the next is
-built; a caller that needs several powers of one matrix keeps a
-PowerChain, which builds each square once and keeps it, so each new power
-costs at most its set bits in products.
+built; a caller that needs several powers of one matrix, or its powers and
+its closure, keeps a PowerChain, which ranks the matrix once and builds
+each square, and its Floyd-Warshall closure, once, keeping them as ranks.
 
-All entries are ordinary float64 values; +inf is represented by the IEEE
-infinity, never by a large sentinel. min/max never create new values, so
-equality comparisons between dioid matrices are exact, and a power is the
-same bits whichever chain built it. Every function here is pure; matrices
-are safe to share across threads, a PowerChain is not.
++inf is the IEEE infinity, never a large sentinel. min/max never create
+new values, so equality comparisons between dioid matrices are exact, and a
+power is the same bits whichever chain built it. Every function here is
+pure; matrices are safe to share across threads, a PowerChain is not.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -64,8 +75,9 @@ def is_integer(value) -> bool:
 def _min_max_sweep(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """out = min(out, max(left[:, k], right[k, :])) for k in order, in place.
 
-    One n x n scratch buffer. With out, left and right one zero-diagonal
-    matrix, this is the (min, max) Floyd-Warshall closure.
+    One n x n scratch buffer of out's dtype, which the kernels here make a
+    rank dtype. With out, left and right one zero-diagonal matrix, this is
+    the (min, max) Floyd-Warshall closure.
     """
     step = np.empty_like(out)
     for k in range(out.shape[0]):
@@ -74,25 +86,72 @@ def _min_max_sweep(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.n
     return out
 
 
+def _ranked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, ranks): a's distinct values in increasing order, and a with each entry's index among them.
+
+    The ranks are uint16 for at most 65,536 distinct values (+inf counts as
+    one), else uint32. -0.0 and 0.0 share one rank, whose value is 0.0. One
+    argsort and one scatter, not np.unique, whose inverse is 1-D in numpy 1.x
+    and shaped like its input in 2.x, and which is slower on small matrices.
+    """
+    flat = a.ravel()
+    order = flat.argsort()
+    ordered = flat[order]
+    first = np.empty(flat.size, dtype=bool)  # True where a run of equal values starts
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    values = ordered[first]
+    del ordered  # the peak was order, ordered and values: each up to eight bytes an entry
+    values += 0.0  # -0.0 + 0.0 is 0.0
+    ranks = np.empty(flat.size, dtype=np.uint16 if values.size <= 1 << 16 else np.uint32)
+    first[:1] = False  # so the running count of run starts is each sorted entry's rank
+    ranks[order] = np.add.accumulate(first, dtype=ranks.dtype)
+    return values, ranks.reshape(a.shape)
+
+
+def _from_ranks(values: np.ndarray, ranks: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """values[ranks], with each diagonal cell where ``zeros`` holds a zero set to that zero, sign and all.
+
+    With no zero off the diagonal, a kernel's diagonal cell is 0 exactly
+    where ``zeros`` is, and the sweep over the values gives it that zero's
+    sign: A's own diagonal for powers and closures of A, and for a product
+    the larger of its operands' diagonal cells, as np.maximum picks between
+    -0.0 and 0.0.
+    """
+    out = values[ranks]
+    np.copyto(out.reshape(-1)[:: len(out) + 1], zeros, where=zeros == 0)
+    return out
+
+
+def _rank_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The dioid product of two rank matrices of one dtype, swept from that dtype's largest value, which no rank exceeds."""
+    return _min_max_sweep(np.full(left.shape, np.iinfo(left.dtype).max, dtype=left.dtype), left, right)
+
+
 def dioid_product(a, b) -> np.ndarray:
     """Dioid matrix product: out[i, j] = min_k max(a[i, k], b[k, j]).
 
-    The closure's k-sweep run out of place from an all-+inf matrix: O(n^3)
-    work in O(n^2) scratch.
+    Both operands are ranked against one values array (a once, when b is a),
+    and the closure's k-sweep runs out of place on the ranks, from the rank
+    dtype's largest value: O(n^3) work in O(n^2) scratch of two or four
+    bytes an entry. The result is the sweep over the values, bit for bit,
+    signed zeros on the diagonal included (see _from_ranks).
     """
     a = _as_dioid_matrix(a, "left operand")
     b = _as_dioid_matrix(b, "right operand")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _min_max_sweep(np.full(a.shape, np.inf), a, b)
+    values, ranks = _ranked(a if b is a else np.stack((a, b)))
+    left, right = (ranks, ranks) if b is a else ranks
+    return _from_ranks(values, _rank_product(left, right), np.maximum(np.diagonal(a), np.diagonal(b)))
 
 
-def _squaring(a: np.ndarray):
-    """Yield A, A^2, A^4, ..., each square built when asked for; None follows the first one that repeats."""
-    base = a
+def _squaring(ranks: np.ndarray):
+    """Yield the ranks of A, A^2, A^4, ..., each square built when asked for; None follows the first one that repeats."""
+    base = ranks
     while True:
         yield base
-        squared = dioid_product(base, base)
+        squared = _rank_product(base, base)
         if np.array_equal(squared, base):
             yield None
             return
@@ -117,32 +176,48 @@ def _binary_power(squares, k: int) -> np.ndarray:
     result, base = None, next(squares)
     while True:
         if k & 1:
-            result = base if result is None else dioid_product(result, base)
+            result = base if result is None else _rank_product(result, base)
         k >>= 1
         if not k:
             return result
         following = next(squares)
         if following is None:
-            return base if result is None else dioid_product(result, base)
+            return base if result is None else _rank_product(result, base)
         base = following
 
 
 class PowerChain:
-    """Dioid powers of one matrix that share its squaring sequence A, A^2, A^4, ...
+    """Dioid powers and the closure of one matrix, sharing its ranking and its squaring sequence A, A^2, A^4, ...
 
-    ``power(k)`` runs ``dioid_power``'s binary exponentiation over squares
-    that the chain keeps: each is built once, on first need, so a new k
-    costs at most one product per set bit beyond the squares already
-    built. The chain holds about log2(k) n x n squares for the largest k
-    asked, until it is dropped; powers are not kept. The arrays returned
-    may be the chain's own squares: read them, never write them. A chain
-    serves one thread.
+    The matrix is ranked once, on first need (see _ranked). ``power(k)``
+    runs ``dioid_power``'s binary exponentiation over squares that the chain
+    keeps as ranks: each is built once, on first need, so a new k costs at
+    most one product per set bit beyond the squares already built.
+    ``closure()`` is ``quasi_inverse``'s: a symmetric matrix is closed from
+    Prim's visit order on each call, any other by Floyd-Warshall once, kept
+    as ranks. Until it is dropped, the chain holds about log2(k) squares for
+    the largest k asked, and that closure, at two bytes an entry (four past
+    65,536 distinct values): a quarter of their float64 size. Each result is
+    a fresh float64 array but power(1), which is the chain's own matrix:
+    read it, never write it. A chain serves one thread.
     """
 
     def __init__(self, a):
         self.a = _as_dioid_matrix(a)
         self._built: list[np.ndarray | None] = []  # A^(2^i) so far, then None after one that repeats
-        self._source = _squaring(self.a)
+
+    @cached_property
+    def _ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        return _ranked(self.a)
+
+    @cached_property
+    def _source(self):
+        return _squaring(self._ranking[1])
+
+    @cached_property
+    def _floyd_warshall(self) -> np.ndarray:
+        closure = self._ranking[1].copy()
+        return _min_max_sweep(closure, closure, closure)
 
     def _squares(self):
         for i in itertools.count():
@@ -152,38 +227,57 @@ class PowerChain:
 
     def power(self, k: int) -> np.ndarray:
         """A^k, k >= 1; O(n^3 log k) worst case, and usually far less on matrices that stabilize early."""
-        return _binary_power(self._squares(), _checked_exponent(k))
+        k = _checked_exponent(k)
+        if k == 1:
+            return self.a
+        return _from_ranks(self._ranking[0], _binary_power(self._squares(), k), np.diagonal(self.a))
+
+    def closure(self) -> np.ndarray:
+        """quasi_inverse(A); see there."""
+        a = self.a
+        if np.diagonal(a).any():
+            i = int(np.nonzero(np.diagonal(a))[0][0])
+            raise ValueError(f"quasi-inverse needs a zero diagonal, got {a[i, i]} at ({i}, {i})")
+        if (a == a.T).all():
+            return _prim_closure(a)
+        return _from_ranks(self._ranking[0], self._floyd_warshall, np.diagonal(a))
 
 
 def dioid_power(a, k: int) -> np.ndarray:
     """k-th dioid power of a square matrix, k >= 1: a fresh array.
 
-    Binary exponentiation over the squaring sequence A, A^2, A^4, ... with
-    an early exit once the current square repeats (see _binary_power), so
-    the cost is O(n^3 log k) worst case and usually far less on matrices
-    that stabilize early. Each square is dropped once the next is built,
-    so four n x n arrays (base, its square, the result and one product
-    buffer) are live at most, whatever k is.
+    Binary exponentiation over the squaring sequence A, A^2, A^4, ... of
+    A's ranks, with an early exit once the current square repeats (see
+    _binary_power), so the cost is O(n^3 log k) worst case and usually far
+    less on matrices that stabilize early. Each square is dropped once the
+    next is built, so four n x n rank arrays (base, its square, the result
+    and one product buffer) are live at most, whatever k is.
     """
     a = _as_dioid_matrix(a)
-    result = _binary_power(_squaring(a), _checked_exponent(k))
-    return result.copy() if result is a else result
-
-
-def _in_leaf_order(near: np.ndarray | list[float], n: int) -> np.ndarray:
-    """The n x n ultrametric, in leaf order, whose neighbour entries are ``near`` (+inf ones part trees)."""
-    ordered = np.zeros((n, n))
-    for q in range(1, n):  # u(p, q) = max(u(p, q-1), u(q-1, q)), written to row and column q
-        ordered[q, :q] = ordered[:q, q] = np.maximum(ordered[q - 1, :q], near[q - 1])
-    return ordered
+    k = _checked_exponent(k)
+    if k == 1:
+        return a.copy()
+    values, ranks = _ranked(a)
+    return _from_ranks(values, _binary_power(_squaring(ranks), k), np.diagonal(a))
 
 
 def _in_input_order(order, near) -> np.ndarray:
-    """The ultrametric of leaves ``order`` (input indices, in tree order) with neighbour entries ``near``."""
-    n = len(order)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[np.asarray(order, dtype=np.intp)] = np.arange(n)
-    return _in_leaf_order(near, n).take(inverse, axis=0).take(inverse, axis=1)
+    """The ultrametric of leaves ``order`` (input indices, in tree order) with neighbour entries ``near``.
+
+    u(order[p], order[q]) = max(near[p], ..., near[q-1]) for p < q: each
+    leaf's row, in input order, holds the neighbour entries right of its
+    position in tree order and takes their running maximum; one gather puts
+    the columns in input order, and the larger of the matrix and its
+    transpose fills in the entries left of each position. O(n^2) work in a
+    fixed number of numpy steps; the diagonal is 0.0.
+    """
+    index = np.arange(len(order))
+    position = np.empty_like(index)  # each leaf's place in tree order
+    position[np.asarray(order, dtype=np.intp)] = index
+    right = np.where(index > position[:, None], np.concatenate(([0.0], near)), 0.0)
+    np.maximum.accumulate(right, axis=1, out=right)
+    right = right.take(position, axis=1)
+    return np.maximum(right, right.T)
 
 
 def _prim_closure(a: np.ndarray) -> np.ndarray:
@@ -194,8 +288,8 @@ def _prim_closure(a: np.ndarray) -> np.ndarray:
     node not visited. Prim takes a link above delta only once it has
     visited every delta-component it has entered, so each single-linkage
     cluster is one run of the order and u(v_i, v_j) = max(d_{i+1}, ...,
-    d_j): the leaf-order recurrence. O(n^2) work in n numpy steps; visited
-    nodes are masked by +inf, never by a copy of a.
+    d_j) (see _in_input_order). O(n^2) work in n numpy steps; visited nodes
+    are masked by +inf, never by a copy of a.
     """
     n = a.shape[0]
     order, near = [], []
@@ -209,7 +303,7 @@ def _prim_closure(a: np.ndarray) -> np.ndarray:
         visited[v] = key[v] = np.inf
         np.minimum(key, np.maximum(a[v], visited), out=key)
     closure = _in_input_order(order, near[1:])
-    np.fill_diagonal(closure, np.diagonal(a))
+    closure.reshape(-1)[:: n + 1] = np.diagonal(a)
     return closure
 
 
@@ -221,22 +315,16 @@ def quasi_inverse(a) -> np.ndarray:
     (equal to its transpose) is single linkage, closed in O(n^2) from
     Prim's visit order (Gower & Ross 1969). Any other runs the (min, max)
     Floyd-Warshall recurrence, the minimax form of Hu's maximum capacity
-    route recurrence: after step k, C[i, j] is the best bottleneck over
-    chains whose intermediate nodes lie in {0, ..., k}. That is O(n^3)
-    work in one n x n scratch buffer.
+    route recurrence, in place on A's ranks: after step k, C[i, j] is the
+    best bottleneck over chains whose intermediate nodes lie in {0, ..., k}.
+    That is O(n^3) work in one n x n scratch buffer of ranks. A PowerChain
+    of A runs it once for all the budgets it serves.
 
     Both equal the dioid power bit for bit, since min and max only ever
     select entries of A, so no product checks the result at run time; the
-    diagonal is A's own, -0.0 cells included. One caveat: where a -0.0
-    lies off the diagonal (validate_network refuses such zeros), the two
-    kernels agree by value only, as Floyd-Warshall's sign of zero then
-    follows its sweep order.
+    diagonal is A's own, -0.0 cells included. One caveat: a -0.0 off the
+    diagonal (validate_network refuses such zeros) is kept by value only,
+    as 0.0 or -0.0, and the float sweep's sign of zero there follows its
+    sweep order.
     """
-    a = _as_dioid_matrix(a)
-    if np.diagonal(a).any():
-        i = int(np.nonzero(np.diagonal(a))[0][0])
-        raise ValueError(f"quasi-inverse needs a zero diagonal, got {a[i, i]} at ({i}, {i})")
-    if np.array_equal(a, a.T):
-        return _prim_closure(a)
-    closure = a.copy()
-    return _min_max_sweep(closure, closure, closure)
+    return PowerChain(a).closure()

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dioid import _in_input_order, _in_leaf_order, dioid_product
+from .dioid import _in_input_order, _rank_product, _ranked
 from .network import format_value
 
 __all__ = [
@@ -222,7 +222,7 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     # outsider at one distance, above their mutual ones.
     order = np.lexsort(arr[::-1]) if n else np.arange(0)
     near = arr[order[:-1], order[1:]]
-    exact = bool((near > 0).all()) and np.array_equal(arr[np.ix_(order, order)], _in_leaf_order(near, n))
+    exact = bool((near > 0).all()) and np.array_equal(arr, _in_input_order(order, near))
     if exact and (near > tolerance).all():  # every finding follows from exactness
         report = UltrametricReport(n=n, tolerance=tolerance, symmetric=True, zero_diagonal=True,
                                    positive_off_diagonal=True, idempotent=True)
@@ -241,9 +241,8 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     if not exact:
         # min and max only select, so the dioid square of the entries' ranks
         # picks out the bounds, negative entries included, which the dioid rejects.
-        values, ranks = np.unique(arr, return_inverse=True)
-        ranks = ranks.reshape(arr.shape)
-        best = values[dioid_product(ranks, ranks).astype(int)]
+        values, ranks = _ranked(arr)
+        best = values[_rank_product(ranks, ranks)]
     idempotent = nonnegative and _matrices_close(best, arr, tolerance)
     # Offending triples for the report: u(x,y) > max(u(x,z), u(z,y)).
     violations = []

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dioid import PowerChain, dioid_power, is_integer, quasi_inverse
+from .dioid import PowerChain, is_integer, quasi_inverse
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
 from .network import Network, _require_valid, format_value
 
@@ -317,25 +317,25 @@ def _wrap(net: Network, matrix: np.ndarray, method: str) -> Ultrametric:
     return Ultrametric(net.labels, matrix, provenance=Provenance(method=method, n=net.n))
 
 
-def _hop_power(a: np.ndarray, hops: int) -> np.ndarray:
-    """A^hops from the chain of the run_methods call that evaluates a (opened on first use), else from dioid_power."""
+def _chain(a: np.ndarray) -> PowerChain:
+    """a's power chain in the run_methods call that evaluates it (opened on first use), else a chain of its own."""
     shared = _HOP_POWERS.get()
     if shared is None or shared[0] is not a:
-        return dioid_power(a, hops)
+        return PowerChain(a)
     if shared[1] is None:
         shared[1] = PowerChain(a)
-    return shared[1].power(hops)
+    return shared[1]
 
 
 def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametric:
     """Closure of max(A^t_fwd, (A^t_bwd)ᵀ), each budget clamped to max(n-1, 1).
 
     Powers stabilize at n-1, so the clamp changes no result. A budget at
-    the clamp is quasi_inverse's closure; one below it comes from the
-    power chain that the whole run_methods call shares, so budgets on one
-    network share their squarings, and A^1 is A itself. A direct call
-    outside run_methods takes each budget from dioid_power, which keeps no
-    squares. With both budgets
+    the clamp is quasi_inverse's closure, and one below it a dioid power;
+    both come from the power chain that the whole run_methods call shares,
+    so budgets on one network share their ranking, their squarings and one
+    Floyd-Warshall closure, and A^1 is A itself. A direct call outside
+    run_methods opens a chain for its own two budgets. With both budgets
     at the clamp, max(C, Cᵀ) is nonreciprocal and needs no outer closure.
     Any other joined matrix B is closed as min(B, Bᵀ), which is symmetric,
     so quasi_inverse takes its tree kernel: closure(B) is symmetric and at
@@ -344,7 +344,8 @@ def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametr
     _require_valid(net)
     a, cap = net.dissim, max(net.n - 1, 1)
     fwd, bwd = min(t_fwd, cap), min(t_bwd, cap)
-    powers = {hops: quasi_inverse(a) if hops == cap else _hop_power(a, hops) for hops in {fwd, bwd}}
+    chain = _chain(a)
+    powers = {hops: chain.closure() if hops == cap else chain.power(hops) for hops in {fwd, bwd}}
     joined = np.maximum(powers[fwd], powers[bwd].T)
     return _wrap(net, joined if fwd == bwd == cap else quasi_inverse(np.minimum(joined, joined.T)), method)
 
@@ -461,8 +462,8 @@ def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | Gra
     Specs are walked from an explicit stack, parts before the specs built
     from them, so convex nesting costs no Python recursion. Convex results
     are described only when returned, not at every nested level. Every hop
-    budget below n-1 comes from one power chain of net, opened on first use
-    and dropped when the call returns.
+    budget comes from one power chain of net, opened on first use and
+    dropped when the call returns.
     """
     def key(spec):  # convex specs by identity: the dataclass __eq__ and __hash__ recurse per level
         return id(spec) if spec.kind == "convex" else spec

@@ -113,3 +113,17 @@ def sweep8():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every (min, max) sweep run while the test runs, in order: True for a
+    Floyd-Warshall closure, run in place on its own operand, False for a
+    product, swept into a fresh matrix. Every product and every directed
+    closure, whoever asks for it, is one such sweep over ranks."""
+    import dioidclust.dioid
+
+    runs, sweep = [], dioidclust.dioid._min_max_sweep
+    monkeypatch.setattr(dioidclust.dioid, "_min_max_sweep",
+                        lambda out, left, right: runs.append(out is left) or sweep(out, left, right))
+    return runs

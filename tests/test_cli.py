@@ -591,24 +591,22 @@ def test_main_builds_the_parser_once(monkeypatch):
     assert len(builds) == 1
 
 
-def test_hop_budgets_at_the_clamp_take_one_closure_and_no_product(monkeypatch):
-    import dioidclust.dioid
-
-    closures, products = [], []
-    closure, product = dioidclust.methods.quasi_inverse, dioidclust.dioid.dioid_product
-    monkeypatch.setattr(dioidclust.methods, "quasi_inverse", lambda a: closures.append(a) or closure(a))
-    monkeypatch.setattr(dioidclust.dioid, "dioid_product", lambda a, b: products.append(a) or product(a, b))
+def test_hop_budgets_at_the_clamp_take_one_closure_and_no_product(sweeps):
     for t in (4, 5, 9):
-        closures.clear()
+        sweeps.clear()
         code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", f"semi-reciprocal:{t}")
         assert code == 0, err
         assert "1 -> {a,b,c,d}" in out
-        assert (len(closures), products) == (1, []), t
+        assert sweeps == [True], t  # one Floyd-Warshall closure, no product
+        # compare's nonreciprocal bound is the same closure of the same network
+        sweeps.clear()
+        code, out, err = run_cli("compare", "--input", CYCLE4, "--method", f"semi-reciprocal:{t}")
+        assert code == 0, err
+        assert sweeps == [True], t
 
 
-def test_cluster_validates_each_result_once(monkeypatch):
+def test_cluster_validates_each_result_once(monkeypatch, sweeps):
     import dioidclust.cli
-    import dioidclust.dioid
     import dioidclust.hierarchy
 
     def counting(original, calls):
@@ -617,14 +615,11 @@ def test_cluster_validates_each_result_once(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    validations, products, sorts = [], [], []
+    validations, sorts = [], []
     validate = counting(dioidclust.hierarchy.validate_ultrametric, validations)
-    product = counting(dioidclust.dioid.dioid_product, products)
     monkeypatch.setattr(np, "lexsort", counting(np.lexsort, sorts))
     monkeypatch.setattr(dioidclust.hierarchy, "validate_ultrametric", validate)
     monkeypatch.setattr(dioidclust.cli, "validate_ultrametric", validate)
-    monkeypatch.setattr(dioidclust.dioid, "dioid_product", product)
-    monkeypatch.setattr(dioidclust.hierarchy, "dioid_product", product)
     for argv in (["cluster", "--method", "reciprocal", "--emit", "newick"],
                  ["cluster", "--method", "nonreciprocal", "--emit", "newick"],
                  ["cut", "--method", "reciprocal", "--delta", "2.5"]):
@@ -633,13 +628,13 @@ def test_cluster_validates_each_result_once(monkeypatch):
         code, _, err = run_cli(*argv, "--input", CYCLE4)
         assert code == 0, err
         # A valid result is recognised in its leaf order, sorted once: no dioid product.
-        assert (len(validations), len(sorts), products) == (1, 1, []), argv
+        assert (len(validations), len(sorts), sweeps.count(False)) == (1, 1, 0), argv
     # Only an invalid result pays for the product that lists its violations.
     validations.clear()
     m = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     with pytest.raises(InvalidUltrametricError) as err:
         to_dendrogram(Ultrametric(("0", "1", "2"), m))
-    assert (len(validations), len(products)) == (1, 1)
+    assert (len(validations), sweeps.count(False)) == (1, 1)
     assert err.value.report == validate_ultrametric(m, 0.0)
     assert err.value.report.violations == (("0", "2", "1", 3.0, 1.0), ("1", "2", "0", 3.0, 1.0))
 

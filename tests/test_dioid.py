@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dioidclust import Network, dioid_power, dioid_product, quasi_inverse
-from dioidclust.dioid import PowerChain, _min_max_sweep
+from dioidclust.dioid import PowerChain, _in_input_order, _min_max_sweep, _ranked
 from dioidclust.oracle import brute_minimax_cost
 
 from conftest import cycle4_network, random_network
@@ -148,23 +148,88 @@ def test_one_chain_gives_every_power_bit_for_bit(n, seed, kind):
     assert a.view(np.uint64).tolist() == before.view(np.uint64).tolist()
 
 
-def test_chain_builds_each_square_once(monkeypatch):
-    import dioidclust.dioid
-
-    products = []
-    product = dioidclust.dioid.dioid_product
-    monkeypatch.setattr(dioidclust.dioid, "dioid_product", lambda a, b: products.append(1) or product(a, b))
+def test_chain_builds_each_square_once(sweeps):
     a = np.array([np.roll([0.0, 1.0] + [9.0] * 7, i) for i in range(9)])  # a directed 9-cycle: stable from A^8
     chain = PowerChain(a)
-    assert chain.power(4) is chain.power(4) and len(products) == 2  # A^2, A^4
+    assert np.array_equal(chain.power(4), chain.power(4)) and sweeps == [False] * 2  # A^2, A^4
     chain.power(5)
-    assert len(products) == 3  # A * A^4 on the squares already built
+    assert len(sweeps) == 3  # A * A^4 on the squares already built
     chain.power(6)
-    assert len(products) == 4  # A^2 * A^4
+    assert len(sweeps) == 4  # A^2 * A^4
     chain.power(5)
-    assert len(products) == 5  # powers are not kept: A * A^4 again
-    assert chain.power(1) is chain.a and len(products) == 5
+    assert len(sweeps) == 5  # powers are not kept: A * A^4 again
+    assert chain.power(1) is chain.a and len(sweeps) == 5
+    assert np.array_equal(chain.closure(), chain.closure()) and sweeps[5:] == [True]  # one Floyd-Warshall
     assert dioid_power(a, 1) is not a and np.array_equal(dioid_power(a, 1), a)
+
+
+def bits(m):
+    return m.view(np.uint64).tolist()
+
+
+def swept_product(a, b):
+    """The reference product: the k-sweep over the values themselves, from +inf."""
+    return _min_max_sweep(np.full(a.shape, np.inf), a, b)
+
+
+def swept_closure(a):
+    closure = a.copy()
+    return _min_max_sweep(closure, closure, closure)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two n x n matrices, n up to 10: reals in (0, 1] or integers 1-3 (so ties),
+    +inf cells at random, and each diagonal cell 0.0, -0.0 or positive."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ties = draw(st.booleans())
+    pair = []
+    for _ in range(2):
+        a = rng.integers(1, 4, (n, n)).astype(float) if ties else 1.0 - rng.random((n, n))
+        a[rng.random((n, n)) < 0.2] = np.inf
+        np.fill_diagonal(a, np.where(rng.random(n) < 0.8, rng.choice([0.0, -0.0], n), np.diagonal(a)))
+        pair.append(a)
+    return pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(operand_pairs())
+def test_rank_space_kernels_match_the_float_sweep_bit_for_bit(pair):
+    # Products, chain and direct powers and the directed closure run on ranks; the reference
+    # sweeps the values. ±0.0 diagonals of the two operands meet in every combination.
+    a, b = pair
+    n = len(a)
+    assert bits(dioid_product(a, b)) == bits(swept_product(a, b))
+    assert bits(dioid_product(a, a)) == bits(swept_product(a, a))
+    chain, power = PowerChain(a), a
+    for k in range(2, n + 2):
+        power = swept_product(power, a)
+        assert bits(chain.power(k)) == bits(power) == bits(dioid_power(a, k)), k
+    zero = a.copy()
+    np.fill_diagonal(zero, np.copysign(0.0, np.diagonal(a)))
+    assert bits(quasi_inverse(zero)) == bits(PowerChain(zero).closure()) == bits(swept_closure(zero))
+
+
+def test_ranks_widen_past_65536_distinct_values():
+    values, ranks = _ranked(np.array([[-0.0, np.inf], [0.0, np.inf]]))
+    assert bits(values) == bits(np.array([0.0, np.inf])) and ranks.tolist() == [[0, 1], [0, 1]]
+    assert _ranked(np.arange(1 << 16, dtype=float))[1].dtype == np.uint16
+    assert _ranked(np.arange((1 << 16) + 1, dtype=float))[1].dtype == np.uint32
+
+
+def test_kernels_past_65536_distinct_values_match_the_float_sweep():
+    rng = np.random.default_rng(257)
+    n = 257
+    a, b = 1.0 - rng.random((2, n, n))  # every off-diagonal entry of a distinct: 65,793 values with 0.0
+    b[rng.random((n, n)) < 0.01] = np.inf
+    for m in (a, b):
+        np.fill_diagonal(m, np.where(rng.random(n) < 0.5, -0.0, 0.0))
+    values, ranks = _ranked(a)
+    assert values.size > 1 << 16 and ranks.dtype == np.uint32
+    assert bits(dioid_product(a, b)) == bits(swept_product(a, b))
+    assert bits(quasi_inverse(a)) == bits(swept_closure(a))
+    assert bits(dioid_power(a, 3)) == bits(swept_product(swept_product(a, a), a))
 
 
 def test_power_keeps_no_squares_it_has_used():
@@ -347,6 +412,24 @@ def test_symmetric_closure_matches_floyd_warshall_bit_for_bit(a):
             for j, dst in enumerate(net.labels):
                 if i != j:
                     assert closure[i, j] == brute_minimax_cost(net, src, dst), (src, dst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 2**32 - 1), st.booleans())
+def test_tree_order_matrix_matches_the_leaf_order_recurrence(n, seed, ties):
+    # The reference builds u(p, q) = max(u(p, q-1), near[q-1]) one leaf at a time, then
+    # scatters it to input order; +inf entries part trees.
+    rng = np.random.default_rng(seed)
+    near = rng.integers(1, 4, max(n - 1, 0)).astype(float) if ties else 1.0 - rng.random(max(n - 1, 0))
+    near[rng.random(len(near)) < 0.2] = np.inf
+    order = rng.permutation(n)
+    ordered = np.zeros((n, n))
+    for q in range(1, n):
+        ordered[q, :q] = ordered[:q, q] = np.maximum(ordered[q - 1, :q], near[q - 1])
+    expected = np.empty((n, n))
+    expected[np.ix_(order, order)] = ordered
+    assert bits(_in_input_order(order, near)) == bits(expected)
+    assert bits(_in_input_order(tuple(order.tolist()), near.tolist())) == bits(expected)
 
 
 def test_a_negative_zero_off_the_diagonal_is_kept_by_value_only():

@@ -302,8 +302,8 @@ def test_leaf_order_edge_cases():
 
 def _product_report(m, tolerance=0.0, labels=None):
     """validate_ultrametric with the exact test failing, so the dioid product decides."""
-    # A matrix of the wrong shape equals no reordered input, whatever its size.
-    with mock.patch.object(dioidclust.hierarchy, "_in_leaf_order", lambda near, n: np.zeros((n + 1, n + 1))):
+    # A matrix of the wrong shape equals no input, whatever its size.
+    with mock.patch.object(dioidclust.hierarchy, "_in_input_order", lambda order, near: np.zeros((len(order) + 1,) * 2)):
         return validate_ultrametric(m, tolerance, labels=labels)
 
 

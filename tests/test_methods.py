@@ -546,45 +546,49 @@ def test_disconnected_network_keeps_infinite_entries():
     assert validate_ultrametric(u.dist, 0.0).is_valid
 
 
-def test_only_a_directed_closure_runs_floyd_warshall(monkeypatch, rng):
+def test_only_a_directed_closure_runs_floyd_warshall(sweeps, rng):
     # A sweep run in place on its own operands is the Floyd-Warshall closure; a product
-    # sweeps into a fresh +inf matrix. Every symmetric closure takes the tree kernel.
-    import dioidclust.dioid
-
-    closures, sweep = [], dioidclust.dioid._min_max_sweep
-    monkeypatch.setattr(dioidclust.dioid, "_min_max_sweep",
-                        lambda out, left, right: closures.append(out is left) or sweep(out, left, right))
+    # sweeps into a fresh matrix. Every symmetric closure takes the tree kernel.
     net = random_network(rng, n=8)
     symmetric = random_network(rng, n=8, symmetric=True)
     runs = [(net, "reciprocal", 0), (net, "semi-reciprocal:3", 0), (net, "intermediate:2,4", 0),
             (symmetric, "single-linkage", 0), (net, "convex:0.5*reciprocal+0.5*semi-reciprocal:3", 0),
             (net, "nonreciprocal", 1), (symmetric, "nonreciprocal", 0)]
     for network, text, count in runs:
-        closures.clear()
+        sweeps.clear()
         run_method(network, parse_method_spec(text))
-        assert sum(closures) == count, text
+        assert sum(sweeps) == count, text
 
 
-def test_one_run_methods_call_shares_one_power_chain(rng, monkeypatch):
-    import dioidclust.dioid
+def test_one_run_methods_call_closes_a_network_once(sweeps, rng):
+    # Every budget at the clamp of 127 hops takes the chain's one Floyd-Warshall closure.
+    net = random_network(rng, n=128)
+    specs = [parse_method_spec(text) for text in ("nonreciprocal", "semi-reciprocal:200", "intermediate:127,3")]
+    alone = [run_method(net, spec).dist for spec in specs]
+    sweeps.clear()
+    together = run_methods(net, specs)
+    assert sweeps.count(True) == 1 and sweeps.count(False) == 2  # and A^2, A * A^2 for the budget 3
+    for spec, u, v in zip(specs, together, alone):
+        assert u.dist.view(np.uint64).tolist() == v.view(np.uint64).tolist(), spec.describe()
+
+
+def test_one_run_methods_call_shares_one_power_chain(sweeps, rng):
     import dioidclust.methods
 
     net = random_network(rng, n=12)
     specs = [parse_method_spec(text) for text in ("semi-reciprocal:3", "semi-reciprocal:6", "intermediate:2,4")]
     alone = [run_method(net, spec).dist for spec in specs]
-    products = []
-    product = dioidclust.dioid.dioid_product
-    monkeypatch.setattr(dioidclust.dioid, "dioid_product", lambda a, b: products.append(1) or product(a, b))
+    sweeps.clear()
     together = run_methods(net, specs)
     # A^2, A^4 and A * A^4 for the budgets 2, 5, 2 and 4, all below the clamp at 11 hops.
-    assert len(products) <= 3
+    assert len(sweeps) <= 3 and not any(sweeps)
     for spec, u, v in zip(specs, together, alone):
         assert u.dist.view(np.uint64).tolist() == v.view(np.uint64).tolist(), spec.describe()
     # Nothing outlives the call: a later call builds its powers again.
     assert dioidclust.methods._HOP_POWERS.get() is None
-    products.clear()
+    sweeps.clear()
     semi_reciprocal(net, 6)
-    assert len(products) == 3  # A^2, A^4 and A * A^4, on a chain of its own
+    assert sweeps == [False] * 3  # A^2, A^4 and A * A^4, on a chain of its own
 
 
 def test_concurrent_calls_on_one_network_agree(rng):
