@@ -25,7 +25,10 @@ one (min, max) kernel: every product and every Floyd-Warshall closure is
 one sweep of it over ranks. -0.0 and 0.0 share a rank; each kernel restores
 the signed zeros of its diagonal as the sweep over the values sets them
 (see _from_ranks), and a zero off the diagonal, which validate_network
-refuses, comes back as 0.0.
+refuses, comes back as 0.0. Rank matrices are _Ranks, which dioid_product
+and quasi_inverse take as they are, so every product, whoever asks for it,
+is one dioid_product call, and every Floyd-Warshall closure one
+quasi_inverse call: a hook on either sees all of them.
 
 Bounded-hop powers run one binary exponentiation over the squaring
 sequence A, A^2, A^4, ... dioid_power drops each square once the next is
@@ -73,12 +76,14 @@ def is_integer(value) -> bool:
 
 
 def _min_max_sweep(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """out = min(out, max(left[:, k], right[k, :])) for k in order, in place.
+    """out = min(out, max(left[:, k], right[k, :])) for k in order, in place; returns out as a plain ndarray.
 
     One n x n scratch buffer of out's dtype, which the kernels here make a
     rank dtype. With out, left and right one zero-diagonal matrix, this is
-    the (min, max) Floyd-Warshall closure.
+    the (min, max) Floyd-Warshall closure. The sweep runs on plain views,
+    so slicing per k pays no subclass overhead.
     """
+    out, left, right = np.asarray(out), np.asarray(left), np.asarray(right)
     step = np.empty_like(out)
     for k in range(out.shape[0]):
         np.maximum(left[:, k, None], right[None, k, :], out=step)
@@ -86,7 +91,16 @@ def _min_max_sweep(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.n
     return out
 
 
-def _ranked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Ranks(np.ndarray):
+    """A matrix of ranks into one increasing values array (see _ranked), which the caller keeps.
+
+    dioid_product of two _Ranks against one values array, and quasi_inverse
+    of the ranks of a zero-diagonal matrix, run in rank space and return
+    _Ranks; only this module makes them.
+    """
+
+
+def _ranked(a: np.ndarray) -> tuple[np.ndarray, _Ranks]:
     """(values, ranks): a's distinct values in increasing order, and a with each entry's index among them.
 
     The ranks are uint16 for at most 65,536 distinct values (+inf counts as
@@ -106,7 +120,7 @@ def _ranked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranks = np.empty(flat.size, dtype=np.uint16 if values.size <= 1 << 16 else np.uint32)
     first[:1] = False  # so the running count of run starts is each sorted entry's rank
     ranks[order] = np.add.accumulate(first, dtype=ranks.dtype)
-    return values, ranks.reshape(a.shape)
+    return values, ranks.reshape(a.shape).view(_Ranks)
 
 
 def _from_ranks(values: np.ndarray, ranks: np.ndarray, zeros: np.ndarray) -> np.ndarray:
@@ -135,8 +149,12 @@ def dioid_product(a, b) -> np.ndarray:
     and the closure's k-sweep runs out of place on the ranks, from the rank
     dtype's largest value: O(n^3) work in O(n^2) scratch of two or four
     bytes an entry. The result is the sweep over the values, bit for bit,
-    signed zeros on the diagonal included (see _from_ranks).
+    signed zeros on the diagonal included (see _from_ranks). Two _Ranks
+    against one values array, as the power chains and _square_by_rank pass
+    them, are multiplied as they are, and their product is _Ranks.
     """
+    if isinstance(a, _Ranks):
+        return _rank_product(a, b).view(_Ranks)
     a = _as_dioid_matrix(a, "left operand")
     b = _as_dioid_matrix(b, "right operand")
     if a.shape != b.shape:
@@ -151,7 +169,7 @@ def _squaring(ranks: np.ndarray):
     base = ranks
     while True:
         yield base
-        squared = _rank_product(base, base)
+        squared = dioid_product(base, base)
         if np.array_equal(squared, base):
             yield None
             return
@@ -176,13 +194,13 @@ def _binary_power(squares, k: int) -> np.ndarray:
     result, base = None, next(squares)
     while True:
         if k & 1:
-            result = base if result is None else _rank_product(result, base)
+            result = base if result is None else dioid_product(result, base)
         k >>= 1
         if not k:
             return result
         following = next(squares)
         if following is None:
-            return base if result is None else _rank_product(result, base)
+            return base if result is None else dioid_product(result, base)
         base = following
 
 
@@ -193,12 +211,16 @@ class PowerChain:
     runs ``dioid_power``'s binary exponentiation over squares that the chain
     keeps as ranks: each is built once, on first need, so a new k costs at
     most one product per set bit beyond the squares already built.
-    ``closure()`` is ``quasi_inverse``'s: a symmetric matrix is closed from
-    Prim's visit order on each call, any other by Floyd-Warshall once, kept
-    as ranks. Until it is dropped, the chain holds about log2(k) squares for
-    the largest k asked, and that closure, at two bytes an entry (four past
-    65,536 distinct values): a quarter of their float64 size. Each result is
-    a fresh float64 array but power(1), which is the chain's own matrix:
+    ``closure()`` is ``quasi_inverse(A)``: that call itself on each call
+    for a symmetric matrix, and for any other one quasi_inverse call on
+    the chain's ranks, whose Floyd-Warshall closure the chain keeps. Until
+    it is dropped, the chain holds about log2(k) squares for the largest k
+    asked, and that closure, at two bytes an entry (four past 65,536
+    distinct values): a quarter of their float64 size. On a directed path,
+    whose squares change up to A^(n-1), that peaks near eleven float64
+    matrices at n=600 with every entry distinct, so a caller that needs one
+    power takes dioid_power, which keeps no square it has used. Each result
+    is a fresh float64 array but power(1), which is the chain's own matrix:
     read it, never write it. A chain serves one thread.
     """
 
@@ -215,9 +237,13 @@ class PowerChain:
         return _squaring(self._ranking[1])
 
     @cached_property
-    def _floyd_warshall(self) -> np.ndarray:
-        closure = self._ranking[1].copy()
-        return _min_max_sweep(closure, closure, closure)
+    def _directed(self) -> bool:
+        """A has a zero diagonal and differs from its transpose: quasi_inverse would run Floyd-Warshall."""
+        return not np.diagonal(self.a).any() and not (self.a == self.a.T).all()
+
+    @cached_property
+    def _floyd_warshall(self) -> _Ranks:
+        return quasi_inverse(self._ranking[1])
 
     def _squares(self):
         for i in itertools.count():
@@ -233,14 +259,10 @@ class PowerChain:
         return _from_ranks(self._ranking[0], _binary_power(self._squares(), k), np.diagonal(self.a))
 
     def closure(self) -> np.ndarray:
-        """quasi_inverse(A); see there."""
-        a = self.a
-        if np.diagonal(a).any():
-            i = int(np.nonzero(np.diagonal(a))[0][0])
-            raise ValueError(f"quasi-inverse needs a zero diagonal, got {a[i, i]} at ({i}, {i})")
-        if (a == a.T).all():
-            return _prim_closure(a)
-        return _from_ranks(self._ranking[0], self._floyd_warshall, np.diagonal(a))
+        """quasi_inverse(A); see there. A directed closure is swept once, on the chain's ranks."""
+        if not self._directed:
+            return quasi_inverse(self.a)
+        return _from_ranks(self._ranking[0], self._floyd_warshall, np.diagonal(self.a))
 
 
 def dioid_power(a, k: int) -> np.ndarray:
@@ -259,6 +281,17 @@ def dioid_power(a, k: int) -> np.ndarray:
         return a.copy()
     values, ranks = _ranked(a)
     return _from_ranks(values, _binary_power(_squaring(ranks), k), np.diagonal(a))
+
+
+def _square_by_rank(a: np.ndarray) -> np.ndarray:
+    """The (min, max) square of a square matrix of any non-NaN reals, negatives and -inf included.
+
+    min and max only select, so one dioid_product of a's ranks, mapped back
+    through its values, gives the square of the values, which dioid_product
+    refuses for a negative entry. A -0.0 comes back as 0.0.
+    """
+    values, ranks = _ranked(a)
+    return values[dioid_product(ranks, ranks)]
 
 
 def _in_input_order(order, near) -> np.ndarray:
@@ -318,7 +351,8 @@ def quasi_inverse(a) -> np.ndarray:
     route recurrence, in place on A's ranks: after step k, C[i, j] is the
     best bottleneck over chains whose intermediate nodes lie in {0, ..., k}.
     That is O(n^3) work in one n x n scratch buffer of ranks. A PowerChain
-    of A runs it once for all the budgets it serves.
+    of A runs it once for all the budgets it serves, passing its ranks,
+    which are closed on a copy and returned as _Ranks.
 
     Both equal the dioid power bit for bit, since min and max only ever
     select entries of A, so no product checks the result at run time; the
@@ -327,4 +361,14 @@ def quasi_inverse(a) -> np.ndarray:
     as 0.0 or -0.0, and the float sweep's sign of zero there follows its
     sweep order.
     """
-    return PowerChain(a).closure()
+    if isinstance(a, _Ranks):
+        closure = np.array(a)
+        return _min_max_sweep(closure, closure, closure).view(_Ranks)
+    a = _as_dioid_matrix(a)
+    if np.diagonal(a).any():
+        i = int(np.nonzero(np.diagonal(a))[0][0])
+        raise ValueError(f"quasi-inverse needs a zero diagonal, got {a[i, i]} at ({i}, {i})")
+    if (a == a.T).all():
+        return _prim_closure(a)
+    values, closure = _ranked(a)
+    return _from_ranks(values, _min_max_sweep(closure, closure, closure), np.diagonal(a))

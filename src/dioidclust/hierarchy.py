@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dioid import _in_input_order, _rank_product, _ranked
+from .dioid import _in_input_order, _square_by_rank
 from .network import format_value
 
 __all__ = [
@@ -239,10 +239,7 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
 
     best = arr  # an exact ultrametric is its own dioid square
     if not exact:
-        # min and max only select, so the dioid square of the entries' ranks
-        # picks out the bounds, negative entries included, which the dioid rejects.
-        values, ranks = _ranked(arr)
-        best = values[_rank_product(ranks, ranks)]
+        best = _square_by_rank(arr)  # negative entries included, which the dioid rejects
     idempotent = nonnegative and _matrices_close(best, arr, tolerance)
     # Offending triples for the report: u(x,y) > max(u(x,z), u(z,y)).
     violations = []

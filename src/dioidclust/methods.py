@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dioid import PowerChain, is_integer, quasi_inverse
+from .dioid import PowerChain, dioid_power, is_integer, quasi_inverse
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
 from .network import Network, _require_valid, format_value
 
@@ -317,14 +317,18 @@ def _wrap(net: Network, matrix: np.ndarray, method: str) -> Ultrametric:
     return Ultrametric(net.labels, matrix, provenance=Provenance(method=method, n=net.n))
 
 
-def _chain(a: np.ndarray) -> PowerChain:
-    """a's power chain in the run_methods call that evaluates it (opened on first use), else a chain of its own."""
+def _hop_power(a: np.ndarray, hops: int, cap: int) -> np.ndarray:
+    """A^hops for hops < cap, and A's closure at cap: from the power chain of the run_methods call that evaluates a.
+
+    That chain is opened on first use. A direct call outside run_methods
+    takes dioid_power and quasi_inverse, which keep no square they have used.
+    """
     shared = _HOP_POWERS.get()
     if shared is None or shared[0] is not a:
-        return PowerChain(a)
+        return quasi_inverse(a) if hops == cap else dioid_power(a, hops)
     if shared[1] is None:
         shared[1] = PowerChain(a)
-    return shared[1]
+    return shared[1].closure() if hops == cap else shared[1].power(hops)
 
 
 def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametric:
@@ -335,7 +339,8 @@ def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametr
     both come from the power chain that the whole run_methods call shares,
     so budgets on one network share their ranking, their squarings and one
     Floyd-Warshall closure, and A^1 is A itself. A direct call outside
-    run_methods opens a chain for its own two budgets. With both budgets
+    run_methods takes each budget from dioid_power or quasi_inverse, so it
+    keeps no squares. With both budgets
     at the clamp, max(C, Cᵀ) is nonreciprocal and needs no outer closure.
     Any other joined matrix B is closed as min(B, Bᵀ), which is symmetric,
     so quasi_inverse takes its tree kernel: closure(B) is symmetric and at
@@ -344,8 +349,7 @@ def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametr
     _require_valid(net)
     a, cap = net.dissim, max(net.n - 1, 1)
     fwd, bwd = min(t_fwd, cap), min(t_bwd, cap)
-    chain = _chain(a)
-    powers = {hops: chain.closure() if hops == cap else chain.power(hops) for hops in {fwd, bwd}}
+    powers = {hops: _hop_power(a, hops, cap) for hops in {fwd, bwd}}
     joined = np.maximum(powers[fwd], powers[bwd].T)
     return _wrap(net, joined if fwd == bwd == cap else quasi_inverse(np.minimum(joined, joined.T)), method)
 

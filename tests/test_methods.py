@@ -572,6 +572,53 @@ def test_one_run_methods_call_closes_a_network_once(sweeps, rng):
         assert u.dist.view(np.uint64).tolist() == v.view(np.uint64).tolist(), spec.describe()
 
 
+def test_every_sweep_runs_in_one_public_product_or_closure_call(monkeypatch, sweeps, rng):
+    # A hook on dioid's own dioid_product and quasi_inverse, as an outside tracer sets one,
+    # sees every product and every Floyd-Warshall closure: the chain's, dioid_power's and
+    # the validation square's, all swept on ranks, included.
+    import dioidclust.dioid as dioid
+
+    depth, inside = [0], []
+
+    def hook(fn):
+        def hooked(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return hooked
+
+    for name in ("dioid_product", "quasi_inverse"):
+        monkeypatch.setattr(dioid, name, hook(getattr(dioid, name)))
+    sweep = dioid._min_max_sweep
+    monkeypatch.setattr(dioid, "_min_max_sweep", lambda *args: inside.append(depth[0]) or sweep(*args))
+    net = random_network(rng, n=32)
+    run_methods(net, [parse_method_spec(text) for text in ("nonreciprocal", "semi-reciprocal:5", "intermediate:31,3")])
+    semi_reciprocal(net, 6)  # outside run_methods: dioid_power
+    assert not validate_ultrametric(net.dissim, 0.0).is_valid  # one square of the entries' ranks
+    assert True in sweeps and False in sweeps and inside == [1] * len(sweeps)
+
+
+def test_direct_hop_call_keeps_no_squares():
+    import tracemalloc
+
+    # A directed path changes until A^(n-1), so a chain would keep six squares of it. A direct
+    # call outside run_methods keeps none, within dioid_power's own bound of eight matrices.
+    n = 64
+    a = 1000.0 + np.arange(n * n, dtype=float).reshape(n, n)  # every entry distinct
+    np.fill_diagonal(a, 0.0)
+    a[np.arange(n - 1), np.arange(1, n)] = np.arange(1, n)
+    net = Network(tuple(str(i) for i in range(n)), a)
+    tracemalloc.start()
+    try:
+        semi_reciprocal(net, n - 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * a.nbytes
+
+
 def test_one_run_methods_call_shares_one_power_chain(sweeps, rng):
     import dioidclust.methods
 
