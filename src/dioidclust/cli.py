@@ -382,3 +382,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

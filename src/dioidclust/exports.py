@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -63,26 +64,45 @@ def _json_number(value: float) -> str:
     return json.dumps(format_value(value) if math.isinf(value) else value)
 
 
+def _json_resolution(value) -> str:
+    """An int or float as json writes it; any other real number (Fraction, numpy scalar) as its float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (int, float)):
+        value = float(value)
+    return json.dumps(value)
+
+
+def _json_list(texts, depth: int) -> str:
+    """A list of JSON texts laid out as ``json.dumps(indent=2)`` lays out one nested ``depth`` deep."""
+    if not texts:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * depth + "]"
+
+
 def dendrogram_json(u: Ultrametric, d: Dendrogram) -> str:
     """JSON document with labels, merge events, and the full matrix.
 
-    The matrix block is laid out as ``json.dumps(indent=2)`` lays it out,
-    from one text per distinct value.
+    Laid out as ``json.dumps(indent=2, sort_keys=True)`` lays it out, joined
+    from one text per label and per distinct matrix value: with an indent,
+    json would run its pure-Python encoder over the whole document.
+    Resolutions other than int and float are written as their float.
     """
-    doc = {
-        "labels": list(u.labels),
-        "matrix": None,
-        "merges": [
-            {"resolution": event.resolution, "blocks": [list(b) for b in event.blocks]}
-            for event in d.merges
-        ],
-    }
-    # Labels are escaped onto one line each, so only the top level holds this line.
-    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition('\n  "matrix": null,\n')
-    rows = ["    [\n      " + ",\n      ".join(row) + "\n    ]"
-            for row in _format_array(u.dist, _json_number).tolist()]
-    matrix = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    return f'{head}\n  "matrix": {matrix},\n{tail}\n'
+    texts = {label: json.dumps(label) for label in u.labels}
+    events = []
+    for event in d.merges:
+        blocks = [_json_list([texts.get(m) or json.dumps(m) for m in b], 4) for b in event.blocks]
+        events.append(f'{{\n      "blocks": {_json_list(blocks, 3)},\n'
+                      f'      "resolution": {_json_resolution(event.resolution)}\n    }}')
+    rows = [_json_list(row, 2) for row in _format_array(u.dist, _json_number).tolist()]
+    head = f'{{\n  "labels": {_json_list(list(texts.values()), 1)},\n  "matrix": '
+    tail = f',\n  "merges": {_json_list(events, 1)}\n}}\n'
+    if not rows:
+        return head + "[]" + tail
+    # The matrix rows, head and tail are joined at once: a matrix block joined
+    # apart would be a second copy of most of the document.
+    rows[0] = head + "[\n    " + rows[0]
+    rows[-1] += "\n  ]" + tail
+    return ",\n    ".join(rows)
 
 
 def partition_json(p: Partition) -> str:

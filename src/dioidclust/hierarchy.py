@@ -12,9 +12,11 @@ resolution joining each pair of neighbours (+inf between trees), which fix
 the matrix by u(p, q) = max(u(p, q-1), u(q-1, q)). ``validate_ultrametric``
 sorts the leaves once and compares the matrix with that recurrence's;
 ``to_dendrogram`` and ``cut_at_resolution`` read its order. A dendrogram
-replays its merge events once, refusing malformed ones (an event at +inf, a
-block nesting one of its own resolution: neither has an ultrametric); roots,
-Newick and ``from_dendrogram`` read that replay.
+holds its tree order in one canonical form, children by smallest leaf: one
+built by ``to_dendrogram`` gets it from the walk that forms its blocks, and
+any other replays its merge events once, refusing malformed ones (an event
+at +inf, a block nesting one of its own resolution: neither has an
+ultrametric). Roots, Newick and ``from_dendrogram`` read that order.
 """
 
 from __future__ import annotations
@@ -113,14 +115,21 @@ class MergeEvent:
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Nested merge structure: leaves plus one event per merging resolution, read in tree order."""
+    """Nested merge structure: leaves plus one event per merging resolution, read in tree order.
+
+    ``to_dendrogram`` hands its result the tree order it read; any other
+    dendrogram replays its merges on the first read.
+    """
 
     leaves: tuple[str, ...]
     merges: tuple[MergeEvent, ...]
 
     @cached_property
     def _tree_order(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """The merges replayed once, on first read; not a field, so eq, hash and repr skip it."""
+        """The merges replayed once, on first read, unless to_dendrogram set it.
+
+        Not a field, so eq, hash and repr skip it.
+        """
         return _replay(self)
 
     @property
@@ -263,6 +272,8 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[float, ...]]:
     Children and roots are ordered by smallest leaf, so each tree and block is
     one run. Returns the leaves in that order (as indices) and the resolution,
     as its event holds it, joining each to the next (+inf between trees).
+    ``to_dendrogram`` builds the same pair itself, so only dendrograms built
+    elsewhere are replayed.
     Raises DendrogramStructureError for ill-formed merges, a resolution that is
     not a real number (bools and Decimals included) or not positive and finite,
     and a block nesting one of its own resolution among them.
@@ -308,8 +319,13 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[float, ...]]:
             last_leaf[parts[0]], size[parts[0]], formed[parts[0]] = last_leaf[parts[-1]], len(members), event.resolution
             for m in members:
                 first[index[m]] = parts[0]
+    return _linked_order(sorted(set(first), key=d.leaves.__getitem__), following, joined)
+
+
+def _linked_order(heads, following, joined) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The leaves linked from each head in turn, and the resolution joining each to the next."""
     order = []
-    for leaf in sorted(set(first), key=d.leaves.__getitem__):
+    for leaf in heads:
         while leaf >= 0:
             order.append(leaf)
             leaf = following[leaf]
@@ -332,19 +348,37 @@ def to_dendrogram(u: Ultrametric) -> Dendrogram:
     when u is valid) and invalid input raises InvalidUltrametricError with its
     report. Blocks are read along u's leaf order as Newick reads them: each
     opens at a neighbour entry and closes at the first larger one (+inf: a root).
+    The same walk links each closed block's children by smallest leaf, so the
+    returned dendrogram holds its tree order from the start, the pair a replay
+    of its merges would give, and is never replayed.
     """
     order, near = _checked_order(u)
+    order = order.tolist()
     labels = [u.labels[i] for i in order]
-    formed, stack = {}, []  # blocks by resolution; open blocks, innermost last: (resolution, first position)
-    for p, delta in enumerate(near.tolist() + [math.inf]):
+    # Per leaf: the next leaf in tree order and their resolution, as _replay links them. A block
+    # is known by its first leaf in that order, which is its smallest; per first leaf: its last.
+    following, joined, last = [-1] * u.n, [math.inf] * u.n, list(range(u.n))
+    formed, stack, roots = {}, [], []  # blocks by resolution; open blocks, innermost last; trees
+    for p, (child, delta) in enumerate(zip(order, near.tolist() + [math.inf])):
         start = p
         while stack and stack[-1][0] < delta:
-            height, start = stack.pop()
+            height, start, children = stack.pop()
             formed.setdefault(height, []).append(labels[start:p + 1])
-        if delta < math.inf and (not stack or stack[-1][0] != delta):
-            stack.append((delta, start))
+            children.append(child)
+            children.sort(key=u.labels.__getitem__)
+            for a, b in zip(children, children[1:]):
+                following[last[a]], joined[last[a]] = b, height
+            child, last[children[0]] = children[0], last[children[-1]]
+        if delta == math.inf:
+            roots.append(child)
+            continue
+        if not stack or stack[-1][0] != delta:
+            stack.append((delta, start, []))
+        stack[-1][2].append(child)
     merges = (MergeEvent(delta, _sorted_blocks(formed[delta])) for delta in sorted(formed))
-    return Dendrogram(u.labels, tuple(merges))
+    d = Dendrogram(u.labels, tuple(merges))
+    object.__setattr__(d, "_tree_order", _linked_order(sorted(roots, key=u.labels.__getitem__), following, joined))
+    return d
 
 
 def from_dendrogram(d: Dendrogram, provenance: Provenance | None = None) -> Ultrametric:

@@ -639,14 +639,19 @@ def test_cluster_validates_each_result_once(monkeypatch, sweeps):
     assert err.value.report.violations == (("0", "2", "1", 3.0, 1.0), ("1", "2", "0", 3.0, 1.0))
 
 
-def test_cluster_replays_the_merges_once():
+def test_cluster_exports_never_replay(tmp_path):
     import dioidclust.hierarchy
 
+    argv = ["cluster", "--input", SWEEP8, "--method", "semi-reciprocal:3"]
+    for fmt in ("newick", "json", "csv"):
+        argv += ["--emit", fmt, "--output", str(tmp_path / fmt)]
     with mock.patch.object(dioidclust.hierarchy, "_replay", wraps=dioidclust.hierarchy._replay) as replay:
-        code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "newick")
+        code, out, err = run_cli(*argv)
     assert code == 0, err
-    # The forest check reads the roots and Newick the tree, both off one replay.
-    assert out.endswith((DATA / "golden_cycle4_reciprocal.nwk").read_text()) and replay.call_count == 1
+    # The forest check reads the roots, and Newick the tree, off the order to_dendrogram read.
+    assert replay.call_count == 0
+    assert (tmp_path / "newick").read_text() == (DATA / "golden_sweep8_sr3.nwk").read_text()
+    assert (tmp_path / "json").read_text() == (DATA / "golden_sweep8_sr3.json").read_text()
 
 
 def test_tolerance_flag_overrides_validation(tmp_path):
@@ -716,3 +721,22 @@ def test_installed_console_script_exists():
     )
     assert proc.returncode == 0
     assert "2 -> {c,d}" in proc.stdout
+
+
+def test_module_entry_runs_the_command_line():
+    """``python -m dioidclust`` runs main and exits with its code, wherever the script is not installed."""
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src")}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "dioidclust", *argv], capture_output=True, text=True, env=env)
+
+    proc = run("cluster", "--input", CYCLE4, "--method", "reciprocal")
+    assert proc.returncode == 0, proc.stderr
+    assert "2 -> {c,d}" in proc.stdout
+    proc = run("cluster", "--input", CYCLE4, "--method", "reciprocal", "--bogus")
+    assert proc.returncode == 1
+    assert "--bogus" in proc.stderr

@@ -286,14 +286,21 @@ _VALUES = st.one_of(st.sampled_from([1.0, ULP, 0.1, 0.30000000000000004, 1e16, 1
                     st.floats(min_value=5e-324, allow_infinity=True))
 
 
+# Quotes, backslashes, control characters, non-ASCII and astral characters (escaped as surrogate pairs in JSON).
+_LABELS = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t/\u00e9\u20ac \U0001f600\U00010000'), st.characters()),
+                  min_size=1, max_size=4).filter(str.strip)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(_VALUES, min_size=n * n, max_size=n * n), st.lists(_VALUES, min_size=1, max_size=3))))
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.lists(_LABELS, min_size=n, max_size=n, unique=True),
+    st.lists(_VALUES, min_size=n * n, max_size=n * n), st.lists(_VALUES, min_size=1, max_size=3))))
 def test_writers_match_on_generated_ultrametrics(case):
-    n, entries, deltas = case
+    labels, entries, deltas = case
+    n = len(labels)
     a = np.array(entries).reshape(n, n)
     np.fill_diagonal(a, 0.0)
-    _assert_writers_match(Network(tuple(f"n{i}" for i in range(n)), a), deltas)
+    _assert_writers_match(Network(tuple(labels), a), deltas)
 
 
 def test_compare_columns_match_per_cell(tmp_path):
@@ -308,3 +315,15 @@ def test_compare_columns_match_per_cell(tmp_path):
     assert main(argv, stdout=out, stderr=io.StringIO()) == 0
     table = [line.split() for line in out.getvalue().splitlines()[1:]]
     assert [row[1:-1] for row in table] == [list(c) for c in zip(*_compare_columns_per_cell(net, methods))]
+
+
+def test_dendrogram_json_writes_every_real_resolution():
+    from fractions import Fraction
+
+    u = Ultrametric(("p", "q", "r"), [[0.0, 3.0, math.inf], [3.0, 0.0, math.inf], [math.inf, math.inf, 0.0]])
+    for resolution, written in ((3, 3), (3.0, 3.0), (Fraction(3, 1), 3.0), (np.float32(3.0), 3.0)):
+        d = Dendrogram(u.labels, (MergeEvent(resolution, (("p", "q"),)),))
+        expected = Dendrogram(u.labels, (MergeEvent(written, (("p", "q"),)),))
+        assert dendrogram_json(u, d) == _dendrogram_json_per_cell(u, expected), type(resolution)
+        assert json.loads(dendrogram_json(u, d))["merges"][0]["resolution"] == 3.0
+        assert d.roots == (("p", "q"), ("r",)) and newick(d) == "(p:3,q:3):0;\nr;\n"

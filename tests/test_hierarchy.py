@@ -617,6 +617,52 @@ def test_replay_runs_once_per_dendrogram():
             bad.roots
 
 
+def _typed(pair):
+    order, near = pair
+    return [(type(v), v) for v in order], [(type(v), v) for v in near]
+
+
+def _assert_seeded_order_is_the_replay(u):
+    d = to_dendrogram(u)
+    assert "_tree_order" in vars(d)  # seeded, not read yet
+    assert _typed(d._tree_order) == _typed(dioidclust.hierarchy._replay(d))
+
+
+_ULP = float(np.nextafter(1.0, 2.0))
+_ORDER_WEIGHTS = st.sampled_from([1.0, _ULP, 2.0, float(np.nextafter(2.0, 1.0)), 3.0, np.inf])
+
+
+@st.composite
+def relabeled_candidates(draw):
+    """ultrametric_candidates, or method outputs over ULP-neighbour and tied weights
+    with +inf (forests), under labels drawn in any order."""
+    u = draw(ultrametric_candidates())
+    if u.n > 1 and draw(st.booleans()):
+        a = np.array(draw(st.lists(_ORDER_WEIGHTS, min_size=u.n ** 2, max_size=u.n ** 2))).reshape(u.n, u.n)
+        np.fill_diagonal(a, 0.0)
+        u = run_method(Network(u.labels, a), draw(st.sampled_from(method_battery())))
+    labels = tuple(draw(st.permutations(_TREE_LABELS + tuple(f"n{i}" for i in range(12))))[:u.n])
+    return Ultrametric(labels, u.dist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabeled_candidates())
+@example(Ultrametric((), np.zeros((0, 0))))
+@example(Ultrametric(("solo",), np.zeros((1, 1))))
+def test_seeded_tree_order_is_the_replay(u):
+    if not isinstance(_outcome(to_dendrogram, u), Dendrogram):  # a mutated candidate
+        return
+    _assert_seeded_order_is_the_replay(u)
+
+
+def test_seeded_tree_order_is_the_replay_on_method_battery(rng):
+    inf = np.inf
+    forest = Network(("d", "c", "b", "a"), [[0, 1, inf, inf], [_ULP, 0, inf, inf], [inf, inf, 0, 2], [inf, 3, 1, 0]])
+    for net in [forest, *(random_network(rng, n_range=(2, 12)) for _ in range(6))]:
+        for spec in method_battery():
+            _assert_seeded_order_is_the_replay(run_method(net, spec))
+
+
 def test_ultrametric_refuses_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate label 'a'"):
         Ultrametric(("a", "a"), [[0, 1], [1, 0]])
