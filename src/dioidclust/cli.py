@@ -254,6 +254,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _unknown_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """The arguments that look like flags but name no flag of parser or of the command before them.
+
+    As argparse reads them, a flag may be cut to a prefix and may carry its
+    value after "=". A number such as "-1" or "-inf" is taken for a value:
+    where argparse reads it as a flag, its own message names the flag before it.
+    """
+    flags, unknown, command = list(parser._option_string_actions), [], None
+    for arg in argv:
+        if command is None and arg in parser.commands:
+            command = parser.commands[arg]
+            flags += command._option_string_actions
+        elif arg.startswith("-") and not _is_number(arg):
+            name = arg.split("=", 1)[0]
+            if not any(flag.startswith(name) for flag in flags):
+                unknown.append(arg)
+    return unknown
+
+
 def _add_common(sub) -> None:
     sub.add_argument("--input", required=True, help="input file path")
     sub.add_argument(
@@ -345,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--output", default=None)
     oracle.set_defaults(func=cmd_oracle)
 
+    parser.commands = commands.choices  # each command's parser, for _unknown_flags
     return parser
 
 
@@ -359,8 +387,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     try:
         with contextlib.redirect_stdout(stdout):  # argparse prints --help to sys.stdout
             args = _parser.parse_args(argv)
-    except UsageError as exc:
-        stderr.write(f"error: {exc}\n")
+    except UsageError as exc:  # an unknown flag is named first, before a missing argument
+        unknown = _unknown_flags(_parser, sys.argv[1:] if argv is None else argv)
+        stderr.write(f"error: {'unrecognized arguments: ' + ' '.join(unknown) if unknown else exc}\n")
         return 1
     except SystemExit as exc:  # --help
         return 0 if not exc.code else 1

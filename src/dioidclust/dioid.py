@@ -31,26 +31,22 @@ is one dioid_product call, and every Floyd-Warshall closure one
 quasi_inverse call: a hook on either sees all of them.
 
 Bounded-hop powers run one binary exponentiation over the squaring
-sequence A, A^2, A^4, ... dioid_power drops each square once the next is
-built; a caller that needs several powers of one matrix, or its powers and
-its closure, keeps a PowerChain, which ranks the matrix once and builds
-each square, and its Floyd-Warshall closure, once, keeping them as ranks.
+sequence A, A^2, A^4, ... of A's ranks, which drops each square once the
+next is built. dioid_power asks it for one power; _hop_powers, for every
+hop budget of a run_methods call at once, so those budgets share one
+ranking, one squaring sequence and one closure.
 
 +inf is the IEEE infinity, never a large sentinel. min/max never create
 new values, so equality comparisons between dioid matrices are exact, and a
-power is the same bits whichever chain built it. Every function here is
-pure; matrices are safe to share across threads, a PowerChain is not.
+power is the same bits whichever route built it. Every function here is
+pure, and matrices are safe to share across threads.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import cached_property
-
 import numpy as np
 
 __all__ = [
-    "PowerChain",
     "dioid_product",
     "dioid_power",
     "quasi_inverse",
@@ -150,7 +146,7 @@ def dioid_product(a, b) -> np.ndarray:
     dtype's largest value: O(n^3) work in O(n^2) scratch of two or four
     bytes an entry. The result is the sweep over the values, bit for bit,
     signed zeros on the diagonal included (see _from_ranks). Two _Ranks
-    against one values array, as the power chains and _square_by_rank pass
+    against one values array, as the binary powers and _square_by_rank pass
     them, are multiplied as they are, and their product is _Ranks.
     """
     if isinstance(a, _Ranks):
@@ -164,105 +160,57 @@ def dioid_product(a, b) -> np.ndarray:
     return _from_ranks(values, _rank_product(left, right), np.maximum(np.diagonal(a), np.diagonal(b)))
 
 
-def _squaring(ranks: np.ndarray):
-    """Yield the ranks of A, A^2, A^4, ..., each square built when asked for; None follows the first one that repeats."""
-    base = ranks
+def _binary_powers(ranks: _Ranks, hops) -> dict[int, _Ranks]:
+    """{k: the ranks of A^k} for A's ranks and each k >= 1 in hops, over one squaring sequence A, A^2, A^4, ...
+
+    The set bits of every k are taken from the lowest, each against the one
+    current square, which is built only while some k has a bit left and is
+    dropped once the next is built. Once a square repeats, it is idempotent
+    (base^j == base for every j >= 1), so the rest of each factorization
+    collapses into one extra product.
+    """
+    powers, left, base = {}, {k: k for k in hops}, ranks
     while True:
-        yield base
+        for k, bits in left.items():
+            if bits & 1:
+                powers[k] = dioid_product(powers[k], base) if k in powers else base
+        left = {k: bits >> 1 for k, bits in left.items() if bits >> 1}
+        if not left:
+            return powers
         squared = dioid_product(base, base)
         if np.array_equal(squared, base):
-            yield None
-            return
+            for k in left:
+                powers[k] = dioid_product(powers[k], base) if k in powers else base
+            return powers
         base = squared
 
 
-def _checked_exponent(k) -> int:
-    if not is_integer(k):
-        raise ValueError(f"power must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
-    return int(k)
+def _hop_powers(a: np.ndarray, hops) -> dict[int, np.ndarray]:
+    """{k: A^k} for a zero-diagonal matrix A and each hop budget k >= 1 in hops.
 
-
-def _binary_power(squares, k: int) -> np.ndarray:
-    """A^k from the squaring sequence ``squares`` (see _squaring): the set bits of k from the lowest.
-
-    A square is asked for only while bits remain. Once a square repeats,
-    the base is idempotent (base^j == base for every j >= 1), so the rest
-    of the factorization collapses into one extra product.
+    A budget of 1 is A itself. A budget at or above max(n-1, 1), where
+    powers have stabilized, is A's closure, one array for all such budgets:
+    quasi_inverse's Prim kernel for a symmetric A, and for any other one
+    quasi_inverse call on A's ranks. Read the results, never write them. A
+    is ranked once, and only if some budget needs its ranks; the budgets
+    between take one binary exponentiation over one squaring sequence (see
+    _binary_powers), which keeps no square it has used, so besides the
+    powers at most two squares and one product buffer are live, whatever
+    the budgets.
     """
-    result, base = None, next(squares)
-    while True:
-        if k & 1:
-            result = base if result is None else dioid_product(result, base)
-        k >>= 1
-        if not k:
-            return result
-        following = next(squares)
-        if following is None:
-            return base if result is None else dioid_product(result, base)
-        base = following
-
-
-class PowerChain:
-    """Dioid powers and the closure of one matrix, sharing its ranking and its squaring sequence A, A^2, A^4, ...
-
-    The matrix is ranked once, on first need (see _ranked). ``power(k)``
-    runs ``dioid_power``'s binary exponentiation over squares that the chain
-    keeps as ranks: each is built once, on first need, so a new k costs at
-    most one product per set bit beyond the squares already built.
-    ``closure()`` is ``quasi_inverse(A)``: that call itself on each call
-    for a symmetric matrix, and for any other one quasi_inverse call on
-    the chain's ranks, whose Floyd-Warshall closure the chain keeps. Until
-    it is dropped, the chain holds about log2(k) squares for the largest k
-    asked, and that closure, at two bytes an entry (four past 65,536
-    distinct values): a quarter of their float64 size. On a directed path,
-    whose squares change up to A^(n-1), that peaks near eleven float64
-    matrices at n=600 with every entry distinct, so a caller that needs one
-    power takes dioid_power, which keeps no square it has used. Each result
-    is a fresh float64 array but power(1), which is the chain's own matrix:
-    read it, never write it. A chain serves one thread.
-    """
-
-    def __init__(self, a):
-        self.a = _as_dioid_matrix(a)
-        self._built: list[np.ndarray | None] = []  # A^(2^i) so far, then None after one that repeats
-
-    @cached_property
-    def _ranking(self) -> tuple[np.ndarray, np.ndarray]:
-        return _ranked(self.a)
-
-    @cached_property
-    def _source(self):
-        return _squaring(self._ranking[1])
-
-    @cached_property
-    def _directed(self) -> bool:
-        """A has a zero diagonal and differs from its transpose: quasi_inverse would run Floyd-Warshall."""
-        return not np.diagonal(self.a).any() and not (self.a == self.a.T).all()
-
-    @cached_property
-    def _floyd_warshall(self) -> _Ranks:
-        return quasi_inverse(self._ranking[1])
-
-    def _squares(self):
-        for i in itertools.count():
-            if i == len(self._built):
-                self._built.append(next(self._source))
-            yield self._built[i]
-
-    def power(self, k: int) -> np.ndarray:
-        """A^k, k >= 1; O(n^3 log k) worst case, and usually far less on matrices that stabilize early."""
-        k = _checked_exponent(k)
-        if k == 1:
-            return self.a
-        return _from_ranks(self._ranking[0], _binary_power(self._squares(), k), np.diagonal(self.a))
-
-    def closure(self) -> np.ndarray:
-        """quasi_inverse(A); see there. A directed closure is swept once, on the chain's ranks."""
-        if not self._directed:
-            return quasi_inverse(self.a)
-        return _from_ranks(self._ranking[0], self._floyd_warshall, np.diagonal(self.a))
+    cap = max(len(a) - 1, 1)
+    closed = [k for k in hops if k > 1 and k >= cap]
+    between = [k for k in hops if 1 < k < cap]
+    directed = bool(closed) and not (a == a.T).all()
+    powers = {k: a for k in hops if k == 1}
+    if between or directed:
+        values, ranks = _ranked(a)
+        for k, power in _binary_powers(ranks, between).items():
+            powers[k] = _from_ranks(values, power, np.diagonal(a))
+    if closed:
+        closure = _from_ranks(values, quasi_inverse(ranks), np.diagonal(a)) if directed else quasi_inverse(a)
+        powers.update(dict.fromkeys(closed, closure))
+    return powers
 
 
 def dioid_power(a, k: int) -> np.ndarray:
@@ -270,17 +218,21 @@ def dioid_power(a, k: int) -> np.ndarray:
 
     Binary exponentiation over the squaring sequence A, A^2, A^4, ... of
     A's ranks, with an early exit once the current square repeats (see
-    _binary_power), so the cost is O(n^3 log k) worst case and usually far
+    _binary_powers), so the cost is O(n^3 log k) worst case and usually far
     less on matrices that stabilize early. Each square is dropped once the
     next is built, so four n x n rank arrays (base, its square, the result
     and one product buffer) are live at most, whatever k is.
     """
     a = _as_dioid_matrix(a)
-    k = _checked_exponent(k)
+    if not is_integer(k):
+        raise ValueError(f"power must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"power must be >= 1, got {k}")
+    k = int(k)
     if k == 1:
         return a.copy()
     values, ranks = _ranked(a)
-    return _from_ranks(values, _binary_power(_squaring(ranks), k), np.diagonal(a))
+    return _from_ranks(values, _binary_powers(ranks, [k])[k], np.diagonal(a))
 
 
 def _square_by_rank(a: np.ndarray) -> np.ndarray:
@@ -350,9 +302,8 @@ def quasi_inverse(a) -> np.ndarray:
     Floyd-Warshall recurrence, the minimax form of Hu's maximum capacity
     route recurrence, in place on A's ranks: after step k, C[i, j] is the
     best bottleneck over chains whose intermediate nodes lie in {0, ..., k}.
-    That is O(n^3) work in one n x n scratch buffer of ranks. A PowerChain
-    of A runs it once for all the budgets it serves, passing its ranks,
-    which are closed on a copy and returned as _Ranks.
+    That is O(n^3) work in one n x n scratch buffer of ranks. _hop_powers
+    passes A's ranks, which are closed on a copy and returned as _Ranks.
 
     Both equal the dioid power bit for bit, since min and max only ever
     select entries of A, so no product checks the result at run time; the

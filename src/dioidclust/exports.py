@@ -61,7 +61,8 @@ def newick(d: Dendrogram) -> str:
 
 
 def _json_number(value: float) -> str:
-    return json.dumps(format_value(value) if math.isinf(value) else value)
+    """A matrix cell as json.dumps writes it, which is repr for a finite float, and ±inf as a string."""
+    return f'"{format_value(value)}"' if math.isinf(value) else repr(value)
 
 
 def _json_resolution(value) -> str:

@@ -31,23 +31,23 @@ concurrently on a shared Network.
 
 The method-spec text grammar (``GRAMMAR``, ``parse_method_spec``) lives
 here beside ``MethodSpec.describe()``. One table names each kind's
-parameters and its runner; the spec checks, the parser, ``describe()``
-and ``run_methods`` all read it. ``run_methods`` is the one evaluator:
-grafts and convex combinations reuse the outputs of their parts, each
-distinct method runs once per network within one call, and every hop
-budget of the call comes from one power chain of the network.
+parameters and its hop budgets; the spec checks, the parser, ``describe()``
+and ``run_methods`` all read it. ``run_methods`` is the one evaluator, and
+every public method is one call of it: it checks the network once, reuses
+the outputs of the parts of grafts and convex combinations, runs each
+distinct method once per network within one call, and takes every hop
+power of the call from one dioid._hop_powers call.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dioid import PowerChain, dioid_power, is_integer, quasi_inverse
+from .dioid import _hop_powers, is_integer, quasi_inverse
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
 from .network import Network, _require_valid, format_value
 
@@ -74,23 +74,19 @@ __all__ = [
 WEIGHT_SUM_TOLERANCE = 1e-12
 MAX_CONVEX_DEPTH = 500
 
-# [dissimilarity matrix, its PowerChain once opened] of the network that the
-# innermost run_methods call in this context evaluates; None outside one.
-_HOP_POWERS: ContextVar[list | None] = ContextVar("dioidclust_hop_powers", default=None)
-
-# Each kind's parameter names and its runner, which takes the outputs of
-# _parts(spec). The runners look their method up when called, so a module
-# attribute rebound at run time is the one run.
+# Each kind's parameter names and its forward and backward hop budgets, for
+# the five kinds that are one hop closure (see _hop_closure); None for the
+# kinds built from the outputs of _parts(spec).
 _KINDS = {
-    "reciprocal": ((), lambda net, spec, parts: reciprocal(net)),
-    "nonreciprocal": ((), lambda net, spec, parts: nonreciprocal(net)),
-    "semi-reciprocal": (("t",), lambda net, spec, parts: semi_reciprocal(net, spec.t)),
-    "intermediate": (("t_fwd", "t_bwd"), lambda net, spec, parts: intermediate(net, spec.t_fwd, spec.t_bwd)),
-    "graft-rnr": (("beta",), lambda net, spec, parts: _graft(net, spec, *parts)),
-    "graft-rrmax": (("beta",), lambda net, spec, parts: _graft(net, spec, *parts)),
-    "convex": (("weights", "constituents"), lambda net, spec, parts: _convex(net, spec, parts)),
-    "single-linkage": ((), lambda net, spec, parts: single_linkage(net)),
-    "graft-rr-invalid": (("beta",), lambda net, spec, parts: _graft(net, spec, *parts)),
+    "reciprocal": ((), lambda spec: (1, 1)),
+    "nonreciprocal": ((), lambda spec: (math.inf, math.inf)),
+    "semi-reciprocal": (("t",), lambda spec: (spec.t - 1, spec.t - 1)),
+    "intermediate": (("t_fwd", "t_bwd"), lambda spec: (spec.t_fwd, spec.t_bwd)),
+    "graft-rnr": (("beta",), None),
+    "graft-rrmax": (("beta",), None),
+    "convex": (("weights", "constituents"), None),
+    "single-linkage": ((), lambda spec: (1, 1)),
+    "graft-rr-invalid": (("beta",), None),
 }
 ADMISSIBLE_KINDS = tuple(kind for kind in _KINDS if kind != "graft-rr-invalid")
 
@@ -317,51 +313,39 @@ def _wrap(net: Network, matrix: np.ndarray, method: str) -> Ultrametric:
     return Ultrametric(net.labels, matrix, provenance=Provenance(method=method, n=net.n))
 
 
-def _hop_power(a: np.ndarray, hops: int, cap: int) -> np.ndarray:
-    """A^hops for hops < cap, and A's closure at cap: from the power chain of the run_methods call that evaluates a.
+def _hop_budgets(spec: MethodSpec, n: int) -> tuple[int, ...]:
+    """spec's forward and backward hop budgets, each clamped to max(n-1, 1); () for a kind built from its parts.
 
-    That chain is opened on first use. A direct call outside run_methods
-    takes dioid_power and quasi_inverse, which keep no square they have used.
+    Powers stabilize at n-1, so the clamp changes no result.
     """
-    shared = _HOP_POWERS.get()
-    if shared is None or shared[0] is not a:
-        return quasi_inverse(a) if hops == cap else dioid_power(a, hops)
-    if shared[1] is None:
-        shared[1] = PowerChain(a)
-    return shared[1].closure() if hops == cap else shared[1].power(hops)
+    budgets, cap = _KINDS[spec.kind][1], max(n - 1, 1)
+    return tuple(min(hops, cap) for hops in budgets(spec)) if budgets else ()
 
 
-def _hop_closure(net: Network, t_fwd: int, t_bwd: int, method: str) -> Ultrametric:
-    """Closure of max(A^t_fwd, (A^t_bwd)ᵀ), each budget clamped to max(n-1, 1).
+def _hop_closure(net: Network, spec: MethodSpec, powers: dict) -> Ultrametric:
+    """Closure of max(A^fwd, (A^bwd)ᵀ) for spec's clamped budgets, from powers, A's hop powers by budget.
 
-    Powers stabilize at n-1, so the clamp changes no result. A budget at
-    the clamp is quasi_inverse's closure, and one below it a dioid power;
-    both come from the power chain that the whole run_methods call shares,
-    so budgets on one network share their ranking, their squarings and one
-    Floyd-Warshall closure, and A^1 is A itself. A direct call outside
-    run_methods takes each budget from dioid_power or quasi_inverse, so it
-    keeps no squares. With both budgets
-    at the clamp, max(C, Cᵀ) is nonreciprocal and needs no outer closure.
-    Any other joined matrix B is closed as min(B, Bᵀ), which is symmetric,
-    so quasi_inverse takes its tree kernel: closure(B) is symmetric and at
-    most B, so it equals closure(min(B, Bᵀ)).
+    With both budgets at the clamp, max(C, Cᵀ) is nonreciprocal and needs
+    no outer closure. Any other joined matrix B is closed as min(B, Bᵀ),
+    which is symmetric, so quasi_inverse takes its tree kernel: closure(B)
+    is symmetric and at most B, so it equals closure(min(B, Bᵀ)).
     """
-    _require_valid(net)
-    a, cap = net.dissim, max(net.n - 1, 1)
-    fwd, bwd = min(t_fwd, cap), min(t_bwd, cap)
-    powers = {hops: _hop_power(a, hops, cap) for hops in {fwd, bwd}}
+    fwd, bwd = _hop_budgets(spec, net.n)
+    method = spec.describe() if _KINDS[spec.kind][0] else spec.kind  # a kind without parameters is its own name
     joined = np.maximum(powers[fwd], powers[bwd].T)
-    return _wrap(net, joined if fwd == bwd == cap else quasi_inverse(np.minimum(joined, joined.T)), method)
+    if fwd == bwd == max(net.n - 1, 1):
+        return _wrap(net, joined, method)
+    return _wrap(net, quasi_inverse(np.minimum(joined, joined.T)), method)
 
 
 def reciprocal(net: Network) -> Ultrametric:
     """Cluster through chains of low dissimilarity in both directions at once."""
-    return _hop_closure(net, 1, 1, "reciprocal")
+    return run_method(net, MethodSpec("reciprocal"))
 
 
 def nonreciprocal(net: Network) -> Ultrametric:
     """Cluster through possibly different forward and backward chains: no hop bound."""
-    return _hop_closure(net, net.n + 1, net.n + 1, "nonreciprocal")
+    return run_method(net, MethodSpec("nonreciprocal"))
 
 
 def semi_reciprocal(net: Network, t: int) -> Ultrametric:
@@ -369,8 +353,7 @@ def semi_reciprocal(net: Network, t: int) -> Ultrametric:
 
     t=2 reproduces reciprocal clustering; t >= n is nonreciprocal, run as one closure.
     """
-    spec = MethodSpec("semi-reciprocal", t=t)
-    return _hop_closure(net, t - 1, t - 1, spec.describe())
+    return run_method(net, MethodSpec("semi-reciprocal", t=t))
 
 
 def intermediate(net: Network, t_fwd: int, t_bwd: int) -> Ultrametric:
@@ -379,19 +362,12 @@ def intermediate(net: Network, t_fwd: int, t_bwd: int) -> Ultrametric:
     Forward secondary chains may use at most t_fwd hops and backward ones
     t_bwd. The inner maximum is asymmetric but the closure is symmetric.
     """
-    spec = MethodSpec("intermediate", t_fwd=t_fwd, t_bwd=t_bwd)
-    return _hop_closure(net, t_fwd, t_bwd, spec.describe())
+    return run_method(net, MethodSpec("intermediate", t_fwd=t_fwd, t_bwd=t_bwd))
 
 
 def single_linkage(net: Network) -> Ultrametric:
     """Minimax chain-cost closure of a symmetric network: reciprocal clustering there."""
-    if not net.is_symmetric():
-        _require_valid(net)  # an invalid network is reported first; a valid one is checked in _hop_closure
-        raise ValueError(
-            "single linkage needs a symmetric network; use reciprocal, "
-            "nonreciprocal, or another asymmetric method instead"
-        )
-    return _hop_closure(net, 1, 1, "single-linkage")
+    return run_method(net, MethodSpec("single-linkage"))
 
 
 def graft_rnr(net: Network, beta: float) -> Ultrametric:
@@ -460,29 +436,46 @@ def _parts(spec: MethodSpec) -> tuple[MethodSpec, ...]:
     return (MethodSpec("nonreciprocal"), MethodSpec("reciprocal")) if spec.kind.startswith("graft") else ()
 
 
+def _run(net: Network, spec: MethodSpec, parts: list, powers: dict) -> Ultrametric | GraftCounterexample:
+    """spec's output on a checked net, from the outputs of _parts(spec) and the hop powers of net's matrix."""
+    if spec.kind == "convex":
+        return _convex(net, spec, parts)
+    if parts:
+        return _graft(net, spec, *parts)
+    if spec.kind == "single-linkage" and not net.is_symmetric():
+        raise ValueError(
+            "single linkage needs a symmetric network; use reciprocal, "
+            "nonreciprocal, or another asymmetric method instead"
+        )
+    return _hop_closure(net, spec, powers)
+
+
 def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | GraftCounterexample]:
     """Run each spec on net; each distinct method runs once within the call.
 
-    Specs are walked from an explicit stack, parts before the specs built
-    from them, so convex nesting costs no Python recursion. Convex results
-    are described only when returned, not at every nested level. Every hop
-    budget comes from one power chain of net, opened on first use and
-    dropped when the call returns.
+    net is checked once, before any method runs. Specs are ordered from an
+    explicit stack, parts before the specs built from them, so convex
+    nesting costs no Python recursion. Every hop power that the ordered
+    specs need comes from one _hop_powers call, and none outlives the call.
+    Convex results are described only when returned, not at every nested
+    level.
     """
     def key(spec):  # convex specs by identity: the dataclass __eq__ and __hash__ recurse per level
         return id(spec) if spec.kind == "convex" else spec
 
-    memo, stack = {}, [(spec, False) for spec in reversed(specs)]
-    token = _HOP_POWERS.set([net.dissim, None])
-    try:
-        while stack:
-            spec, ready = stack.pop()
-            if ready:
-                memo[key(spec)] = _KINDS[spec.kind][1](net, spec, [memo[key(part)] for part in _parts(spec)])
-            elif key(spec) not in memo:
-                stack += [(spec, True)] + [(part, False) for part in reversed(_parts(spec))]
-    finally:
-        _HOP_POWERS.reset(token)
+    _require_valid(net)
+    order, seen, stack = [], set(), [(spec, False) for spec in reversed(specs)]
+    while stack:
+        spec, ready = stack.pop()
+        if ready:
+            order.append(spec)
+        elif key(spec) not in seen:
+            seen.add(key(spec))
+            stack += [(spec, True)] + [(part, False) for part in reversed(_parts(spec))]
+    powers = _hop_powers(net.dissim, {hops for spec in order for hops in _hop_budgets(spec, net.n)})
+    memo = {}
+    for spec in order:
+        memo[key(spec)] = _run(net, spec, [memo[key(part)] for part in _parts(spec)], powers)
     return [_wrap(net, memo[key(spec)].dist, spec.describe()) if spec.kind == "convex" else memo[key(spec)]
             for spec in specs]
 

@@ -359,8 +359,7 @@ def test_compare_refuses_invalid_graft():
 
 def test_cut_refuses_invalid_graft_before_running_it(monkeypatch):
     calls = []
-    for name in ("reciprocal", "nonreciprocal"):
-        monkeypatch.setattr(dioidclust.methods, name, lambda net, name=name: calls.append(name))
+    monkeypatch.setattr(dioidclust.methods, "_hop_closure", lambda net, spec, powers: calls.append(spec.kind))
     code, out, err = run_cli("cut", "--input", CYCLE4, "--method", "graft-rr-invalid:4", "--delta", "2")
     assert (code, out) == (2, "")
     assert err == "error: graft-rr-invalid:4 is a counterexample demonstrator; it has no partitions\n"
@@ -391,13 +390,18 @@ def test_exit_codes():
           for command, *extra in (("cluster", "--method", "reciprocal"), ("validate",),
                                   ("cut", "--method", "reciprocal", "--delta", "1"),
                                   ("compare", "--method", "reciprocal"), ("oracle", "--method", "reciprocal"))),
+        # An unknown flag is named before a missing command or --method.
+        (("--bogus",), "unrecognized arguments: --bogus"),
+        (("cluster", "--bogus"), "unrecognized arguments: --bogus"),
     ],
     ids=["output-without-emit", "delta-without-emit", "delta-without-dot", "tolerance-without-ultrametric",
-         *(f"uses-flag-{command}" for command in ("cluster", "validate", "cut", "compare", "oracle"))],
+         *(f"uses-flag-{command}" for command in ("cluster", "validate", "cut", "compare", "oracle")),
+         "unknown-flag-without-command", "unknown-flag-without-method"],
 )
 def test_flags_that_would_do_nothing_are_refused(argv, message):
     command, *rest = argv
-    code, out, err = run_cli(command, "--input", CYCLE4, *rest)
+    inputs = () if command.startswith("-") else ("--input", CYCLE4)  # a flag before any command
+    code, out, err = run_cli(command, *inputs, *rest)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
@@ -446,13 +450,17 @@ def test_flags_take_only_plain_ascii_numbers():
 def test_compare_reports_sandwich_violations(monkeypatch):
     # semi-reciprocal:3 is replaced by a matrix below the lower bound on (a, b)
     # and above the upper bound on (c, d); every other pair is in bounds.
-    def out_of_bounds(net, t):
-        dist = dioidclust.methods.reciprocal(net).dist.copy()
+    hop_closure = dioidclust.methods._hop_closure
+
+    def out_of_bounds(net, spec, powers):
+        if spec.kind != "semi-reciprocal":
+            return hop_closure(net, spec, powers)
+        dist = hop_closure(net, MethodSpec("reciprocal"), powers).dist.copy()
         dist[0, 1] = dist[1, 0] = 0.5
         dist[2, 3] = dist[3, 2] = 9.0
         return Ultrametric(net.labels, dist)
 
-    monkeypatch.setattr(dioidclust.methods, "semi_reciprocal", out_of_bounds)
+    monkeypatch.setattr(dioidclust.methods, "_hop_closure", out_of_bounds)
     code, out, err = run_cli(
         "compare", "--input", CYCLE4, "--method", "nonreciprocal", "--method", "semi-reciprocal:3"
     )
@@ -475,12 +483,13 @@ def test_compare_and_grafts_run_each_extreme_once(monkeypatch):
         argv += ["--method", method]
     code, expected, _ = run_cli(*argv)
     assert code == 0
-    calls = {}
-    for name in ("reciprocal", "nonreciprocal"):
-        def counted(net, name=name, method=getattr(dioidclust.methods, name)):
-            calls[name] = calls.get(name, 0) + 1
-            return method(net)
-        monkeypatch.setattr(dioidclust.methods, name, counted)
+    calls, hop_closure = {}, dioidclust.methods._hop_closure
+
+    def counted(net, spec, powers):
+        calls[spec.kind] = calls.get(spec.kind, 0) + 1
+        return hop_closure(net, spec, powers)
+
+    monkeypatch.setattr(dioidclust.methods, "_hop_closure", counted)
     assert run_cli(*argv) == (0, expected, "")
     assert calls == {"reciprocal": 1, "nonreciprocal": 1}
     calls.clear()

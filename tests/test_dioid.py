@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dioidclust import Network, dioid_power, dioid_product, quasi_inverse
-from dioidclust.dioid import PowerChain, _in_input_order, _min_max_sweep, _ranked
+from dioidclust.dioid import _hop_powers, _in_input_order, _min_max_sweep, _ranked
 from dioidclust.oracle import brute_minimax_cost
 
 from conftest import cycle4_network, random_network
@@ -130,8 +130,9 @@ def test_power_matches_sequential_products(rng):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from(["reals", "ties", "ultrametric", "diagonal"]))
 def test_one_chain_gives_every_power_bit_for_bit(n, seed, kind):
-    # Asked in shuffled order, one chain's A^k is dioid_power's, ±0.0 cells included: integer ties
-    # and ultrametrics stabilize early (an ultrametric squares to itself), reals later.
+    # Each A^k of one _hop_powers call is dioid_power's, ±0.0 cells included: integer ties and
+    # ultrametrics stabilize early (an ultrametric squares to itself), reals later. A budget at
+    # or above the clamp n-1 is the closure, which only a zero diagonal has.
     rng = np.random.default_rng(seed)
     a = rng.integers(1, 4, (n, n)).astype(float) if kind == "ties" else 1.0 - rng.random((n, n))
     a[rng.random((n, n)) < 0.2] = np.inf
@@ -142,24 +143,27 @@ def test_one_chain_gives_every_power_bit_for_bit(n, seed, kind):
     if kind != "diagonal":  # "diagonal" keeps positive diagonal cells, so powers need not stabilize at n-1
         np.fill_diagonal(a, np.where(rng.random(n) < 0.5, -0.0, 0.0))
     before = a.copy()
-    chain = PowerChain(a)
-    for k in [*rng.permutation(np.arange(1, n + 2)).tolist(), 1, n + 1]:
-        assert chain.power(k).view(np.uint64).tolist() == dioid_power(a, k).view(np.uint64).tolist(), k
+    top = max(n - 2, 1) if kind == "diagonal" else n + 2
+    hops = {1, *rng.integers(1, top + 1, size=rng.integers(1, 5)).tolist()}
+    powers = _hop_powers(a, hops)
+    assert sorted(powers) == sorted(hops) and powers[1] is a
+    for k in hops:
+        assert powers[k].view(np.uint64).tolist() == dioid_power(a, k).view(np.uint64).tolist(), k
     assert a.view(np.uint64).tolist() == before.view(np.uint64).tolist()
 
 
 def test_chain_builds_each_square_once(sweeps):
     a = np.array([np.roll([0.0, 1.0] + [9.0] * 7, i) for i in range(9)])  # a directed 9-cycle: stable from A^8
-    chain = PowerChain(a)
-    assert np.array_equal(chain.power(4), chain.power(4)) and sweeps == [False] * 2  # A^2, A^4
-    chain.power(5)
-    assert len(sweeps) == 3  # A * A^4 on the squares already built
-    chain.power(6)
-    assert len(sweeps) == 4  # A^2 * A^4
-    chain.power(5)
-    assert len(sweeps) == 5  # powers are not kept: A * A^4 again
-    assert chain.power(1) is chain.a and len(sweeps) == 5
-    assert np.array_equal(chain.closure(), chain.closure()) and sweeps[5:] == [True]  # one Floyd-Warshall
+    four = _hop_powers(a, {4})[4]
+    assert sweeps == [False] * 2 and np.array_equal(four, dioid_power(a, 4))  # A^2, A^4
+    sweeps.clear()
+    powers = _hop_powers(a, {4, 5, 6})
+    assert sweeps == [False] * 4  # A^2, A^4, then A * A^4 and A^2 * A^4 on the squares already built
+    assert all(np.array_equal(powers[k], dioid_power(a, k)) for k in (4, 5, 6))
+    sweeps.clear()
+    powers = _hop_powers(a, {1, 8, 20})  # 8 is the clamp, n-1
+    assert powers[1] is a and powers[8] is powers[20] and sweeps == [True]  # one Floyd-Warshall, on ranks
+    assert np.array_equal(powers[8], dioid_power(a, 8))
     assert dioid_power(a, 1) is not a and np.array_equal(dioid_power(a, 1), a)
 
 
@@ -196,19 +200,19 @@ def operand_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(operand_pairs())
 def test_rank_space_kernels_match_the_float_sweep_bit_for_bit(pair):
-    # Products, chain and direct powers and the directed closure run on ranks; the reference
+    # Products, hop and direct powers and the directed closure run on ranks; the reference
     # sweeps the values. ±0.0 diagonals of the two operands meet in every combination.
     a, b = pair
     n = len(a)
     assert bits(dioid_product(a, b)) == bits(swept_product(a, b))
     assert bits(dioid_product(a, a)) == bits(swept_product(a, a))
-    chain, power = PowerChain(a), a
+    powers, power = _hop_powers(a, range(2, n - 1)), a  # every budget below the clamp, n-1
     for k in range(2, n + 2):
         power = swept_product(power, a)
-        assert bits(chain.power(k)) == bits(power) == bits(dioid_power(a, k)), k
+        assert bits(powers.get(k, power)) == bits(power) == bits(dioid_power(a, k)), k
     zero = a.copy()
     np.fill_diagonal(zero, np.copysign(0.0, np.diagonal(a)))
-    assert bits(quasi_inverse(zero)) == bits(PowerChain(zero).closure()) == bits(swept_closure(zero))
+    assert bits(quasi_inverse(zero)) == bits(_hop_powers(zero, {n + 1})[n + 1]) == bits(swept_closure(zero))
 
 
 def test_ranks_widen_past_65536_distinct_values():

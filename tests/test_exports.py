@@ -262,6 +262,8 @@ def test_writers_match_on_negative_zero_diagonal():
     d = to_dendrogram(u)
     assert dendrogram_json(u, d) == _dendrogram_json_per_cell(u, d)
     assert "-0.0" in dendrogram_json(u, d)
+    cells = Ultrametric(u.labels, [[-0.0, math.inf, 5e-324], [-math.inf, 0.0, 1e22], [1e22, 5e-324, -0.0]])
+    assert dendrogram_json(cells, d) == _dendrogram_json_per_cell(cells, d)  # the matrix is written as it is
     assert matrix_csv(u.labels, u.dist) == _matrix_csv_per_cell(u.labels, u.dist)
     _assert_writers_match(net, [0.0, 1.0, ULP, math.inf])
 

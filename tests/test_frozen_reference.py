@@ -100,7 +100,7 @@ def _frozen_spec(spec):
 def test_every_admissible_kind_matches_the_frozen_reference(net, data):
     old_net = frozen.Network(net.labels, net.dissim.copy())
     specs = _specs(data.draw, net.is_symmetric())
-    for spec, shared in zip(specs, run_methods(net, specs)):  # one call: every hop budget on one power chain
+    for spec, shared in zip(specs, run_methods(net, specs)):  # one call: every hop power from one _hop_powers call
         new, old = run_method(net, spec), frozen.run_method(old_net, _frozen_spec(spec))
         assert new.dist.view(np.uint64).tolist() == old.dist.view(np.uint64).tolist(), spec.describe()
         assert shared.dist.view(np.uint64).tolist() == old.dist.view(np.uint64).tolist(), spec.describe()

@@ -574,7 +574,7 @@ def test_one_run_methods_call_closes_a_network_once(sweeps, rng):
 
 def test_every_sweep_runs_in_one_public_product_or_closure_call(monkeypatch, sweeps, rng):
     # A hook on dioid's own dioid_product and quasi_inverse, as an outside tracer sets one,
-    # sees every product and every Floyd-Warshall closure: the chain's, dioid_power's and
+    # sees every product and every Floyd-Warshall closure: the hop powers', dioid_power's and
     # the validation square's, all swept on ranks, included.
     import dioidclust.dioid as dioid
 
@@ -595,7 +595,7 @@ def test_every_sweep_runs_in_one_public_product_or_closure_call(monkeypatch, swe
     monkeypatch.setattr(dioid, "_min_max_sweep", lambda *args: inside.append(depth[0]) or sweep(*args))
     net = random_network(rng, n=32)
     run_methods(net, [parse_method_spec(text) for text in ("nonreciprocal", "semi-reciprocal:5", "intermediate:31,3")])
-    semi_reciprocal(net, 6)  # outside run_methods: dioid_power
+    dioid_power(net.dissim, 6)
     assert not validate_ultrametric(net.dissim, 0.0).is_valid  # one square of the entries' ranks
     assert True in sweeps and False in sweeps and inside == [1] * len(sweeps)
 
@@ -603,39 +603,41 @@ def test_every_sweep_runs_in_one_public_product_or_closure_call(monkeypatch, swe
 def test_direct_hop_call_keeps_no_squares():
     import tracemalloc
 
-    # A directed path changes until A^(n-1), so a chain would keep six squares of it. A direct
-    # call outside run_methods keeps none, within dioid_power's own bound of eight matrices.
+    # A directed path changes until A^(n-1), so keeping its squares would keep six of them. A
+    # direct call and the CLI's run_method keep none, within dioid_power's own bound of eight matrices.
     n = 64
     a = 1000.0 + np.arange(n * n, dtype=float).reshape(n, n)  # every entry distinct
     np.fill_diagonal(a, 0.0)
     a[np.arange(n - 1), np.arange(1, n)] = np.arange(1, n)
     net = Network(tuple(str(i) for i in range(n)), a)
-    tracemalloc.start()
-    try:
-        semi_reciprocal(net, n - 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * a.nbytes
+    for run in (lambda: semi_reciprocal(net, n - 2), lambda: run_method(net, MethodSpec("semi-reciprocal", t=n - 2))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * a.nbytes
 
 
-def test_one_run_methods_call_shares_one_power_chain(sweeps, rng):
+def test_one_run_methods_call_shares_one_power_chain(sweeps, rng, monkeypatch):
     import dioidclust.methods
 
     net = random_network(rng, n=12)
     specs = [parse_method_spec(text) for text in ("semi-reciprocal:3", "semi-reciprocal:6", "intermediate:2,4")]
     alone = [run_method(net, spec).dist for spec in specs]
+    calls, hop_powers = [], dioidclust.methods._hop_powers
+    monkeypatch.setattr(dioidclust.methods, "_hop_powers", lambda a, hops: calls.append(set(hops)) or hop_powers(a, hops))
     sweeps.clear()
     together = run_methods(net, specs)
     # A^2, A^4 and A * A^4 for the budgets 2, 5, 2 and 4, all below the clamp at 11 hops.
-    assert len(sweeps) <= 3 and not any(sweeps)
+    assert len(sweeps) <= 3 and not any(sweeps) and calls == [{2, 4, 5}]
     for spec, u, v in zip(specs, together, alone):
         assert u.dist.view(np.uint64).tolist() == v.view(np.uint64).tolist(), spec.describe()
     # Nothing outlives the call: a later call builds its powers again.
-    assert dioidclust.methods._HOP_POWERS.get() is None
     sweeps.clear()
     semi_reciprocal(net, 6)
-    assert sweeps == [False] * 3  # A^2, A^4 and A * A^4, on a chain of its own
+    assert sweeps == [False] * 3  # A^2, A^4 and A * A^4
 
 
 def test_concurrent_calls_on_one_network_agree(rng):
@@ -648,14 +650,3 @@ def test_concurrent_calls_on_one_network_agree(rng):
         threaded = list(pool.map(lambda specs: [u.dist.tobytes() for u in run_methods(net, specs)], spec_lists))
     assert threaded == serial
 
-
-def test_a_method_on_another_network_inside_run_methods_gets_its_own_powers(rng, monkeypatch):
-    import dioidclust.methods
-
-    net, other = random_network(rng, n=8), random_network(rng, n=8)
-    real = dioidclust.methods.semi_reciprocal
-    expected = real(other, 4).dist.tobytes()
-    monkeypatch.setattr(dioidclust.methods, "semi_reciprocal", lambda _, t: real(other, t))
-    # intermediate:3,3 opens net's chain with A^3 first; the runner then asks for A^3 of other.
-    _, swapped = run_methods(net, [MethodSpec("intermediate", t_fwd=3, t_bwd=3), MethodSpec("semi-reciprocal", t=4)])
-    assert swapped.dist.tobytes() == expected
