@@ -103,16 +103,16 @@ def _write_artifact(payload: str, path: str | None, stdout) -> None:
             fh.write(payload)
 
 
-def _merge_summary(u: Ultrametric, dendrogram, stdout) -> None:
-    stdout.write(f"method: {u.provenance.method if u.provenance else '?'}\n")
-    stdout.write(f"nodes: {u.n}\n")
+def _merge_summary(u: Ultrametric, dendrogram, out) -> None:
+    out.write(f"method: {u.provenance.method if u.provenance else '?'}\n")
+    out.write(f"nodes: {u.n}\n")
     if dendrogram.merges:
-        stdout.write("merges:\n")
+        out.write("merges:\n")
         for event in dendrogram.merges:
             blocks = " ".join("{" + ",".join(b) + "}" for b in event.blocks)
-            stdout.write(f"  {format_value(event.resolution)} -> {blocks}\n")
+            out.write(f"  {format_value(event.resolution)} -> {blocks}\n")
     else:
-        stdout.write("merges: (none)\n")
+        out.write("merges: (none)\n")
 
 
 def cmd_cluster(args, stdout, stderr) -> int:
@@ -124,10 +124,13 @@ def cmd_cluster(args, stdout, stderr) -> int:
         raise UsageError("--emit dot needs --delta" if dot else "--delta is read only by --emit dot")
 
     result = run_method(net, spec)
-    if isinstance(result, GraftCounterexample):
+    counterexample = isinstance(result, GraftCounterexample)
+    refused = [fmt for fmt, _ in plan if fmt in ("newick", "json")] if counterexample else []
+    # An artifact written to stdout has it alone, so that `> file` saves the artifact whole.
+    summary = stderr if any(path is None for _, path in plan) and not refused else stdout
+    if counterexample:
         for line in result.report.lines():
-            stdout.write(line + "\n")
-        refused = [fmt for fmt, _ in plan if fmt in ("newick", "json")]
+            summary.write(line + "\n")
         if refused:
             raise ValidationFailure(
                 f"refusing to emit {'/'.join(refused)}: {spec.describe()} is a "
@@ -136,7 +139,7 @@ def cmd_cluster(args, stdout, stderr) -> int:
         matrix = result.matrix
     else:
         dendrogram = to_dendrogram(result)
-        _merge_summary(result, dendrogram, stdout)
+        _merge_summary(result, dendrogram, summary)
         roots = dendrogram.roots
         if len(roots) > 1:
             stderr.write(

@@ -69,15 +69,23 @@ def _json_resolution(value) -> str:
     """An int or float as json writes it; any other real number (Fraction, numpy scalar) as its float."""
     if isinstance(value, numbers.Real) and not isinstance(value, (int, float)):
         value = float(value)
-    return json.dumps(value)
+    if type(value) in (int, float) and math.isfinite(value):
+        return repr(value)  # json's own text for these
+    return json.dumps(value)  # bools, subclasses, ±inf and NaN
+
+
+class _JsonTexts(dict):
+    """JSON texts by label; a label missing from it (a user-built block's) is written as it comes."""
+
+    def __missing__(self, label):
+        return json.dumps(label)
 
 
 def _json_list(texts, depth: int) -> str:
-    """A list of JSON texts laid out as ``json.dumps(indent=2)`` lays out one nested ``depth`` deep."""
-    if not texts:
-        return "[]"
+    """JSON texts, any iterable of them, laid out as ``json.dumps(indent=2)`` lays out a list ``depth`` deep."""
     pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * depth + "]"
+    body = ("," + pad).join(texts)  # a JSON text is never empty, so only an empty list joins to ""
+    return "[" + pad + body + "\n" + "  " * depth + "]" if body else "[]"
 
 
 def dendrogram_json(u: Ultrametric, d: Dendrogram) -> str:
@@ -88,14 +96,14 @@ def dendrogram_json(u: Ultrametric, d: Dendrogram) -> str:
     json would run its pure-Python encoder over the whole document.
     Resolutions other than int and float are written as their float.
     """
-    texts = {label: json.dumps(label) for label in u.labels}
+    texts = _JsonTexts((label, json.dumps(label)) for label in u.labels)
     events = []
     for event in d.merges:
-        blocks = [_json_list([texts.get(m) or json.dumps(m) for m in b], 4) for b in event.blocks]
+        blocks = [_json_list(map(texts.__getitem__, block), 4) for block in event.blocks]
         events.append(f'{{\n      "blocks": {_json_list(blocks, 3)},\n'
                       f'      "resolution": {_json_resolution(event.resolution)}\n    }}')
     rows = [_json_list(row, 2) for row in _format_array(u.dist, _json_number).tolist()]
-    head = f'{{\n  "labels": {_json_list(list(texts.values()), 1)},\n  "matrix": '
+    head = f'{{\n  "labels": {_json_list(texts.values(), 1)},\n  "matrix": '
     tail = f',\n  "merges": {_json_list(events, 1)}\n}}\n'
     if not rows:
         return head + "[]" + tail

@@ -353,29 +353,34 @@ def to_dendrogram(u: Ultrametric) -> Dendrogram:
     of its merges would give, and is never replayed.
     """
     order, near = _checked_order(u)
-    order = order.tolist()
-    labels = [u.labels[i] for i in order]
     # Per leaf: the next leaf in tree order and their resolution, as _replay links them. A block
-    # is known by its first leaf in that order, which is its smallest; per first leaf: its last.
+    # is known by its first leaf in that order, which is its smallest; per first leaf: its last,
+    # and its labels, sorted, so a closing block sorts its children's sorted runs into one.
     following, joined, last = [-1] * u.n, [math.inf] * u.n, list(range(u.n))
+    members = [(label,) for label in u.labels]
     formed, stack, roots = {}, [], []  # blocks by resolution; open blocks, innermost last; trees
-    for p, (child, delta) in enumerate(zip(order, near.tolist() + [math.inf])):
-        start = p
+    for child, delta in zip(order.tolist(), near.tolist() + [math.inf]):
         while stack and stack[-1][0] < delta:
-            height, start, children = stack.pop()
-            formed.setdefault(height, []).append(labels[start:p + 1])
+            height, children = stack.pop()
             children.append(child)
             children.sort(key=u.labels.__getitem__)
             for a, b in zip(children, children[1:]):
                 following[last[a]], joined[last[a]] = b, height
             child, last[children[0]] = children[0], last[children[-1]]
+            block = []
+            for c in children:
+                block += members[c]
+            block.sort()  # one merge of sorted runs
+            members[child] = block = tuple(block)
+            formed.setdefault(height, []).append(block)
         if delta == math.inf:
             roots.append(child)
             continue
         if not stack or stack[-1][0] != delta:
-            stack.append((delta, start, []))
-        stack[-1][2].append(child)
-    merges = (MergeEvent(delta, _sorted_blocks(formed[delta])) for delta in sorted(formed))
+            stack.append((delta, []))
+        stack[-1][1].append(child)
+    # Blocks of one event are disjoint, so sorting them compares first labels only.
+    merges = (MergeEvent(delta, tuple(sorted(formed[delta]))) for delta in sorted(formed))
     d = Dendrogram(u.labels, tuple(merges))
     object.__setattr__(d, "_tree_order", _linked_order(sorted(roots, key=u.labels.__getitem__), following, joined))
     return d

@@ -16,8 +16,8 @@ Every source goes through one reader, so a file gives the same network
 from a path, bytes, a stream or the command line: it is decoded as UTF-8
 (a byte that is not names its line), one leading byte-order mark is
 dropped, and lines end at LF, CRLF or CR, inside quoted labels too. A
-dense CSV's rows of plain decimals are converted in one np.loadtxt call
-per file.
+dense CSV's rows without a blank cell are converted in one np.loadtxt call
+per file, and the rows it reads as non-finite are read again cell by cell.
 """
 
 from __future__ import annotations
@@ -303,17 +303,20 @@ def _parse_cell(cell: str, where: str) -> float:
     return value
 
 
-# ASCII digits, ".", "e", "E", signs, spaces and commas only; a blank cell is looked for apart.
-_PLAIN_LINE = re.compile(r"[0-9.eE+ ,-]+")
 _BLANK_LINE = re.compile(r"[\s,]*")  # \s matches exactly what str.strip() removes
+
+
+def _parse_row(cells, label: str, labels) -> list[float]:
+    return [_parse_cell(cell, f"({label}, {labels[j]})") for j, cell in enumerate(cells)]
 
 
 def _dense_values(rows, labels, screen: bool) -> np.ndarray:
     """The value matrix of a dense CSV's data rows, each a line of text or csv.reader's list of cells.
 
-    With ``screen``, rows matching _PLAIN_LINE that hold no blank (+inf) cell go into one np.loadtxt
-    call, which raises or reads a non-finite value at a fault, and other rows are read cell by cell;
-    without it every row is, so the fault raised is the first in line order.
+    With ``screen``, every row without a blank (+inf) cell goes into one np.loadtxt call, which raises
+    at a cell it cannot read; a row it reads as non-finite ("inf", an overflow, "nan") is read again
+    cell by cell, and so is every row with a blank cell. Without ``screen`` every row is read cell by
+    cell, so the fault raised is the first in line order.
     """
     n = len(labels)
     matrix = np.empty((n, n))
@@ -330,19 +333,22 @@ def _dense_values(rows, labels, screen: bool) -> np.ndarray:
             raise NetworkFormatError(f"row {i + 1} label {label!r} does not match column label {labels[i]!r}")
         if count != n:
             raise NetworkFormatError(f"row {label!r} has {count} cells, expected {n}")
-        if screen and _PLAIN_LINE.fullmatch(values) and ",," not in f",{values.replace(' ', '')},":
+        plain = values.replace(" ", "")  # a cell of spaces only is blank too
+        if screen and plain and ",," not in plain and plain[0] != "," and plain[-1] != ",":
             block_rows.append(i)
             block_lines.append(values)
             continue
-        for j, cell in enumerate(values.split(",") if cells is None else cells):
-            matrix[i, j] = _parse_cell(cell, f"({label}, {labels[j]})")
+        matrix[i] = _parse_row(values.split(",") if cells is None else cells, label, labels)
     if block_lines:
         # max_rows lets numpy allocate the block once, at its size, instead of growing a buffer.
         block = np.loadtxt(
             block_lines, delimiter=",", dtype=float, ndmin=2, comments=None, max_rows=len(block_lines)
         )
-        if block.shape != (len(block_lines), n) or not np.isfinite(block).all():
-            raise ValueError("a screened row holds a fault")
+        if block.shape != (len(block_lines), n):
+            raise ValueError("a block row holds a fault")
+        for k in np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist():
+            i = block_rows[k]  # its n cells split at commas, as the block's shape shows
+            block[k] = _parse_row(block_lines[k].split(","), labels[i], labels)
         if len(block_rows) == n:
             return block
         matrix[block_rows] = block

@@ -175,12 +175,38 @@ def test_cluster_graft_json_merges_at_one_and_five(tmp_path):
     assert [m["resolution"] for m in doc["merges"]] == [1.0, 5.0]
 
 
+CYCLE4_SUMMARY = "method: reciprocal\nnodes: 4\nmerges:\n  2 -> {c,d}\n  3 -> {a,b}\n  5 -> {a,b,c,d}\n"
+
+
 def test_cluster_emits_to_stdout_without_output_path():
     code, out, err = run_cli(
         "cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "newick"
     )
     assert code == 0
-    assert out.endswith("((a:3,b:3):2,(c:2,d:2):3):0;\n")
+    assert out == (DATA / "golden_cycle4_reciprocal.nwk").read_text()
+    assert err == CYCLE4_SUMMARY  # the summary never shares stdout with an artifact
+
+
+def test_cluster_json_on_stdout_is_the_golden_alone():
+    code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "json")
+    assert (code, out, err) == (0, (DATA / "golden_cycle4_reciprocal.json").read_text(), CYCLE4_SUMMARY)
+    json.loads(out)
+
+
+def test_cluster_summary_stays_on_stdout_when_every_artifact_has_a_path(tmp_path):
+    target = tmp_path / "t.nwk"
+    code, out, err = run_cli(
+        "cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "newick", "--output", str(target)
+    )
+    assert (code, out, err) == (0, CYCLE4_SUMMARY, "")
+    assert target.read_text() == (DATA / "golden_cycle4_reciprocal.nwk").read_text()
+
+
+def test_cluster_invalid_graft_report_leaves_stdout_to_the_csv():
+    code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "graft-rr-invalid:4", "--emit", "csv")
+    assert code == 0
+    assert out.startswith(",a,b,c,d\n") and "INVALID" not in out
+    assert err.startswith("ultrametric: 4 nodes, INVALID") and "triangle violation" in err
 
 
 def test_cluster_refuses_invalid_graft_dendrogram():

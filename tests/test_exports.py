@@ -1,9 +1,11 @@
 import io
 import json
 import math
+import numbers
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dioidclust import (
@@ -22,6 +24,7 @@ from dioidclust import (
 )
 from dioidclust.cli import main
 from dioidclust.exports import (
+    _json_number,
     dendrogram_json,
     matrix_csv,
     newick,
@@ -29,10 +32,11 @@ from dioidclust.exports import (
     partition_text,
     threshold_dot,
 )
-from dioidclust.methods import parse_method_spec, run_methods
-from dioidclust.network import _csv_field, format_value
+from dioidclust.hierarchy import _checked_order, _linked_order, _sorted_blocks
+from dioidclust.methods import parse_method_spec, run_method, run_methods
+from dioidclust.network import _csv_field, _format_array, format_value
 
-from conftest import DATA
+from conftest import DATA, method_battery
 
 
 def test_cycle4_reciprocal_newick_golden(cycle4):
@@ -320,8 +324,6 @@ def test_compare_columns_match_per_cell(tmp_path):
 
 
 def test_dendrogram_json_writes_every_real_resolution():
-    from fractions import Fraction
-
     u = Ultrametric(("p", "q", "r"), [[0.0, 3.0, math.inf], [3.0, 0.0, math.inf], [math.inf, math.inf, 0.0]])
     for resolution, written in ((3, 3), (3.0, 3.0), (Fraction(3, 1), 3.0), (np.float32(3.0), 3.0)):
         d = Dendrogram(u.labels, (MergeEvent(resolution, (("p", "q"),)),))
@@ -329,3 +331,98 @@ def test_dendrogram_json_writes_every_real_resolution():
         assert dendrogram_json(u, d) == _dendrogram_json_per_cell(u, expected), type(resolution)
         assert json.loads(dendrogram_json(u, d))["merges"][0]["resolution"] == 3.0
         assert d.roots == (("p", "q"), ("r",)) and newick(d) == "(p:3,q:3):0;\nr;\n"
+
+
+# ---- merge events and their JSON against the builders they replaced ---------
+
+def _sliced_to_dendrogram(u):
+    """to_dendrogram as it built blocks before: each one sliced out of the leaf order and sorted label by label."""
+    order, near = _checked_order(u)
+    order = order.tolist()
+    labels = [u.labels[i] for i in order]
+    following, joined, last = [-1] * u.n, [math.inf] * u.n, list(range(u.n))
+    formed, stack, roots = {}, [], []
+    for p, (child, delta) in enumerate(zip(order, near.tolist() + [math.inf])):
+        start = p
+        while stack and stack[-1][0] < delta:
+            height, start, children = stack.pop()
+            formed.setdefault(height, []).append(labels[start:p + 1])
+            children.append(child)
+            children.sort(key=u.labels.__getitem__)
+            for a, b in zip(children, children[1:]):
+                following[last[a]], joined[last[a]] = b, height
+            child, last[children[0]] = children[0], last[children[-1]]
+        if delta == math.inf:
+            roots.append(child)
+            continue
+        if not stack or stack[-1][0] != delta:
+            stack.append((delta, start, []))
+        stack[-1][2].append(child)
+    merges = (MergeEvent(delta, _sorted_blocks(formed[delta])) for delta in sorted(formed))
+    d = Dendrogram(u.labels, tuple(merges))
+    object.__setattr__(d, "_tree_order", _linked_order(sorted(roots, key=u.labels.__getitem__), following, joined))
+    return d
+
+
+def _json_list_of_texts(texts, depth):
+    if not texts:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * depth + "]"
+
+
+def _dendrogram_json_label_by_label(u, d):
+    """dendrogram_json as it wrote merges before: a lookup per label and json.dumps per resolution."""
+    texts = {label: json.dumps(label) for label in u.labels}
+    events = []
+    for event in d.merges:
+        resolution = event.resolution
+        if isinstance(resolution, numbers.Real) and not isinstance(resolution, (int, float)):
+            resolution = float(resolution)
+        blocks = [_json_list_of_texts([texts.get(m) or json.dumps(m) for m in b], 4) for b in event.blocks]
+        events.append(f'{{\n      "blocks": {_json_list_of_texts(blocks, 3)},\n'
+                      f'      "resolution": {json.dumps(resolution)}\n    }}')
+    rows = [_json_list_of_texts(row, 2) for row in _format_array(u.dist, _json_number).tolist()]
+    matrix = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return (f'{{\n  "labels": {_json_list_of_texts(list(texts.values()), 1)},\n  "matrix": {matrix},\n'
+            f'  "merges": {_json_list_of_texts(events, 1)}\n}}\n')
+
+
+# String order differs from input order ("n10" < "n2"), with non-ASCII, astral and quoted labels.
+_ORDER_LABELS = ("n0", "n1", "n2", "n10", "n11", "n20", "Z", "a", "\u00e9", "\u00df", "\u65e5", "\U0001f600",
+                 "'q'", 'x,"y"', "back\\slash", "c d")
+_TIED_WEIGHTS = st.sampled_from([1.0, 2.0, 3.0, float(np.nextafter(2.0, 3.0)), math.inf])  # ties and forests
+
+
+@st.composite
+def relabeled_results(draw):
+    """A method's result on 1..10 nodes with tied and +inf weights, under labels drawn in any order."""
+    n = draw(st.integers(1, 10))
+    labels = tuple(draw(st.permutations(_ORDER_LABELS))[:n])
+    a = np.array(draw(st.lists(_TIED_WEIGHTS, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(a, 0.0)
+    return run_method(Network(labels, a), draw(st.sampled_from(method_battery())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabeled_results(), st.sampled_from([int, Fraction, np.float64, np.int64, bool]))
+@example(Ultrametric((), np.zeros((0, 0))), int)
+@example(Ultrametric(("n2",), np.zeros((1, 1))), int)
+@example(Ultrametric(("n2", "n10"), [[0.0, 2.0], [2.0, 0.0]]), int)
+@example(Ultrametric(("n2", "n10"), [[0.0, math.inf], [math.inf, 0.0]]), int)
+def test_merge_events_and_json_match_the_builders_they_replaced(u, user_type):
+    d, expected = to_dendrogram(u), _sliced_to_dendrogram(u)
+    assert d.merges == expected.merges and repr(d.merges) == repr(expected.merges)  # repr shows each type
+    assert [type(e.resolution) for e in d.merges] == [type(e.resolution) for e in expected.merges]
+    assert d._tree_order == expected._tree_order
+    assert list(map(type, d._tree_order[1])) == list(map(type, expected._tree_order[1]))
+    assert dendrogram_json(u, d) == _dendrogram_json_label_by_label(u, expected)
+    # A user-built dendrogram's resolutions are written as they come, an int as an int.
+    built = Dendrogram(d.leaves, tuple(MergeEvent(user_type(e.resolution), e.blocks) for e in d.merges))
+    assert dendrogram_json(u, built) == _dendrogram_json_label_by_label(u, built)
+
+
+def test_dendrogram_json_writes_blocks_of_labels_it_does_not_list():
+    u = Ultrametric(("p", "q"), [[0.0, 1.0], [1.0, 0.0]])
+    d = Dendrogram(("p", "q"), (MergeEvent(1, (("p", "q", 7), ())),))
+    assert dendrogram_json(u, d) == _dendrogram_json_label_by_label(u, d)

@@ -546,7 +546,7 @@ def test_np_loadtxt_reads_cells_as_the_block_conversion_needs():
     def read(*lines):
         return np.loadtxt(list(lines), delimiter=",", dtype=float, ndmin=2, comments=None, max_rows=len(lines))
 
-    for cell in ("1.2.3", "e", ".", "e5", "1e", "1e+", "- 1", "+-1", "--1", "1 2", "1e5.5", "1,,2", "1, ,2", " "):
+    for cell in ("1.2.3", "e", ".", "e5", "1e", "1e+", "- 1", "+-1", "--1", "1 2", "1e5.5", "1,,2", "1, ,2", " ", "\t"):
         with pytest.raises(ValueError):
             read(cell)
     with pytest.raises(ValueError):
@@ -555,6 +555,32 @@ def test_np_loadtxt_reads_cells_as_the_block_conversion_needs():
         assert read(cell).view(np.uint64).tolist() == [[np.float64(float(cell)).view(np.uint64)]], cell
     assert read("1e400").tolist() == [[math.inf]]
     assert read("1", "2").shape == (2, 1)
+    for cell in ("\t", "\xa0", "1\n2"):  # a blank cell, and a quoted cell holding a line end
+        with pytest.raises(ValueError):
+            read(f"1,{cell},2")
+
+
+# Digits and the rest of a decimal; whitespace to str.strip() or to numpy; letters of inf, nan and Infinity;
+# then letters of hex floats ("0x1p3"), Fortran exponents ("1d5") and a non-ASCII digit.
+_CELL_ALPHABET = ("0123456789.eE+-_" + " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000"
+                  + "infatyINFATY" + "xpd\u0663")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(st.sampled_from(_CELL_ALPHABET), max_size=8))
+@example(" 1\x85")
+@example("\u30001e5\t")
+@example("1_0")
+@example("\u0663")
+def test_np_loadtxt_reads_a_cell_as_finite_only_as_the_cell_reader_does(cell):
+    """Every cell np.loadtxt reads as finite, _parse_cell reads to the same bits: the block is read by the first."""
+    try:
+        block = np.loadtxt([f"1,{cell},1"], delimiter=",", dtype=float, ndmin=2, comments=None, max_rows=1)
+    except ValueError:
+        return  # the reader then reads every row again cell by cell
+    assert block.shape == (1, 3)
+    if math.isfinite(block[0, 1]):  # a non-finite value's row is read again cell by cell
+        assert np.float64(_parse_cell(cell, "here")).view(np.uint64) == block[0, 1:2].view(np.uint64)[0]
 
 
 def _closure_connected(net):
