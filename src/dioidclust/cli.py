@@ -86,6 +86,9 @@ def _emission_plan(args) -> list[tuple[str, str | None]]:
         if outputs:
             raise UsageError("--output given without --emit")
         return []
+    repeated = [path for k, path in enumerate(outputs) if path in outputs[:k]]
+    if repeated:  # the later artifact would overwrite the earlier one
+        raise UsageError(f"--output {repeated[0]} is given twice")
     if len(outputs) == len(emits):
         return list(zip(emits, outputs))
     if not outputs and len(emits) == 1:

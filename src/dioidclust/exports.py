@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .hierarchy import Dendrogram, Partition, Ultrametric
+from .hierarchy import Dendrogram, Partition, Ultrametric, _blocks
 from .network import Network, _format_array, _matrix_csv, format_value
 
 __all__ = [
@@ -41,22 +41,17 @@ def _newick_label(label: str) -> str:
 def newick(d: Dendrogram) -> str:
     """Newick text of a dendrogram, one tree per root, trailing newline.
 
-    Written along the tree order from one stack of open blocks, each closed
-    at the first larger resolution. Malformed merges raise DendrogramStructureError.
+    Written along the tree order by the block walk ``to_dendrogram`` reads, one
+    line per tree. Malformed merges raise DendrogramStructureError.
     """
-    order, near = d._tree_order
-    lines, stack = [], []  # open blocks, innermost last: (height, child texts)
-    for leaf, join in zip(order, near + (math.inf,)):
-        text, height = _newick_label(str(d.leaves[leaf])), 0.0
-        while stack and stack[-1][0] < join:
-            top, children = stack.pop()
-            text, height = "(" + ",".join(children + [f"{text}:{format_value(top - height)}"]) + ")", top
-        if join == math.inf:  # a root sits at its own height, so its branch length is 0; a lone leaf has none
-            lines.append(text + (":0;" if height > 0 else ";"))
-            continue
-        if not stack or stack[-1][0] != join:
-            stack.append((join, []))
-        stack[-1][1].append(f"{text}:{format_value(join - height)}")
+    texts = [_newick_label(str(leaf)) for leaf in d.leaves]  # per leaf, then per closed block by its first leaf
+    heights, lines = [0.0] * len(texts), []
+    for top, children in _blocks(*d._tree_order):
+        if top == math.inf:  # the trees: a root sits at its own height, so its branch length is 0; a lone leaf has none
+            lines = [texts[c] + (":0;" if heights[c] > 0 else ";") for c in children]
+        else:
+            branches = [f"{texts[c]}:{format_value(top - heights[c])}" for c in children]
+            texts[children[0]], heights[children[0]] = "(" + ",".join(branches) + ")", top
     return "\n".join(lines) + "\n"
 
 

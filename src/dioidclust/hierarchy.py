@@ -7,16 +7,16 @@ is the same information as a merge tree: one event per distinct finite
 resolution, listing the blocks newly formed at that resolution. +inf
 entries are first-class and yield forests (several roots).
 
-Both are read as one tree order: the leaves, each cluster one run, and the
-resolution joining each pair of neighbours (+inf between trees), which fix
-the matrix by u(p, q) = max(u(p, q-1), u(q-1, q)). ``validate_ultrametric``
-sorts the leaves once and compares the matrix with that recurrence's;
-``to_dendrogram`` and ``cut_at_resolution`` read its order. A dendrogram
-holds its tree order in one canonical form, children by smallest leaf: one
-built by ``to_dendrogram`` gets it from the walk that forms its blocks, and
-any other replays its merge events once, refusing malformed ones (an event
-at +inf, a block nesting one of its own resolution: neither has an
-ultrametric). Roots, Newick and ``from_dendrogram`` read that order.
+Both are read as one tree order: the leaves, each cluster one run and
+children by smallest leaf, and the resolution joining each pair of
+neighbours (+inf between trees), which fix the matrix by u(p, q) =
+max(u(p, q-1), u(q-1, q)). ``validate_ultrametric`` sorts the leaves into
+that order once and compares the matrix with the recurrence's. A dendrogram
+from ``to_dendrogram`` holds the order checked; any other replays its merge
+events once, refusing malformed ones (an event at +inf, a block nesting one
+of its own resolution: neither has an ultrametric). One walk reads the
+blocks off the order for ``to_dendrogram`` and Newick; roots and cuts split
+it at a level, and ``from_dendrogram`` builds the matrix from it.
 """
 
 from __future__ import annotations
@@ -135,9 +135,8 @@ class Dendrogram:
     @property
     def roots(self) -> tuple[tuple[str, ...], ...]:
         """Blocks of the coarsest partition; more than one means a forest."""
-        order, near = self._tree_order
-        ends = [p + 1 for p, r in enumerate(near) if r == math.inf] + [len(order)]
-        return _sorted_blocks([self.leaves[i] for i in order[s:e]] for s, e in zip([0] + ends, ends) if s < e)
+        order, near = self._tree_order  # the trees are its runs at the highest finite level
+        return _runs(self.leaves, order, near, max((r for r in near if r < math.inf), default=0))
 
 
 @dataclass(frozen=True)
@@ -213,10 +212,10 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
 
     Tolerance 0 is exact and appropriate for anything produced purely by
     min/max operations; methods that mix in ordinary arithmetic warrant a
-    small positive tolerance. The leaves are sorted once; an exact ultrametric,
-    the matrix its neighbour entries build, needs no dioid product and no
-    further scan. Any other matrix costs one O(n^3) dioid square of its
-    entries' ranks, which yields the same bounds as a square of the entries.
+    small positive tolerance. The leaves are sorted once, into tree order: an
+    exact ultrametric, which its neighbour entries rebuild, needs no dioid
+    product and no further scan. Any other matrix costs one O(n^3) dioid square
+    of its entries' ranks, which yields the same bounds as a square of them.
     """
     if not math.isfinite(tolerance) or tolerance < 0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
@@ -227,15 +226,18 @@ def validate_ultrametric(matrix, tolerance: float, labels=None) -> UltrametricRe
     labels = tuple(str(i) for i in range(n)) if labels is None else labels
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for a {n}x{n} matrix")
-    # Sorted by their rows, each cluster's leaves form one run: they see each
-    # outsider at one distance, above their mutual ones.
-    order = np.lexsort(arr[::-1]) if n else np.arange(0)
+    # Sorted by their rows, each cluster's leaves form one run: they see each outsider at one distance, above
+    # their mutual ones. With the columns keyed in label order (as str; lexsort's last key is its first), a
+    # cluster's smallest label leads it and its parts follow by theirs. The keys are row views of arr.
+    keys = sorted(range(n), key=[str(label) for label in labels].__getitem__, reverse=True)
+    order = np.lexsort([arr[i] for i in keys]) if n else np.arange(0)
     near = arr[order[:-1], order[1:]]
     exact = bool((near > 0).all()) and np.array_equal(arr, _in_input_order(order, near))
     if exact and (near > tolerance).all():  # every finding follows from exactness
         report = UltrametricReport(n=n, tolerance=tolerance, symmetric=True, zero_diagonal=True,
                                    positive_off_diagonal=True, idempotent=True)
-        object.__setattr__(report, "_leaf_order", (order, near))  # not a field, so eq, hash and repr skip it
+        # Not a field, so eq, hash and repr skip it.
+        object.__setattr__(report, "_leaf_order", (tuple(order.tolist()), tuple(near.tolist())))
         return report
     if np.isnan(arr).any():  # never exact, so only a matrix that failed the test above is scanned
         i, j = np.argwhere(np.isnan(arr))[0]
@@ -272,8 +274,8 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[float, ...]]:
     Children and roots are ordered by smallest leaf, so each tree and block is
     one run. Returns the leaves in that order (as indices) and the resolution,
     as its event holds it, joining each to the next (+inf between trees).
-    ``to_dendrogram`` builds the same pair itself, so only dendrograms built
-    elsewhere are replayed.
+    ``to_dendrogram``'s check sorts the leaves into the same pair, so only
+    dendrograms built elsewhere are replayed.
     Raises DendrogramStructureError for ill-formed merges, a resolution that is
     not a real number (bools and Decimals included) or not positive and finite,
     and a block nesting one of its own resolution among them.
@@ -319,25 +321,42 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[float, ...]]:
             last_leaf[parts[0]], size[parts[0]], formed[parts[0]] = last_leaf[parts[-1]], len(members), event.resolution
             for m in members:
                 first[index[m]] = parts[0]
-    return _linked_order(sorted(set(first), key=d.leaves.__getitem__), following, joined)
-
-
-def _linked_order(heads, following, joined) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The leaves linked from each head in turn, and the resolution joining each to the next."""
-    order = []
-    for leaf in heads:
+    order = []  # the leaves linked from each tree's first in turn
+    for leaf in sorted(set(first), key=d.leaves.__getitem__):
         while leaf >= 0:
             order.append(leaf)
             leaf = following[leaf]
     return tuple(order), tuple(joined[leaf] for leaf in order[:-1])
 
 
-def _checked_order(u: Ultrametric) -> tuple[np.ndarray, np.ndarray]:
-    """u's leaf order and its neighbour entries, off the report of validate_ultrametric passing u exactly."""
+def _checked_order(u: Ultrametric) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """u's tree order, off the report of validate_ultrametric passing u exactly."""
     report = validate_ultrametric(u.dist, 0.0, labels=u.labels)
     if not report.is_valid:
         raise InvalidUltrametricError(report)
     return report._leaf_order
+
+
+def _blocks(order, near):
+    """Each block of a tree order as it closes: its resolution, its children by first leaf; the trees last, at +inf."""
+    stack = []  # open blocks, innermost last: (resolution, children); each closes at the first larger entry
+    for child, join in zip(order, near + (math.inf,)):
+        while stack and stack[-1][0] < join:
+            height, children = stack.pop()
+            children.append(child)
+            yield height, children
+            child = children[0]
+        if stack and stack[-1][0] == join:
+            stack[-1][1].append(child)
+        else:
+            stack.append((join, [child]))
+    yield from stack
+
+
+def _runs(leaves, order, near, level) -> tuple[tuple[str, ...], ...]:
+    """The blocks of a tree order at ``level``: its runs between neighbour entries above it."""
+    ends = [p + 1 for p, r in enumerate(near) if r > level] + [len(order)]
+    return _sorted_blocks([leaves[i] for i in order[s:e]] for s, e in zip([0] + ends, ends) if s < e)
 
 
 def to_dendrogram(u: Ultrametric) -> Dendrogram:
@@ -346,43 +365,25 @@ def to_dendrogram(u: Ultrametric) -> Dendrogram:
     This is the validation point for every result turned into a dendrogram:
     validate_ultrametric checks ``u`` exactly (tolerance 0; no dioid product
     when u is valid) and invalid input raises InvalidUltrametricError with its
-    report. Blocks are read along u's leaf order as Newick reads them: each
-    opens at a neighbour entry and closes at the first larger one (+inf: a root).
-    The same walk links each closed block's children by smallest leaf, so the
-    returned dendrogram holds its tree order from the start, the pair a replay
-    of its merges would give, and is never replayed.
+    report. The blocks are read off the check's tree order by the walk Newick
+    reads, and the dendrogram holds that order, so it is never replayed.
     """
     order, near = _checked_order(u)
-    # Per leaf: the next leaf in tree order and their resolution, as _replay links them. A block
-    # is known by its first leaf in that order, which is its smallest; per first leaf: its last,
-    # and its labels, sorted, so a closing block sorts its children's sorted runs into one.
-    following, joined, last = [-1] * u.n, [math.inf] * u.n, list(range(u.n))
+    # Per block, by its first leaf: its labels, sorted, so a closing block sorts its children's sorted runs into one.
     members = [(label,) for label in u.labels]
-    formed, stack, roots = {}, [], []  # blocks by resolution; open blocks, innermost last; trees
-    for child, delta in zip(order.tolist(), near.tolist() + [math.inf]):
-        while stack and stack[-1][0] < delta:
-            height, children = stack.pop()
-            children.append(child)
-            children.sort(key=u.labels.__getitem__)
-            for a, b in zip(children, children[1:]):
-                following[last[a]], joined[last[a]] = b, height
-            child, last[children[0]] = children[0], last[children[-1]]
+    formed = {}  # blocks by resolution
+    for height, children in _blocks(order, near):
+        if height < math.inf:
             block = []
             for c in children:
                 block += members[c]
             block.sort()  # one merge of sorted runs
-            members[child] = block = tuple(block)
+            members[children[0]] = block = tuple(block)
             formed.setdefault(height, []).append(block)
-        if delta == math.inf:
-            roots.append(child)
-            continue
-        if not stack or stack[-1][0] != delta:
-            stack.append((delta, []))
-        stack[-1][1].append(child)
     # Blocks of one event are disjoint, so sorting them compares first labels only.
     merges = (MergeEvent(delta, tuple(sorted(formed[delta]))) for delta in sorted(formed))
     d = Dendrogram(u.labels, tuple(merges))
-    object.__setattr__(d, "_tree_order", _linked_order(sorted(roots, key=u.labels.__getitem__), following, joined))
+    object.__setattr__(d, "_tree_order", (order, near))
     return d
 
 
@@ -403,6 +404,4 @@ def cut_at_resolution(u: Ultrametric, delta: float) -> Partition:
     """
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"resolution must be finite and >= 0, got {delta}")
-    order, near = _checked_order(u)
-    runs = np.split(order, np.flatnonzero(near > delta) + 1) if u.n else []
-    return Partition(float(delta), _sorted_blocks([u.labels[i] for i in run] for run in runs))
+    return Partition(float(delta), _runs(u.labels, *_checked_order(u), delta))

@@ -310,13 +310,14 @@ def _parse_row(cells, label: str, labels) -> list[float]:
     return [_parse_cell(cell, f"({label}, {labels[j]})") for j, cell in enumerate(cells)]
 
 
-def _dense_values(rows, labels, screen: bool) -> np.ndarray:
+def _dense_values(rows, labels, screen: bool, controls: bool = False) -> np.ndarray:
     """The value matrix of a dense CSV's data rows, each a line of text or csv.reader's list of cells.
 
     With ``screen``, every row without a blank (+inf) cell goes into one np.loadtxt call, which raises
     at a cell it cannot read; a row it reads as non-finite ("inf", an overflow, "nan") is read again
-    cell by cell, and so is every row with a blank cell. Without ``screen`` every row is read cell by
-    cell, so the fault raised is the first in line order.
+    cell by cell, and so is every row with a blank cell, or not printable where ``controls`` (ASCII
+    whitespace but spaces and line ends) or non-ASCII text may hide a blank cell np.loadtxt refuses.
+    Without ``screen`` every row is read cell by cell, so the fault raised is the first in line order.
     """
     n = len(labels)
     matrix = np.empty((n, n))
@@ -334,7 +335,8 @@ def _dense_values(rows, labels, screen: bool) -> np.ndarray:
         if count != n:
             raise NetworkFormatError(f"row {label!r} has {count} cells, expected {n}")
         plain = values.replace(" ", "")  # a cell of spaces only is blank too
-        if screen and plain and ",," not in plain and plain[0] != "," and plain[-1] != ",":
+        if (screen and plain and ",," not in plain and plain[0] != "," and plain[-1] != ","
+                and (not controls and plain.isascii() or plain.isprintable())):
             block_rows.append(i)
             block_lines.append(values)
             continue
@@ -371,7 +373,7 @@ def _parse_dense(text: str, what: str = "network"):
     if len(rows) - 1 != n:
         raise NetworkFormatError(f"{what} has {n} columns but {len(rows) - 1} data rows")
     try:
-        return labels, _dense_values(rows[1:], labels, screen=True)
+        return labels, _dense_values(rows[1:], labels, True, any(map(text.__contains__, "\t\x0b\x0c\x1c\x1d\x1e\x1f")))
     except ValueError:  # a fault: read again in line order, which raises the first
         return labels, _dense_values(rows[1:], labels, screen=False)
 

@@ -193,6 +193,14 @@ def test_cluster_json_on_stdout_is_the_golden_alone():
     json.loads(out)
 
 
+def test_cluster_refuses_a_repeated_output_path(tmp_path):
+    target = str(tmp_path / "x")
+    code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "newick",
+                             "--emit", "json", "--output", target, "--output", target)
+    assert (code, out, err) == (1, "", f"error: --output {target} is given twice\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_cluster_summary_stays_on_stdout_when_every_artifact_has_a_path(tmp_path):
     target = tmp_path / "t.nwk"
     code, out, err = run_cli(

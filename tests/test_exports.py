@@ -25,6 +25,7 @@ from dioidclust import (
 from dioidclust.cli import main
 from dioidclust.exports import (
     _json_number,
+    _newick_label,
     dendrogram_json,
     matrix_csv,
     newick,
@@ -32,7 +33,7 @@ from dioidclust.exports import (
     partition_text,
     threshold_dot,
 )
-from dioidclust.hierarchy import _checked_order, _linked_order, _sorted_blocks
+from dioidclust.hierarchy import _checked_order, _sorted_blocks
 from dioidclust.methods import parse_method_spec, run_method, run_methods
 from dioidclust.network import _csv_field, _format_array, format_value
 
@@ -338,11 +339,10 @@ def test_dendrogram_json_writes_every_real_resolution():
 def _sliced_to_dendrogram(u):
     """to_dendrogram as it built blocks before: each one sliced out of the leaf order and sorted label by label."""
     order, near = _checked_order(u)
-    order = order.tolist()
     labels = [u.labels[i] for i in order]
     following, joined, last = [-1] * u.n, [math.inf] * u.n, list(range(u.n))
     formed, stack, roots = {}, [], []
-    for p, (child, delta) in enumerate(zip(order, near.tolist() + [math.inf])):
+    for p, (child, delta) in enumerate(zip(order, near + (math.inf,))):
         start = p
         while stack and stack[-1][0] < delta:
             height, start, children = stack.pop()
@@ -362,6 +362,15 @@ def _sliced_to_dendrogram(u):
     d = Dendrogram(u.labels, tuple(merges))
     object.__setattr__(d, "_tree_order", _linked_order(sorted(roots, key=u.labels.__getitem__), following, joined))
     return d
+
+
+def _linked_order(heads, following, joined):
+    order = []
+    for leaf in heads:
+        while leaf >= 0:
+            order.append(leaf)
+            leaf = following[leaf]
+    return tuple(order), tuple(joined[leaf] for leaf in order[:-1])
 
 
 def _json_list_of_texts(texts, depth):
@@ -426,3 +435,46 @@ def test_dendrogram_json_writes_blocks_of_labels_it_does_not_list():
     u = Ultrametric(("p", "q"), [[0.0, 1.0], [1.0, 0.0]])
     d = Dendrogram(("p", "q"), (MergeEvent(1, (("p", "q", 7), ())),))
     assert dendrogram_json(u, d) == _dendrogram_json_label_by_label(u, d)
+
+
+# ---- Newick against the writer it replaced ----------------------------------
+
+def _newick_by_stack(d):
+    """newick as it was written before: its own stack of open blocks along the tree order, child texts per block."""
+    order, near = d._tree_order
+    lines, stack = [], []  # open blocks, innermost last: (height, child texts)
+    for leaf, join in zip(order, near + (math.inf,)):
+        text, height = _newick_label(str(d.leaves[leaf])), 0.0
+        while stack and stack[-1][0] < join:
+            top, children = stack.pop()
+            text, height = "(" + ",".join(children + [f"{text}:{format_value(top - height)}"]) + ")", top
+        if join == math.inf:  # a root sits at its own height, so its branch length is 0; a lone leaf has none
+            lines.append(text + (":0;" if height > 0 else ";"))
+            continue
+        if not stack or stack[-1][0] != join:
+            stack.append((join, []))
+        stack[-1][1].append(f"{text}:{format_value(join - height)}")
+    return "\n".join(lines) + "\n"
+
+
+def _written(write, d):
+    try:
+        return write(d)
+    except ValueError as exc:  # a user-built resolution that nests a block of its own
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabeled_results(), st.sampled_from([int, Fraction, np.float32]))
+@example(Ultrametric((), np.zeros((0, 0))), int)
+@example(Ultrametric(("n2",), np.zeros((1, 1))), Fraction)
+@example(Ultrametric(("n2", "n10"), [[0.0, 2.0], [2.0, 0.0]]), np.float32)
+@example(Ultrametric(("n2", "n10"), [[0.0, math.inf], [math.inf, 0.0]]), int)
+@example(Ultrametric(("c d", "n2", "'q'"), [[0.0, 1.5, math.inf], [1.5, 0.0, math.inf], [math.inf, math.inf, 0.0]]),
+         Fraction)
+def test_newick_matches_the_stack_writer_it_replaced(u, user_type):
+    d = to_dendrogram(u)
+    assert newick(d) == _newick_by_stack(d)
+    # A user-built dendrogram is replayed, and its resolutions are written as they come.
+    built = Dendrogram(d.leaves, tuple(MergeEvent(user_type(e.resolution), e.blocks) for e in d.merges))
+    assert _written(newick, built) == _written(_newick_by_stack, Dendrogram(built.leaves, built.merges))

@@ -8,10 +8,12 @@ name ``dioidclust_frozen`` and only read.
 
 Results must agree bit for bit (values compared by ``.view(np.uint64)``),
 whether a spec runs alone or beside the others in one ``run_methods`` call,
-and Newick and JSON bytes must be equal, as must the exit code, stdout and
-stderr of ``compare``. The networks drawn are ones that ``validate_network``
-accepts, since the frozen copy accepts some that are now refused; errors
-are never compared.
+and Newick and JSON bytes must be equal, as must the partitions
+``cut_at_resolution`` gives at 0 and at every finite level of a result, and
+the exit code, stdout and stderr of ``compare``. The networks drawn are ones
+that ``validate_network`` accepts, since the frozen copy accepts some that
+are now refused; errors are never compared. Their labels are in input order
+or shuffled, so string order can be unrelated to input order.
 """
 
 import importlib
@@ -24,7 +26,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioidclust import MethodSpec, Network, exports, run_method, save_network, to_dendrogram, validate_network
+from dioidclust import (MethodSpec, Network, cut_at_resolution, exports, run_method, save_network, to_dendrogram,
+                        validate_network)
 from dioidclust.cli import main
 from dioidclust.methods import run_methods
 
@@ -66,7 +69,10 @@ def valid_networks(draw):
     if draw(st.booleans()):
         a = np.minimum(a, a.T)
     np.fill_diagonal(a, np.where(rng.random(n) < 0.5, -0.0, 0.0))
-    net = Network(tuple(f"n{i}" for i in range(n)), a)
+    labels = tuple(f"n{i}" for i in range(n))
+    if draw(st.booleans()):  # shuffled: string order unrelated to input order
+        labels = tuple(draw(st.permutations(labels)))
+    net = Network(labels, a)
     assert validate_network(net).is_valid
     return net
 
@@ -107,6 +113,9 @@ def test_every_admissible_kind_matches_the_frozen_reference(net, data):
         new_tree, old_tree = to_dendrogram(new), frozen.to_dendrogram(old)
         assert exports.newick(new_tree) == frozen_exports.newick(old_tree), spec.describe()
         assert exports.dendrogram_json(new, new_tree) == frozen_exports.dendrogram_json(old, old_tree), spec.describe()
+        for delta in sorted({0.0, *new.dist[np.isfinite(new.dist)].tolist()}):
+            new_cut, old_cut = cut_at_resolution(new, delta), frozen.cut_at_resolution(old, delta)
+            assert (new_cut.resolution, new_cut.blocks) == (old_cut.resolution, old_cut.blocks), spec.describe()
 
 
 def _run(entry, argv):

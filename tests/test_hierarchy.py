@@ -672,6 +672,17 @@ def test_ultrametric_refuses_duplicate_labels():
         Ultrametric((1, "1"), [[0, 1], [1, 0]])
 
 
+def test_validate_takes_labels_that_cannot_be_ordered_with_each_other():
+    valid = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    report = validate_ultrametric(valid, 0.0, labels=[None, "a", 3])
+    assert report == validate_ultrametric(valid, 0.0) and report.is_valid
+    # Labels compared as str, "3" < "None" < "a": the block {None, 3} is led by 3.
+    assert report._leaf_order == ((2, 0, 1), (1.0, 2.0))
+    invalid = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    assert validate_ultrametric(invalid, 0.0, labels=[None, "a", 3]).violations == (
+        (None, 3, "a", 3.0, 1.0), ("a", 3, None, 3.0, 1.0))
+
+
 def test_validate_refuses_a_wrong_label_count():
     valid, invalid = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [2.0, 0.0]])
     for m in (valid, invalid):

@@ -541,6 +541,39 @@ def test_only_the_rows_with_a_blank_cell_are_read_cell_by_cell(monkeypatch, rng,
     assert places == [f"(n{i}, n{j})" for i in (5, 9) for j in range(n)]
 
 
+@pytest.mark.parametrize("space", ["\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000"])
+def test_a_blank_cell_of_other_whitespace_is_read_once(monkeypatch, rng, space):
+    # np.loadtxt refuses such a cell, so its row stays out of the block instead of failing it.
+    n = 16
+    labels = tuple(f"n{i}" for i in range(n))
+    a = rng.uniform(1.0, 2.0, (n, n))
+    np.fill_diagonal(a, 0.0)
+    a[5, 7] = np.inf
+    text = save_network(Network(labels, a)).replace(",inf", "," + space)
+    reads, rows = [], []
+
+    def counted(original, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(network, "_dense_values", counted(network._dense_values, reads))
+    monkeypatch.setattr(network, "_parse_row", counted(network._parse_row, rows))
+    assert load_network(text).dissim.view(np.uint64).tolist() == a.view(np.uint64).tolist()
+    assert len(reads) == 1 and [label for _, label, _ in rows] == ["n5"]
+    # The first fault in line order is named: in a block row above it, in the row itself, or both.
+    lines = text.split("\n")
+    for faults in ([3], [5], [2, 5]):
+        faulty = lines.copy()
+        for i in faults:
+            faulty[i + 1] = faulty[i + 1].replace(",", ",x", 1)
+        faulty = "\n".join(faulty)
+        error, message = _outcome(_loaded, faulty)
+        assert (error, message) == _outcome(_sequential_dense, faulty)
+        assert message.startswith("unparsable value 'x") and message.endswith(f" at (n{faults[0]}, n0)")
+
+
 def test_np_loadtxt_reads_cells_as_the_block_conversion_needs():
     """The behaviour of np.loadtxt that the dense reader's one block call relies on, pinned for every numpy in CI."""
     def read(*lines):
