@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -86,7 +87,8 @@ def _emission_plan(args) -> list[tuple[str, str | None]]:
         if outputs:
             raise UsageError("--output given without --emit")
         return []
-    repeated = [path for k, path in enumerate(outputs) if path in outputs[:k]]
+    real = [os.path.realpath(path) for path in outputs]  # "x", "./x" and a link to x are one file
+    repeated = [path for k, path in enumerate(outputs) if real[k] in real[:k]]
     if repeated:  # the later artifact would overwrite the earlier one
         raise UsageError(f"--output {repeated[0]} is given twice")
     if len(outputs) == len(emits):
@@ -185,11 +187,7 @@ def cmd_cut(args, stdout, stderr) -> int:
     if spec.kind == "graft-rr-invalid":
         raise ValidationFailure(f"{spec.describe()} is a counterexample demonstrator; it has no partitions")
     partition = cut_at_resolution(run_method(net, spec), args.delta)
-    payload = (
-        exports.partition_json(partition)
-        if args.emit == "json"
-        else exports.partition_text(partition)
-    )
+    payload = exports.partition_json(partition) if args.emit == "json" else exports.partition_text(partition)
     _write_artifact(payload, args.output, stdout)
     return 0
 

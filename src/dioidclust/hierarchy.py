@@ -11,8 +11,9 @@ Both are read as one tree order: the leaves, each cluster one run and
 children by smallest leaf, and the resolution joining each pair of
 neighbours (+inf between trees), which fix the matrix by u(p, q) =
 max(u(p, q-1), u(q-1, q)). ``validate_ultrametric`` sorts the leaves into
-that order once and compares the matrix with the recurrence's. A dendrogram
-from ``to_dendrogram`` holds the order checked; any other replays its merge
+that order once and compares the matrix with the recurrence's; an Ultrametric
+holds the order of that check, run once per result, not once per use. A
+dendrogram from ``to_dendrogram`` holds it too; any other replays its merge
 events once, refusing malformed ones (an event at +inf, a block nesting one
 of its own resolution: neither has an ultrametric). One walk reads the
 blocks off the order for ``to_dendrogram`` and Newick; roots and cuts split
@@ -103,6 +104,14 @@ class Ultrametric:
             return float(self.dist[self._index[x], self._index[y]])
         except KeyError as exc:
             raise KeyError(f"unknown label {exc.args[0]!r}") from None
+
+    @cached_property
+    def _tree_order(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """The order of one exact validate_ultrametric pass, run on first read; not a field. Failures aren't cached."""
+        report = validate_ultrametric(self.dist, 0.0, labels=self.labels)
+        if not report.is_valid:
+            raise InvalidUltrametricError(report)
+        return report._leaf_order
 
 
 @dataclass(frozen=True)
@@ -329,14 +338,6 @@ def _replay(d: Dendrogram) -> tuple[tuple[int, ...], tuple[float, ...]]:
     return tuple(order), tuple(joined[leaf] for leaf in order[:-1])
 
 
-def _checked_order(u: Ultrametric) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """u's tree order, off the report of validate_ultrametric passing u exactly."""
-    report = validate_ultrametric(u.dist, 0.0, labels=u.labels)
-    if not report.is_valid:
-        raise InvalidUltrametricError(report)
-    return report._leaf_order
-
-
 def _blocks(order, near):
     """Each block of a tree order as it closes: its resolution, its children by first leaf; the trees last, at +inf."""
     stack = []  # open blocks, innermost last: (resolution, children); each closes at the first larger entry
@@ -362,13 +363,10 @@ def _runs(leaves, order, near, level) -> tuple[tuple[str, ...], ...]:
 def to_dendrogram(u: Ultrametric) -> Dendrogram:
     """Merge tree of an ultrametric: one event per partition-changing resolution.
 
-    This is the validation point for every result turned into a dendrogram:
-    validate_ultrametric checks ``u`` exactly (tolerance 0; no dioid product
-    when u is valid) and invalid input raises InvalidUltrametricError with its
-    report. The blocks are read off the check's tree order by the walk Newick
-    reads, and the dendrogram holds that order, so it is never replayed.
+    The blocks are read off ``u._tree_order`` (its exact check, once per result, not once per use) by the walk
+    Newick reads; the dendrogram holds it. An invalid u raises InvalidUltrametricError on every call.
     """
-    order, near = _checked_order(u)
+    order, near = u._tree_order
     # Per block, by its first leaf: its labels, sorted, so a closing block sorts its children's sorted runs into one.
     members = [(label,) for label in u.labels]
     formed = {}  # blocks by resolution
@@ -399,9 +397,9 @@ def from_dendrogram(d: Dendrogram, provenance: Provenance | None = None) -> Ultr
 def cut_at_resolution(u: Ultrametric, delta: float) -> Partition:
     """Blocks of nodes within resolution delta of each other.
 
-    ``u`` is validated exactly first (InvalidUltrametricError if it fails); the
-    blocks are the runs of its leaf order between neighbour entries above delta.
+    The blocks are the runs of ``u._tree_order`` (its exact check, once per result, not once per use) between
+    neighbour entries above delta. An invalid u raises InvalidUltrametricError on every call.
     """
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"resolution must be finite and >= 0, got {delta}")
-    return Partition(float(delta), _runs(u.labels, *_checked_order(u), delta))
+    return Partition(float(delta), _runs(u.labels, *u._tree_order, delta))

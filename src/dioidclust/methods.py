@@ -33,10 +33,10 @@ The method-spec text grammar (``GRAMMAR``, ``parse_method_spec``) lives
 here beside ``MethodSpec.describe()``. One table names each kind's
 parameters and its hop budgets; the spec checks, the parser, ``describe()``
 and ``run_methods`` all read it. ``run_methods`` is the one evaluator, and
-every public method is one call of it: it checks the network once, reuses
-the outputs of the parts of grafts and convex combinations, runs each
-distinct method once per network within one call, and takes every hop
-power of the call from one dioid._hop_powers call.
+every public method is one call of it: it checks the network once, runs
+each distinct method once, takes all hop powers from one dioid._hop_powers
+call, and keeps parts as matrices: one result per distinct returned spec,
+checked once per result, not once per use.
 """
 
 from __future__ import annotations
@@ -309,10 +309,6 @@ class GraftCounterexample:
         return self.report.is_valid
 
 
-def _wrap(net: Network, matrix: np.ndarray, method: str) -> Ultrametric:
-    return Ultrametric(net.labels, matrix, provenance=Provenance(method=method, n=net.n))
-
-
 def _hop_budgets(spec: MethodSpec, n: int) -> tuple[int, ...]:
     """spec's forward and backward hop budgets, each clamped to max(n-1, 1); () for a kind built from its parts.
 
@@ -322,7 +318,7 @@ def _hop_budgets(spec: MethodSpec, n: int) -> tuple[int, ...]:
     return tuple(min(hops, cap) for hops in budgets(spec)) if budgets else ()
 
 
-def _hop_closure(net: Network, spec: MethodSpec, powers: dict) -> Ultrametric:
+def _hop_closure(net: Network, spec: MethodSpec, powers: dict) -> np.ndarray:
     """Closure of max(A^fwd, (A^bwd)ᵀ) for spec's clamped budgets, from powers, A's hop powers by budget.
 
     With both budgets at the clamp, max(C, Cᵀ) is nonreciprocal and needs
@@ -331,11 +327,10 @@ def _hop_closure(net: Network, spec: MethodSpec, powers: dict) -> Ultrametric:
     is symmetric and at most B, so it equals closure(min(B, Bᵀ)).
     """
     fwd, bwd = _hop_budgets(spec, net.n)
-    method = spec.describe() if _KINDS[spec.kind][0] else spec.kind  # a kind without parameters is its own name
     joined = np.maximum(powers[fwd], powers[bwd].T)
     if fwd == bwd == max(net.n - 1, 1):
-        return _wrap(net, joined, method)
-    return _wrap(net, quasi_inverse(np.minimum(joined, joined.T)), method)
+        return joined
+    return quasi_inverse(np.minimum(joined, joined.T))
 
 
 def reciprocal(net: Network) -> Ultrametric:
@@ -394,17 +389,14 @@ def graft_rr_invalid(net: Network, beta: float) -> GraftCounterexample:
     return run_method(net, MethodSpec("graft-rr-invalid", beta=beta))
 
 
-def _graft(net: Network, spec: MethodSpec, lower: Ultrametric, upper: Ultrametric):
+def _graft(spec: MethodSpec, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Splice the nonreciprocal (lower) and reciprocal (upper) outputs at spec.beta."""
-    lower, upper, beta = lower.dist, upper.dist, spec.beta
+    within = upper <= spec.beta
     if spec.kind == "graft-rnr":
-        return _wrap(net, np.where(upper <= beta, lower, upper), spec.describe())
+        return np.where(within, lower, upper)
     if spec.kind == "graft-rrmax":
-        return _wrap(net, np.where(upper <= beta, upper, np.maximum(beta, lower)), spec.describe())
-    grafted = np.where(upper <= beta, upper, lower)
-    grafted.flags.writeable = False
-    report = validate_ultrametric(grafted, 0.0, labels=net.labels)
-    return GraftCounterexample(net.labels, grafted, beta, report)
+        return np.where(within, upper, np.maximum(spec.beta, lower))
+    return np.where(within, upper, lower)
 
 
 def convex_combination(net: Network, spec: MethodSpec) -> Ultrametric:
@@ -421,12 +413,12 @@ def convex_combination(net: Network, spec: MethodSpec) -> Ultrametric:
     return run_method(net, spec)
 
 
-def _convex(net: Network, spec: MethodSpec, parts: list[Ultrametric]) -> Ultrametric:
-    """Sum the nonzero-weight parts in order from zeros, then close; run_methods names it."""
+def _convex(net: Network, spec: MethodSpec, parts: list[np.ndarray]) -> np.ndarray:
+    """Sum the nonzero-weight parts in order from zeros, then close."""
     combined = np.zeros((net.n, net.n))
     for weight, part in zip([w for w in spec.weights if w != 0.0], parts):
-        combined = combined + weight * part.dist
-    return Ultrametric(net.labels, quasi_inverse(combined))
+        combined = combined + weight * part
+    return quasi_inverse(combined)
 
 
 def _parts(spec: MethodSpec) -> tuple[MethodSpec, ...]:
@@ -436,12 +428,12 @@ def _parts(spec: MethodSpec) -> tuple[MethodSpec, ...]:
     return (MethodSpec("nonreciprocal"), MethodSpec("reciprocal")) if spec.kind.startswith("graft") else ()
 
 
-def _run(net: Network, spec: MethodSpec, parts: list, powers: dict) -> Ultrametric | GraftCounterexample:
-    """spec's output on a checked net, from the outputs of _parts(spec) and the hop powers of net's matrix."""
+def _run(net: Network, spec: MethodSpec, parts: list, powers: dict) -> np.ndarray:
+    """spec's output matrix on a checked net, from the outputs of _parts(spec) and the hop powers of net's matrix."""
     if spec.kind == "convex":
         return _convex(net, spec, parts)
     if parts:
-        return _graft(net, spec, *parts)
+        return _graft(spec, *parts)
     if spec.kind == "single-linkage" and not net.is_symmetric():
         raise ValueError(
             "single linkage needs a symmetric network; use reciprocal, "
@@ -450,15 +442,23 @@ def _run(net: Network, spec: MethodSpec, parts: list, powers: dict) -> Ultrametr
     return _hop_closure(net, spec, powers)
 
 
+def _result(net: Network, spec: MethodSpec, matrix: np.ndarray) -> Ultrametric | GraftCounterexample:
+    """The one object returned for spec's output: named by describe(), or the invalid graft with its report."""
+    if spec.kind != "graft-rr-invalid":
+        return Ultrametric(net.labels, matrix, provenance=Provenance(method=spec.describe(), n=net.n))
+    matrix.flags.writeable = False
+    return GraftCounterexample(net.labels, matrix, spec.beta, validate_ultrametric(matrix, 0.0, labels=net.labels))
+
+
 def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | GraftCounterexample]:
     """Run each spec on net; each distinct method runs once within the call.
 
     net is checked once, before any method runs. Specs are ordered from an
     explicit stack, parts before the specs built from them, so convex
-    nesting costs no Python recursion. Every hop power that the ordered
-    specs need comes from one _hop_powers call, and none outlives the call.
-    Convex results are described only when returned, not at every nested
-    level.
+    nesting costs no Python recursion. All hop powers come from one
+    _hop_powers call, and none outlives it. Parts stay matrices: each
+    distinct returned spec becomes one result, named by describe() and
+    shared by equal flat specs, checked once per result, not once per use.
     """
     def key(spec):  # convex specs by identity: the dataclass __eq__ and __hash__ recurse per level
         return id(spec) if spec.kind == "convex" else spec
@@ -476,8 +476,9 @@ def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | Gra
     memo = {}
     for spec in order:
         memo[key(spec)] = _run(net, spec, [memo[key(part)] for part in _parts(spec)], powers)
-    return [_wrap(net, memo[key(spec)].dist, spec.describe()) if spec.kind == "convex" else memo[key(spec)]
-            for spec in specs]
+    returned = {key(spec): spec for spec in specs}
+    results = {k: _result(net, spec, memo[k]) for k, spec in returned.items()}
+    return [results[key(spec)] for spec in specs]
 
 
 def run_method(net: Network, spec: MethodSpec) -> Ultrametric | GraftCounterexample:

@@ -6,9 +6,9 @@ possibly asymmetric) off the diagonal. Three input formats are supported:
 
 * dense CSV: header row/column carry the labels, cells are floats,
   "inf" (any case) or an empty cell means +inf;
-* edge list: tab-separated ``src dst weight`` lines, unlisted ordered
-  pairs default to +inf and the diagonal to 0; lines led by "#" are
-  comments, so no node name may start with "#";
+* edge list: tab-separated ``src dst weight`` lines, unlisted ordered pairs
+  default to +inf and the diagonal to 0; a line whose first field starts
+  with "#" after any spaces is a comment, so no node name may start with "#";
 * uses table: dense CSV of nonnegative flows, converted to dissimilarities
   by column normalization (one minus the column share of each supplier).
 

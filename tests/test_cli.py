@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import shutil
 from unittest import mock
 
@@ -199,6 +200,23 @@ def test_cluster_refuses_a_repeated_output_path(tmp_path):
                              "--emit", "json", "--output", target, "--output", target)
     assert (code, out, err) == (1, "", f"error: --output {target} is given twice\n")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("spelling", ["dot-slash", "symlink"])
+def test_cluster_refuses_two_spellings_of_one_output_path(tmp_path, monkeypatch, spelling):
+    monkeypatch.chdir(tmp_path)
+    later = "./x"
+    if spelling == "symlink":
+        later = "link"
+        try:
+            os.symlink("x", later)
+        except OSError as exc:
+            pytest.skip(f"no symlinks here: {exc}")
+    code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", "reciprocal", "--emit", "newick",
+                             "--emit", "json", "--output", "x", "--output", later)
+    assert (code, out, err) == (1, "", f"error: --output {later} is given twice\n")
+    assert sorted(os.listdir(tmp_path)) == ([later] if spelling == "symlink" else [])
+    assert not os.path.exists("x")
 
 
 def test_cluster_summary_stays_on_stdout_when_every_artifact_has_a_path(tmp_path):
@@ -489,10 +507,10 @@ def test_compare_reports_sandwich_violations(monkeypatch):
     def out_of_bounds(net, spec, powers):
         if spec.kind != "semi-reciprocal":
             return hop_closure(net, spec, powers)
-        dist = hop_closure(net, MethodSpec("reciprocal"), powers).dist.copy()
+        dist = hop_closure(net, MethodSpec("reciprocal"), powers).copy()
         dist[0, 1] = dist[1, 0] = 0.5
         dist[2, 3] = dist[3, 2] = 9.0
-        return Ultrametric(net.labels, dist)
+        return dist
 
     monkeypatch.setattr(dioidclust.methods, "_hop_closure", out_of_bounds)
     code, out, err = run_cli(
@@ -695,6 +713,16 @@ def test_cluster_exports_never_replay(tmp_path):
     assert replay.call_count == 0
     assert (tmp_path / "newick").read_text() == (DATA / "golden_sweep8_sr3.nwk").read_text()
     assert (tmp_path / "json").read_text() == (DATA / "golden_sweep8_sr3.json").read_text()
+
+
+def test_cut_and_compare_write_their_goldens():
+    # The same bytes CI compares from the module entry; the cut's blocks are out of input order.
+    code, out, err = run_cli("cut", "--input", SWEEP8, "--method", "semi-reciprocal:3", "--delta", "3",
+                             "--emit", "json")
+    assert (code, out.encode(), err) == (0, (DATA / "golden_sweep8_sr3_cut3.json").read_bytes(), "")
+    code, out, err = run_cli("compare", "--input", SWEEP8, "--method", "semi-reciprocal:3", "--method",
+                             "graft-rnr:4", "--method", "convex:0.5*reciprocal+0.5*nonreciprocal")
+    assert (code, out.encode(), err) == (0, (DATA / "golden_sweep8_compare.txt").read_bytes(), "")
 
 
 def test_tolerance_flag_overrides_validation(tmp_path):

@@ -33,7 +33,7 @@ from dioidclust.exports import (
     partition_text,
     threshold_dot,
 )
-from dioidclust.hierarchy import _checked_order, _sorted_blocks
+from dioidclust.hierarchy import _sorted_blocks
 from dioidclust.methods import parse_method_spec, run_method, run_methods
 from dioidclust.network import _csv_field, _format_array, format_value
 
@@ -338,7 +338,7 @@ def test_dendrogram_json_writes_every_real_resolution():
 
 def _sliced_to_dendrogram(u):
     """to_dendrogram as it built blocks before: each one sliced out of the leaf order and sorted label by label."""
-    order, near = _checked_order(u)
+    order, near = u._tree_order
     labels = [u.labels[i] for i in order]
     following, joined, last = [-1] * u.n, [math.inf] * u.n, list(range(u.n))
     formed, stack, roots = {}, [], []

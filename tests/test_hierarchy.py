@@ -30,7 +30,7 @@ from conftest import method_battery, random_network
 import dioidclust.hierarchy
 from dioidclust.exports import _newick_label, newick
 from dioidclust.hierarchy import Partition, _sorted_blocks
-from dioidclust.methods import run_method
+from dioidclust.methods import MethodSpec, run_method
 from dioidclust.network import format_value
 
 
@@ -148,6 +148,31 @@ def test_to_dendrogram_rejects_invalid(cycle4):
     assert not err.value.report.is_valid
     with pytest.raises(InvalidUltrametricError):
         cut_at_resolution(Ultrametric(bad.labels, bad.matrix), 4.0)
+
+
+def test_a_result_is_checked_once_however_often_it_is_used(sweep8, monkeypatch):
+    u = run_method(sweep8, MethodSpec("semi-reciprocal", t=3))  # tree order is not input order
+    calls, check = [], dioidclust.hierarchy.validate_ultrametric
+    monkeypatch.setattr(dioidclust.hierarchy, "validate_ultrametric",
+                        lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
+    levels = sorted(set(u.dist[np.isfinite(u.dist)].tolist()))
+    d = to_dendrogram(u)
+    cuts = [cut_at_resolution(u, delta) for delta in levels]
+    assert len(calls) == 1 and levels[0] == 0.0
+    fresh = Ultrametric(u.labels, u.dist)  # checked anew: the cached order gives the same answers
+    assert d == to_dendrogram(fresh) and cuts == [cut_at_resolution(fresh, delta) for delta in levels]
+
+
+def test_an_invalid_result_raises_on_every_use(cycle4):
+    bad = graft_rr_invalid(cycle4, 4.0)
+    u = Ultrametric(bad.labels, bad.matrix)
+    for _ in range(2):  # a failed check is not cached
+        with pytest.raises(InvalidUltrametricError) as err:
+            to_dendrogram(u)
+        assert err.value.report == bad.report
+        with pytest.raises(InvalidUltrametricError) as err:
+            cut_at_resolution(u, 4.0)
+        assert err.value.report == bad.report
 
 
 def test_round_trip_on_method_battery(rng):

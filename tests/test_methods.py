@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dioidclust.methods
+
 from dioidclust import (
     MethodSpec,
     MethodSpecError,
@@ -109,6 +111,14 @@ def test_cycle4_graft_rr_invalid_counterexample(cycle4):
     assert bad.matrix[0, 2] == 1.0 and bad.matrix[2, 1] == 1.0
     triples = {(x, via, y) for x, via, y, _, _ in bad.report.violations}
     assert ("a", "c", "b") in triples
+
+
+def test_graft_rr_invalid_matrix_is_read_only(cycle4):
+    bad = graft_rr_invalid(cycle4, 4.0)
+    assert bad.matrix.flags.writeable is False
+    with pytest.raises(ValueError):
+        bad.matrix[0, 1] = 0.5
+    assert bad.matrix[0, 1] == 3.0
 
 
 def test_graft_rr_invalid_is_valid_on_easy_cases(cycle4, rng):
@@ -491,6 +501,39 @@ def test_run_method_dispatch_and_provenance(cycle4):
                                                MethodSpec("graft-rnr", beta=4.0)])
     assert again is graft and upper.provenance.method == "reciprocal"
     assert np.array_equal(graft.dist, graft_rnr(cycle4, 4.0).dist)
+
+
+def _count_results(monkeypatch) -> list:
+    """Record each Ultrametric that methods builds, in order."""
+    built, real = [], dioidclust.methods.Ultrametric
+
+    def counted(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dioidclust.methods, "Ultrametric", counted)
+    return built
+
+
+def test_parts_stay_matrices_one_result_per_returned_method(cycle4, monkeypatch):
+    # Parts, the grafts' two extremes and the convex constituents, are never results.
+    text = "convex:0.5*reciprocal+0.5*semi-reciprocal:3"
+    built = _count_results(monkeypatch)
+    graft = graft_rnr(cycle4, 4.0)
+    assert len(built) == 1 and built[0] is graft and graft.provenance.method == "graft-rnr:4"
+    built.clear()
+    convex = run_method(cycle4, parse_method_spec(text))
+    assert len(built) == 1 and built[0] is convex and convex.provenance.method == text
+
+
+def test_compare_shaped_run_builds_one_result_per_distinct_returned_spec(cycle4, monkeypatch):
+    specs = [parse_method_spec(text) for text in ("reciprocal", "graft-rnr:4", "graft-rrmax:4",
+                                                  "convex:0.5*reciprocal+0.5*nonreciprocal")]
+    built = _count_results(monkeypatch)
+    results = run_methods(cycle4, [*specs, MethodSpec("nonreciprocal"), MethodSpec("reciprocal")])
+    assert len(built) == 5 and all(r is u for r, u in zip(results, [*built, built[0]], strict=True))
+    assert [u.provenance.method for u in built] == [
+        "reciprocal", "graft-rnr:4", "graft-rrmax:4", "convex:0.5*reciprocal+0.5*nonreciprocal", "nonreciprocal"]
 
 
 def test_methods_reject_invalid_networks():

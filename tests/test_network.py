@@ -102,6 +102,9 @@ def _dense(cell):
         # Only a "#" opening the first field marks a comment: this line has an empty source.
         (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\n\t#c\t1\nb\ta\t2\n",
          r"^edge list line 2: empty node name in '\\t#c\\t1'$"),
+        # A tab-led "#" is not a comment either: the line is a malformed one, never silently dropped.
+        (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\n\t# note\n",
+         r"^edge list line 2: expected 'src<TAB>dst<TAB>weight', got '\\t# note'$"),
         # Line 3 would read as a comment, dropping the edge #c -> a.
         (lambda t: load_network(t, fmt="edge-list"), "a\tb\t1\nb\t#c\t2\n#c\ta\t3\n",
          r"^edge list line 2: node name '#c' starts with '#', which marks a comment line$"),
@@ -112,8 +115,8 @@ def _dense(cell):
     ],
     ids=["unparsable", "nan", "underscore", "arabic-digit", "overflow", "one-line-csv", "row-label",
          "edge-list-line", "empty-edge-list", "unknown-format", "uses-inf", "empty-label", "empty-node",
-         "empty-source", "four-fields", "hash-led-destination-of-empty-source", "hash-led-node",
-         "vertical-tab-in-a-line", "line-separator-in-a-line"],
+         "empty-source", "four-fields", "hash-led-destination-of-empty-source", "tab-led-hash-line",
+         "hash-led-node", "vertical-tab-in-a-line", "line-separator-in-a-line"],
 )
 def test_input_errors_name_their_cell_line_or_sector(load, text, message):
     with pytest.raises(NetworkFormatError, match=message):
