@@ -167,7 +167,7 @@ def _binary_powers(ranks: _Ranks, hops) -> dict[int, _Ranks]:
     current square, which is built only while some k has a bit left and is
     dropped once the next is built. Once a square repeats, it is idempotent
     (base^j == base for every j >= 1), so the rest of each factorization
-    collapses into one extra product.
+    collapses into one more factor of it, taken by one more pass of the loop.
     """
     powers, left, base = {}, {k: k for k in hops}, ranks
     while True:
@@ -179,10 +179,9 @@ def _binary_powers(ranks: _Ranks, hops) -> dict[int, _Ranks]:
             return powers
         squared = dioid_product(base, base)
         if np.array_equal(squared, base):
-            for k in left:
-                powers[k] = dioid_product(powers[k], base) if k in powers else base
-            return powers
-        base = squared
+            left = dict.fromkeys(left, 1)
+        else:
+            base = squared
 
 
 def _hop_powers(a: np.ndarray, hops) -> dict[int, np.ndarray]:

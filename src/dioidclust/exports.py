@@ -5,7 +5,9 @@ merge resolution; a branch length is the parent height minus the child
 height, so the cumulative path length from any leaf to the root equals the
 root's resolution. It is written from the dendrogram's tree order, where
 children come by smallest leaf, so output is stable. Forests emit one tree
-per line. Labels holding a format's metacharacters are quoted: single
+per line. JSON reads a dendrogram through the same tree order, so both
+refuse malformed merges with one error, and it writes only blocks of its
+own leaves. Labels holding a format's metacharacters are quoted: single
 quotes in Newick, standard CSV quoting, and escaped quotes and backslashes
 in DOT.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 
 import numpy as np
 
@@ -61,19 +62,8 @@ def _json_number(value: float) -> str:
 
 
 def _json_resolution(value) -> str:
-    """An int or float as json writes it; any other real number (Fraction, numpy scalar) as its float."""
-    if isinstance(value, numbers.Real) and not isinstance(value, (int, float)):
-        value = float(value)
-    if type(value) in (int, float) and math.isfinite(value):
-        return repr(value)  # json's own text for these
-    return json.dumps(value)  # bools, subclasses, ±inf and NaN
-
-
-class _JsonTexts(dict):
-    """JSON texts by label; a label missing from it (a user-built block's) is written as it comes."""
-
-    def __missing__(self, label):
-        return json.dumps(label)
+    """A replayed resolution, a positive finite real: an int as json writes it, any other as its float."""
+    return int.__repr__(value) if isinstance(value, int) else repr(float(value))
 
 
 def _json_list(texts, depth: int) -> str:
@@ -86,12 +76,18 @@ def _json_list(texts, depth: int) -> str:
 def dendrogram_json(u: Ultrametric, d: Dendrogram) -> str:
     """JSON document with labels, merge events, and the full matrix.
 
+    ``d`` is read through the tree order Newick reads, so malformed merges
+    raise the same DendrogramStructureError; a ``d`` whose leaves are not
+    ``u.labels`` raises ValueError. The matrix is written as it is.
     Laid out as ``json.dumps(indent=2, sort_keys=True)`` lays it out, joined
     from one text per label and per distinct matrix value: with an indent,
     json would run its pure-Python encoder over the whole document.
     Resolutions other than int and float are written as their float.
     """
-    texts = _JsonTexts((label, json.dumps(label)) for label in u.labels)
+    d._tree_order  # the replay's check, read as newick reads it
+    if tuple(d.leaves) != u.labels:
+        raise ValueError(f"the dendrogram's {len(d.leaves)} leaves are not the ultrametric's {u.n} labels")
+    texts = {label: json.dumps(label) for label in u.labels}
     events = []
     for event in d.merges:
         blocks = [_json_list(map(texts.__getitem__, block), 4) for block in event.blocks]

@@ -18,6 +18,10 @@ from a path, bytes, a stream or the command line: it is decoded as UTF-8
 dropped, and lines end at LF, CRLF or CR, inside quoted labels too. A
 dense CSV's rows without a blank cell are converted in one np.loadtxt call
 per file, and the rows it reads as non-finite are read again cell by cell.
+
+A network is checked once per object: its first finding (validate_network's
+first finding line, or None) is computed on first read and kept, and strict
+load_network, the methods and the oracles all read it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,6 +135,14 @@ class Network:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown node {label!r}") from None
+
+    @cached_property
+    def _finding(self) -> str | None:
+        """validate_network's first finding line, or None; computed on first read, and not a field."""
+        a = self.dissim
+        if np.count_nonzero(a <= 0) == self.n and not np.diagonal(a).any():  # only the zero diagonal is <= 0
+            return None
+        return validate_network(self).lines()[1].strip()
 
 
 @dataclass(frozen=True)
@@ -239,16 +252,8 @@ def validate_network(net: Network) -> NetworkReport:
     )
 
 
-def _first_finding(net: Network) -> str | None:
-    """validate_network's first finding line, or None: a valid network's n entries <= 0 are its zero diagonal."""
-    a = net.dissim
-    if np.count_nonzero(a <= 0) == net.n and not np.diagonal(a).any():
-        return None
-    return validate_network(net).lines()[1].strip()
-
-
 def _require_valid(net: Network) -> None:
-    if (finding := _first_finding(net)) is not None:
+    if (finding := net._finding) is not None:
         raise ValueError(f"network violates dissimilarity invariants: {finding}")
 
 
@@ -379,16 +384,8 @@ def _parse_dense(text: str, what: str = "network"):
 
 
 def _parse_edge_list(text: str):
-    labels: list[str] = []
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}  # node ids in first-seen order
     edges: dict[tuple[int, int], float] = {}
-
-    def node(name: str) -> int:
-        if name not in index:
-            index[name] = len(labels)
-            labels.append(name)
-        return index[name]
-
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip()  # leading tabs delimit fields
         if not line.strip() or line.split("\t", 1)[0].strip().startswith("#"):  # "#" opens the first field
@@ -406,18 +403,16 @@ def _parse_edge_list(text: str):
                 f"edge list line {lineno}: node name {dst!r} starts with '#', which marks a comment line"
             )
         weight = _parse_cell(cell, f"line {lineno}")
-        i, j = node(src), node(dst)
+        i, j = index.setdefault(src, len(index)), index.setdefault(dst, len(index))
         if (i, j) in edges:
             raise NetworkFormatError(f"edge list line {lineno}: duplicate edge {src!r} -> {dst!r}")
         edges[(i, j)] = weight
-    if not labels:
+    if not index:
         raise NetworkFormatError("edge list is empty")
-    n = len(labels)
-    matrix = np.full((n, n), math.inf)
+    matrix = np.full((len(index), len(index)), math.inf)
     np.fill_diagonal(matrix, 0.0)
-    for (i, j), weight in edges.items():
-        matrix[i, j] = weight
-    return tuple(labels), matrix
+    matrix[tuple(zip(*edges))] = list(edges.values())  # a self-loop's weight replaces its 0
+    return tuple(index), matrix
 
 
 def load_network(source, fmt: str = "dense-csv", strict: bool = True) -> Network:
@@ -431,7 +426,8 @@ def load_network(source, fmt: str = "dense-csv", strict: bool = True) -> Network
     ``fmt`` is "dense-csv" or "edge-list". Strict mode (the default)
     refuses nonzero diagonals, negative entries and off-diagonal zeros with
     validate_network's first finding, which names the cell; lenient mode
-    defers those to validate_network.
+    defers those to validate_network. The network keeps that finding, so
+    the methods that read it later do not compute it again.
     """
     text = _read_text(source)
     if fmt == "dense-csv":
@@ -441,7 +437,7 @@ def load_network(source, fmt: str = "dense-csv", strict: bool = True) -> Network
     else:
         raise NetworkFormatError(f"unknown network format {fmt!r}")
     net = Network(labels, matrix)
-    if strict and (finding := _first_finding(net)) is not None:
+    if strict and (finding := net._finding) is not None:
         raise NetworkFormatError(finding)
     return net
 

@@ -13,6 +13,7 @@ import dioidclust.methods
 from dioidclust.cli import GRAMMAR, main, parse_method_spec
 from dioidclust.hierarchy import InvalidUltrametricError, Ultrametric, to_dendrogram, validate_ultrametric
 from dioidclust.methods import MethodSpec, MethodSpecError
+from dioidclust.network import Network
 
 from conftest import DATA, cycle4_network, method_battery
 
@@ -723,6 +724,26 @@ def test_cut_and_compare_write_their_goldens():
     code, out, err = run_cli("compare", "--input", SWEEP8, "--method", "semi-reciprocal:3", "--method",
                              "graft-rnr:4", "--method", "convex:0.5*reciprocal+0.5*nonreciprocal")
     assert (code, out.encode(), err) == (0, (DATA / "golden_sweep8_compare.txt").read_bytes(), "")
+
+
+def test_edge_list_cluster_writes_its_golden():
+    # The same bytes CI compares from the module entry; the summary goes to stderr.
+    code, out, _ = run_cli("cluster", "--input", str(DATA / "cycle4.tsv"), "--format", "edge-list",
+                           "--method", "nonreciprocal", "--emit", "json")
+    assert (code, out.encode()) == (0, (DATA / "golden_cycle4_tsv_nonreciprocal.json").read_bytes())
+
+
+@pytest.mark.parametrize("argv", [
+    ("cluster", "--method", "reciprocal", "--emit", "json"),
+    ("cut", "--method", "semi-reciprocal:3", "--delta", "3"),
+    ("compare", "--method", "semi-reciprocal:3", "--method", "graft-rnr:4"),
+], ids=["cluster", "cut", "compare"])
+def test_a_job_evaluates_its_networks_finding_once(monkeypatch, argv):
+    finding = Network.__dict__["_finding"]
+    evaluated = []
+    monkeypatch.setattr(finding, "func", lambda net, func=finding.func: evaluated.append(net) or func(net))
+    assert run_cli(*argv, "--input", SWEEP8)[0] == 0
+    assert len(evaluated) == 1
 
 
 def test_tolerance_flag_overrides_validation(tmp_path):

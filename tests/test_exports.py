@@ -2,9 +2,11 @@ import io
 import json
 import math
 import numbers
+import re
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +35,7 @@ from dioidclust.exports import (
     partition_text,
     threshold_dot,
 )
-from dioidclust.hierarchy import _sorted_blocks
+from dioidclust.hierarchy import DendrogramStructureError, _sorted_blocks
 from dioidclust.methods import parse_method_spec, run_method, run_methods
 from dioidclust.network import _csv_field, _format_array, format_value
 
@@ -426,15 +428,48 @@ def test_merge_events_and_json_match_the_builders_they_replaced(u, user_type):
     assert d._tree_order == expected._tree_order
     assert list(map(type, d._tree_order[1])) == list(map(type, expected._tree_order[1]))
     assert dendrogram_json(u, d) == _dendrogram_json_label_by_label(u, expected)
-    # A user-built dendrogram's resolutions are written as they come, an int as an int.
+    # A user-built dendrogram's resolutions are written as they come, an int as an int; one Newick
+    # refuses (a bool, or ints that tie two levels) is refused by the JSON writer with the same error.
     built = Dendrogram(d.leaves, tuple(MergeEvent(user_type(e.resolution), e.blocks) for e in d.merges))
-    assert dendrogram_json(u, built) == _dendrogram_json_label_by_label(u, built)
+    try:
+        newick(built)
+    except DendrogramStructureError as exc:
+        with pytest.raises(DendrogramStructureError) as refused:
+            dendrogram_json(u, built)
+        assert str(refused.value) == str(exc)
+    else:
+        assert dendrogram_json(u, built) == _dendrogram_json_label_by_label(u, built)
 
 
 def test_dendrogram_json_writes_blocks_of_labels_it_does_not_list():
     u = Ultrametric(("p", "q"), [[0.0, 1.0], [1.0, 0.0]])
     d = Dendrogram(("p", "q"), (MergeEvent(1, (("p", "q", 7), ())),))
-    assert dendrogram_json(u, d) == _dendrogram_json_label_by_label(u, d)
+    with pytest.raises(DendrogramStructureError, match=re.escape("merge references unknown leaves [7]")):
+        dendrogram_json(u, d)
+
+
+@pytest.mark.parametrize("merges", [
+    (MergeEvent(math.nan, (("a", "b"),)),),
+    (MergeEvent(2.0, (("a", "b"),)), MergeEvent(1.0, (("a", "b", "c"),))),
+    (MergeEvent(1.0, (("a", "q"),)),),
+    (MergeEvent(True, (("a", "b"),)),),
+    (MergeEvent(1.0, (("a", "b"),)), MergeEvent(1.0, (("a", "b", "c"),))),
+], ids=["nan", "decreasing", "unknown-leaf", "bool", "nested-at-own-resolution"])
+def test_dendrogram_json_refuses_what_newick_refuses(merges):
+    u = Ultrametric(("a", "b", "c"), [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
+    d = Dendrogram(u.labels, merges)
+    with pytest.raises(DendrogramStructureError) as by_newick:
+        newick(d)
+    with pytest.raises(DendrogramStructureError) as by_json:
+        dendrogram_json(u, d)
+    assert type(by_json.value) is type(by_newick.value) and str(by_json.value) == str(by_newick.value)
+
+
+def test_dendrogram_json_refuses_a_dendrogram_over_other_leaves():
+    u = Ultrametric(("a", "b"), [[0.0, 1.0], [1.0, 0.0]])
+    for leaves in (("x", "y", "z"), ("b", "a"), ("a",)):
+        with pytest.raises(ValueError, match="leaves are not the ultrametric's 2 labels"):
+            dendrogram_json(u, Dendrogram(leaves, ()))
 
 
 # ---- Newick against the writer it replaced ----------------------------------
