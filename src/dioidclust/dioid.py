@@ -185,17 +185,18 @@ def _binary_powers(ranks: _Ranks, hops) -> dict[int, _Ranks]:
 
 
 def _hop_powers(a: np.ndarray, hops) -> dict[int, np.ndarray]:
-    """{k: A^k} for a zero-diagonal matrix A and each hop budget k >= 1 in hops.
+    """{k: A^k} for a zero-diagonal matrix A and each hop budget k >= 1 in hops, keyed as given.
 
-    A budget of 1 is A itself. A budget at or above max(n-1, 1), where
-    powers have stabilized, is A's closure, one array for all such budgets:
-    quasi_inverse's Prim kernel for a symmetric A, and for any other one
-    quasi_inverse call on A's ranks. Read the results, never write them. A
-    is ranked once, and only if some budget needs its ranks; the budgets
-    between take one binary exponentiation over one squaring sequence (see
-    _binary_powers), which keeps no square it has used, so besides the
-    powers at most two squares and one product buffer are live, whatever
-    the budgets.
+    Budgets come as stated, math.inf or any integer, and this is the one
+    place that maps them. A budget of 1 is A itself. A budget above 1 and
+    at or past max(n-1, 1), where powers have stabilized, is A's closure,
+    one array for all such budgets: quasi_inverse's Prim kernel for a
+    symmetric A, and for any other one quasi_inverse call on A's ranks.
+    Read the results, never write them. A is ranked once, and only if some
+    budget needs its ranks; the budgets between take one binary
+    exponentiation over one squaring sequence (see _binary_powers), which
+    keeps no square it has used, so besides the powers at most two squares
+    and one product buffer are live, whatever the budgets.
     """
     cap = max(len(a) - 1, 1)
     closed = [k for k in hops if k > 1 and k >= cap]

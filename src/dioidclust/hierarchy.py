@@ -70,7 +70,7 @@ class Provenance:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ultrametric:
     """Symmetric zero-diagonal matrix of merge resolutions over labeled nodes."""
 
@@ -85,7 +85,7 @@ class Ultrametric:
                 f"distance matrix shape {arr.shape} does not match {len(self.labels)} labels"
             )
         labels = tuple(str(x) for x in self.labels)
-        index = {}  # label -> position; not a field, so eq, hash and repr skip it
+        index = {}  # label -> position; not a field, so repr skips it
         for lab in labels:
             if lab in index:
                 raise ValueError(f"duplicate label {lab!r}")

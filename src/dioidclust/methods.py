@@ -19,11 +19,12 @@ powers in the (min, max) dioid:
 
 One helper computes five of them as the closure of max(A^t, (A^t')ᵀ):
 reciprocal is (t, t') = (1, 1), semi-reciprocal(t) is (t-1, t-1),
-nonreciprocal is (n-1, n-1) and single linkage is reciprocal on a symmetric
-network. Budget n-1 is the directed closure, Floyd–Warshall on an asymmetric
-network; at (n-1, n-1) no outer closure runs. Every outer closure, and the
-one that restores a convex combination, is of a symmetric matrix, so
-quasi_inverse runs it on Prim's visit order in O(n^2).
+nonreciprocal is (inf, inf) and single linkage is reciprocal on a symmetric
+network. Budgets are passed as stated; only dioid._hop_powers maps one at or
+past n-1, where powers stabilize, to the directed closure (Floyd–Warshall on
+an asymmetric network), and with both budgets there no outer closure runs.
+Every outer closure, and the one that restores a convex combination, is of
+a symmetric matrix, so quasi_inverse runs it on Prim's visit order in O(n^2).
 
 Each output lands entrywise between the nonreciprocal (lower) and
 reciprocal (upper) ultrametrics. All functions are pure and safe to run
@@ -74,7 +75,8 @@ __all__ = [
 WEIGHT_SUM_TOLERANCE = 1e-12
 MAX_CONVEX_DEPTH = 500
 
-# Each kind's parameter names and its forward and backward hop budgets, for
+# Each kind's parameter names and its forward and backward hop budgets as the
+# paper states them, never clamped (math.inf is the unbounded budget), for
 # the five kinds that are one hop closure (see _hop_closure); None for the
 # kinds built from the outputs of _parts(spec).
 _KINDS = {
@@ -197,8 +199,10 @@ class MethodSpec:
     def describe(self) -> str:
         """Canonical method string; parse_method_spec reads it back to an equal spec.
 
-        Rendered left to right from an explicit stack of pending text and
-        specs, so convex nesting costs no Python recursion.
+        That holds up to MAX_CONVEX_DEPTH convex levels, past which the
+        parser refuses the text. Rendered left to right from an explicit
+        stack of pending text and specs, so convex nesting costs no Python
+        recursion.
         """
         pieces, stack = [], [self]
         while stack:
@@ -295,7 +299,7 @@ def parse_method_spec(text: str) -> MethodSpec:
     return parsed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraftCounterexample:
     """Invalidly grafted matrix plus the proof it need not be an ultrametric."""
 
@@ -309,26 +313,18 @@ class GraftCounterexample:
         return self.report.is_valid
 
 
-def _hop_budgets(spec: MethodSpec, n: int) -> tuple[int, ...]:
-    """spec's forward and backward hop budgets, each clamped to max(n-1, 1); () for a kind built from its parts.
-
-    Powers stabilize at n-1, so the clamp changes no result.
-    """
-    budgets, cap = _KINDS[spec.kind][1], max(n - 1, 1)
-    return tuple(min(hops, cap) for hops in budgets(spec)) if budgets else ()
-
-
 def _hop_closure(net: Network, spec: MethodSpec, powers: dict) -> np.ndarray:
-    """Closure of max(A^fwd, (A^bwd)ᵀ) for spec's clamped budgets, from powers, A's hop powers by budget.
+    """Closure of max(A^fwd, (A^bwd)ᵀ) for spec's budgets as stated, from powers, A's hop powers by budget.
 
-    With both budgets at the clamp, max(C, Cᵀ) is nonreciprocal and needs
-    no outer closure. Any other joined matrix B is closed as min(B, Bᵀ),
-    which is symmetric, so quasi_inverse takes its tree kernel: closure(B)
-    is symmetric and at most B, so it equals closure(min(B, Bᵀ)).
+    With both budgets at or past max(n-1, 1), powers holds A's closure C
+    for each, and max(C, Cᵀ) is nonreciprocal and needs no outer closure.
+    Any other joined matrix B is closed as min(B, Bᵀ), which is symmetric,
+    so quasi_inverse takes its tree kernel: closure(B) is symmetric and at
+    most B, so it equals closure(min(B, Bᵀ)).
     """
-    fwd, bwd = _hop_budgets(spec, net.n)
+    fwd, bwd = _KINDS[spec.kind][1](spec)
     joined = np.maximum(powers[fwd], powers[bwd].T)
-    if fwd == bwd == max(net.n - 1, 1):
+    if min(fwd, bwd) >= max(net.n - 1, 1):
         return joined
     return quasi_inverse(np.minimum(joined, joined.T))
 
@@ -456,9 +452,10 @@ def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | Gra
     net is checked once, before any method runs. Specs are ordered from an
     explicit stack, parts before the specs built from them, so convex
     nesting costs no Python recursion. All hop powers come from one
-    _hop_powers call, and none outlives it. Parts stay matrices: each
-    distinct returned spec becomes one result, named by describe() and
-    shared by equal flat specs, checked once per result, not once per use.
+    _hop_powers call, which takes each spec's budgets as _KINDS states
+    them, and none outlives it. Parts stay matrices: each distinct returned
+    spec becomes one result, named by describe() and shared by equal flat
+    specs, checked once per result, not once per use.
     """
     def key(spec):  # convex specs by identity: the dataclass __eq__ and __hash__ recurse per level
         return id(spec) if spec.kind == "convex" else spec
@@ -472,7 +469,8 @@ def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | Gra
         elif key(spec) not in seen:
             seen.add(key(spec))
             stack += [(spec, True)] + [(part, False) for part in reversed(_parts(spec))]
-    powers = _hop_powers(net.dissim, {hops for spec in order for hops in _hop_budgets(spec, net.n)})
+    budgets = {hops for spec in order if _KINDS[spec.kind][1] for hops in _KINDS[spec.kind][1](spec)}
+    powers = _hop_powers(net.dissim, budgets)
     memo = {}
     for spec in order:
         memo[key(spec)] = _run(net, spec, [memo[key(part)] for part in _parts(spec)], powers)

@@ -99,7 +99,7 @@ def _check_labels(labels, n: int) -> tuple[str, ...]:
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Labeled node set with an asymmetric dissimilarity matrix.
 
@@ -145,7 +145,7 @@ class Network:
         return validate_network(self).lines()[1].strip()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UsesTable:
     """Square table of finite nonnegative flows between labeled sectors."""
 

@@ -654,7 +654,7 @@ def test_main_builds_the_parser_once(monkeypatch):
 
 
 def test_hop_budgets_at_the_clamp_take_one_closure_and_no_product(sweeps):
-    for t in (4, 5, 9):
+    for t in (4, 5, 9, 10**20):
         sweeps.clear()
         code, out, err = run_cli("cluster", "--input", CYCLE4, "--method", f"semi-reciprocal:{t}")
         assert code == 0, err
@@ -731,6 +731,13 @@ def test_edge_list_cluster_writes_its_golden():
     code, out, _ = run_cli("cluster", "--input", str(DATA / "cycle4.tsv"), "--format", "edge-list",
                            "--method", "nonreciprocal", "--emit", "json")
     assert (code, out.encode()) == (0, (DATA / "golden_cycle4_tsv_nonreciprocal.json").read_bytes())
+
+
+def test_compare_of_budgets_past_the_clamp_writes_its_golden():
+    # sweep8 has 8 nodes: every budget of the first two specs is past n-1, and each is passed as stated.
+    code, out, err = run_cli("compare", "--input", SWEEP8, "--method", "semi-reciprocal:9",
+                             "--method", "intermediate:2,99999999999999999999", "--method", "nonreciprocal")
+    assert (code, out.encode(), err) == (0, (DATA / "golden_sweep8_past_clamp_compare.txt").read_bytes(), "")
 
 
 @pytest.mark.parametrize("argv", [

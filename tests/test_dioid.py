@@ -1,8 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dioidclust import Network, dioid_power, dioid_product, quasi_inverse
@@ -129,6 +130,8 @@ def test_power_matches_sequential_products(rng):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from(["reals", "ties", "ultrametric", "diagonal"]))
+@example(1, 0, "reals")
+@example(2, 0, "reals")
 def test_one_chain_gives_every_power_bit_for_bit(n, seed, kind):
     # Each A^k of one _hop_powers call is dioid_power's, ±0.0 cells included: integer ties and
     # ultrametrics stabilize early (an ultrametric squares to itself), reals later. A budget at
@@ -145,10 +148,13 @@ def test_one_chain_gives_every_power_bit_for_bit(n, seed, kind):
     before = a.copy()
     top = max(n - 2, 1) if kind == "diagonal" else n + 2
     hops = {1, *rng.integers(1, top + 1, size=rng.integers(1, 5)).tolist()}
+    if kind != "diagonal":  # budgets past any clamp, as nonreciprocal and huge t state them
+        hops |= {math.inf, 10**30}
     powers = _hop_powers(a, hops)
     assert sorted(powers) == sorted(hops) and powers[1] is a
     for k in hops:
-        assert powers[k].view(np.uint64).tolist() == dioid_power(a, k).view(np.uint64).tolist(), k
+        power = dioid_power(a, max(n - 1, 1) if k in (math.inf, 10**30) else k)
+        assert powers[k].view(np.uint64).tolist() == power.view(np.uint64).tolist(), k
     assert a.view(np.uint64).tolist() == before.view(np.uint64).tolist()
 
 

@@ -9,6 +9,8 @@ from dioidclust import (
     MethodSpec,
     MethodSpecError,
     Network,
+    Ultrametric,
+    UsesTable,
     convex_combination,
     dioid_power,
     graft_rnr,
@@ -606,7 +608,8 @@ def test_only_a_directed_closure_runs_floyd_warshall(sweeps, rng):
 def test_one_run_methods_call_closes_a_network_once(sweeps, rng):
     # Every budget at the clamp of 127 hops takes the chain's one Floyd-Warshall closure.
     net = random_network(rng, n=128)
-    specs = [parse_method_spec(text) for text in ("nonreciprocal", "semi-reciprocal:200", "intermediate:127,3")]
+    specs = [parse_method_spec(text) for text in ("nonreciprocal", "semi-reciprocal:200", "intermediate:127,3",
+                                                  "intermediate:99999999999999999999,3")]
     alone = [run_method(net, spec).dist for spec in specs]
     sweeps.clear()
     together = run_methods(net, specs)
@@ -693,3 +696,18 @@ def test_concurrent_calls_on_one_network_agree(rng):
         threaded = list(pool.map(lambda specs: [u.dist.tobytes() for u in run_methods(net, specs)], spec_lists))
     assert threaded == serial
 
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["Network", "Ultrametric", "UsesTable", "GraftCounterexample"])
+def test_array_holding_values_compare_by_identity(kind, n):
+    # Their ndarray fields have no truth value at n >= 2, so equality is identity at every n.
+    labels, m = tuple("pq"[:n]), np.ones((n, n)) - np.eye(n)
+    build = {"Network": lambda: Network(labels, m.copy()),
+             "Ultrametric": lambda: Ultrametric(labels, m.copy()),
+             "UsesTable": lambda: UsesTable(labels, m.copy()),
+             "GraftCounterexample": lambda: GraftCounterexample(labels, m.copy(), 1.0, validate_ultrametric(m, 0.0))}[kind]
+    x, y = build(), build()
+    assert x == x and not x != x
+    assert x != y and not x == y
+    assert len({x, y}) == 2 and hash(x) == hash(x)
