@@ -34,7 +34,9 @@ Bounded-hop powers run one binary exponentiation over the squaring
 sequence A, A^2, A^4, ... of A's ranks, which drops each square once the
 next is built. dioid_power asks it for one power; _hop_powers, for every
 hop budget of a run_methods call at once, so those budgets share one
-ranking, one squaring sequence and one closure.
+ranking, one squaring sequence and one closure. Only this module knows
+where powers stabilize, at max(n-1, 1) hops, and _hop_closures closes each
+distinct (forward, backward) budget pair of a run_methods call once.
 
 +inf is the IEEE infinity, never a large sentinel. min/max never create
 new values, so equality comparisons between dioid matrices are exact, and a
@@ -187,11 +189,12 @@ def _binary_powers(ranks: _Ranks, hops) -> dict[int, _Ranks]:
 def _hop_powers(a: np.ndarray, hops) -> dict[int, np.ndarray]:
     """{k: A^k} for a zero-diagonal matrix A and each hop budget k >= 1 in hops, keyed as given.
 
-    Budgets come as stated, math.inf or any integer, and this is the one
-    place that maps them. A budget of 1 is A itself. A budget above 1 and
-    at or past max(n-1, 1), where powers have stabilized, is A's closure,
-    one array for all such budgets: quasi_inverse's Prim kernel for a
-    symmetric A, and for any other one quasi_inverse call on A's ranks.
+    Budgets come as stated, math.inf or any integer, and with cap =
+    max(n-1, 1), where powers have stabilized, one rule maps each: A itself
+    when k is 1 or cap is 1 (so for every budget when n <= 2, where A is its
+    own closure); A's closure when k >= cap > 1, one array for all such
+    budgets: quasi_inverse's Prim kernel for a symmetric A, and for any
+    other one quasi_inverse call on A's ranks; a power otherwise.
     Read the results, never write them. A is ranked once, and only if some
     budget needs its ranks; the budgets between take one binary
     exponentiation over one squaring sequence (see _binary_powers), which
@@ -199,10 +202,10 @@ def _hop_powers(a: np.ndarray, hops) -> dict[int, np.ndarray]:
     and one product buffer are live, whatever the budgets.
     """
     cap = max(len(a) - 1, 1)
-    closed = [k for k in hops if k > 1 and k >= cap]
+    closed = [k for k in hops if k >= cap > 1]
     between = [k for k in hops if 1 < k < cap]
     directed = bool(closed) and not (a == a.T).all()
-    powers = {k: a for k in hops if k == 1}
+    powers = {k: a for k in hops if k == 1 or cap == 1}
     if between or directed:
         values, ranks = _ranked(a)
         for k, power in _binary_powers(ranks, between).items():
@@ -211,6 +214,23 @@ def _hop_powers(a: np.ndarray, hops) -> dict[int, np.ndarray]:
         closure = _from_ranks(values, quasi_inverse(ranks), np.diagonal(a)) if directed else quasi_inverse(a)
         powers.update(dict.fromkeys(closed, closure))
     return powers
+
+
+def _hop_closures(a: np.ndarray, pairs) -> dict[tuple, np.ndarray]:
+    """{(fwd, bwd): the closure of max(A^fwd, (A^bwd)ᵀ)} for each budget pair in pairs, keyed as given.
+
+    All budgets come from one _hop_powers call, and each distinct pair
+    closes once. With both budgets at or past max(n-1, 1), both powers are
+    A's closure C, and max(C, Cᵀ) is nonreciprocal: no outer closure runs.
+    Any other join B is closed as min(B, Bᵀ), on quasi_inverse's tree kernel:
+    closure(B) is symmetric and at most B, so it equals closure(min(B, Bᵀ)).
+    """
+    cap, closures = max(len(a) - 1, 1), {}
+    powers = _hop_powers(a, {hops for pair in pairs for hops in pair})
+    for fwd, bwd in pairs:
+        joined = np.maximum(powers[fwd], powers[bwd].T)
+        closures[fwd, bwd] = joined if min(fwd, bwd) >= cap else quasi_inverse(np.minimum(joined, joined.T))
+    return closures
 
 
 def dioid_power(a, k: int) -> np.ndarray:

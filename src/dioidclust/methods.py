@@ -17,12 +17,13 @@ powers in the (min, max) dioid:
   to an ultrametric by a single-linkage closure.
 * single linkage        the unique admissible method on symmetric inputs.
 
-One helper computes five of them as the closure of max(A^t, (A^t')ᵀ):
+One dioid helper computes five of them as the closure of max(A^t, (A^t')ᵀ):
 reciprocal is (t, t') = (1, 1), semi-reciprocal(t) is (t-1, t-1),
 nonreciprocal is (inf, inf) and single linkage is reciprocal on a symmetric
-network. Budgets are passed as stated; only dioid._hop_powers maps one at or
-past n-1, where powers stabilize, to the directed closure (Floyd–Warshall on
-an asymmetric network), and with both budgets there no outer closure runs.
+network. Budgets are passed as stated, and only dioid knows where powers
+stabilize: dioid._hop_powers maps one at or past n-1 to the directed closure
+(Floyd–Warshall on an asymmetric network), dioid._hop_closures runs no outer
+closure with both budgets there, and equal budget pairs close once.
 Every outer closure, and the one that restores a convex combination, is of
 a symmetric matrix, so quasi_inverse runs it on Prim's visit order in O(n^2).
 
@@ -35,9 +36,9 @@ here beside ``MethodSpec.describe()``. One table names each kind's
 parameters and its hop budgets; the spec checks, the parser, ``describe()``
 and ``run_methods`` all read it. ``run_methods`` is the one evaluator, and
 every public method is one call of it: it checks the network once, runs
-each distinct method once, takes all hop powers from one dioid._hop_powers
-call, and keeps parts as matrices: one result per distinct returned spec,
-checked once per result, not once per use.
+each distinct method once, takes all hop closures from one
+dioid._hop_closures call, and keeps parts as matrices: one result per
+distinct returned spec, checked once per result, not once per use.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dioid import _hop_powers, is_integer, quasi_inverse
+from .dioid import _hop_closures, is_integer, quasi_inverse
 from .hierarchy import Provenance, Ultrametric, UltrametricReport, validate_ultrametric
 from .network import Network, _require_valid, format_value
 
@@ -77,8 +78,8 @@ MAX_CONVEX_DEPTH = 500
 
 # Each kind's parameter names and its forward and backward hop budgets as the
 # paper states them, never clamped (math.inf is the unbounded budget), for
-# the five kinds that are one hop closure (see _hop_closure); None for the
-# kinds built from the outputs of _parts(spec).
+# the five kinds that are one hop closure (see dioid._hop_closures, which
+# closes each distinct pair once); None for the kinds built from _parts(spec).
 _KINDS = {
     "reciprocal": ((), lambda spec: (1, 1)),
     "nonreciprocal": ((), lambda spec: (math.inf, math.inf)),
@@ -127,7 +128,7 @@ def _param_text(value) -> str:
     return str(int(value)) if is_integer(value) else format_value(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MethodSpec:
     """A clustering method selection with its parameters.
 
@@ -136,7 +137,9 @@ class MethodSpec:
     ``beta`` (> 0) for the grafting kinds, ``weights``/``constituents``
     for convex combinations (weights in [0, 1] summing to 1, constituents
     admissible). Beta and weights take Python or numpy numbers, not bools,
-    and are stored as floats.
+    and are stored as floats. ``==``, ``hash`` and ``repr`` read the
+    fields of a flat spec and the describe() text of a convex one, so
+    they cost no Python recursion at any depth.
     """
 
     kind: str
@@ -190,6 +193,18 @@ class MethodSpec:
             for sub in self.constituents:
                 if sub.kind == "graft-rr-invalid":
                     raise MethodSpecError("graft-rr-invalid is not admissible and cannot be combined")
+
+    def _key(self):
+        return self.describe() if self.kind == "convex" else (self.kind, self.t, self.t_fwd, self.t_bwd, self.beta)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, MethodSpec) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"MethodSpec({self.describe()!r})"
 
     @property
     def exact(self) -> bool:
@@ -313,22 +328,6 @@ class GraftCounterexample:
         return self.report.is_valid
 
 
-def _hop_closure(net: Network, spec: MethodSpec, powers: dict) -> np.ndarray:
-    """Closure of max(A^fwd, (A^bwd)ᵀ) for spec's budgets as stated, from powers, A's hop powers by budget.
-
-    With both budgets at or past max(n-1, 1), powers holds A's closure C
-    for each, and max(C, Cᵀ) is nonreciprocal and needs no outer closure.
-    Any other joined matrix B is closed as min(B, Bᵀ), which is symmetric,
-    so quasi_inverse takes its tree kernel: closure(B) is symmetric and at
-    most B, so it equals closure(min(B, Bᵀ)).
-    """
-    fwd, bwd = _KINDS[spec.kind][1](spec)
-    joined = np.maximum(powers[fwd], powers[bwd].T)
-    if min(fwd, bwd) >= max(net.n - 1, 1):
-        return joined
-    return quasi_inverse(np.minimum(joined, joined.T))
-
-
 def reciprocal(net: Network) -> Ultrametric:
     """Cluster through chains of low dissimilarity in both directions at once."""
     return run_method(net, MethodSpec("reciprocal"))
@@ -424,8 +423,12 @@ def _parts(spec: MethodSpec) -> tuple[MethodSpec, ...]:
     return (MethodSpec("nonreciprocal"), MethodSpec("reciprocal")) if spec.kind.startswith("graft") else ()
 
 
-def _run(net: Network, spec: MethodSpec, parts: list, powers: dict) -> np.ndarray:
-    """spec's output matrix on a checked net, from the outputs of _parts(spec) and the hop powers of net's matrix."""
+def _run(net: Network, spec: MethodSpec, parts: list, closures: dict) -> np.ndarray:
+    """spec's output matrix on a checked net, from the outputs of _parts(spec) and net's hop closures by budget pair.
+
+    Equal pairs share one closure: reciprocal, semi-reciprocal:2,
+    intermediate:1,1 and single linkage all read the (1, 1) one.
+    """
     if spec.kind == "convex":
         return _convex(net, spec, parts)
     if parts:
@@ -435,7 +438,7 @@ def _run(net: Network, spec: MethodSpec, parts: list, powers: dict) -> np.ndarra
             "single linkage needs a symmetric network; use reciprocal, "
             "nonreciprocal, or another asymmetric method instead"
         )
-    return _hop_closure(net, spec, powers)
+    return closures[_KINDS[spec.kind][1](spec)]
 
 
 def _result(net: Network, spec: MethodSpec, matrix: np.ndarray) -> Ultrametric | GraftCounterexample:
@@ -451,13 +454,14 @@ def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | Gra
 
     net is checked once, before any method runs. Specs are ordered from an
     explicit stack, parts before the specs built from them, so convex
-    nesting costs no Python recursion. All hop powers come from one
-    _hop_powers call, which takes each spec's budgets as _KINDS states
-    them, and none outlives it. Parts stay matrices: each distinct returned
+    nesting costs no Python recursion. All hop closures come from one
+    _hop_closures call, which takes each distinct budget pair as _KINDS
+    states it and closes it once, and none outlives the call; only dioid
+    knows where powers stabilize. Parts stay matrices: each distinct returned
     spec becomes one result, named by describe() and shared by equal flat
     specs, checked once per result, not once per use.
     """
-    def key(spec):  # convex specs by identity: the dataclass __eq__ and __hash__ recurse per level
+    def key(spec):  # convex specs by identity: their hash renders their whole text, so a chain would cost its square
         return id(spec) if spec.kind == "convex" else spec
 
     _require_valid(net)
@@ -469,11 +473,10 @@ def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | Gra
         elif key(spec) not in seen:
             seen.add(key(spec))
             stack += [(spec, True)] + [(part, False) for part in reversed(_parts(spec))]
-    budgets = {hops for spec in order if _KINDS[spec.kind][1] for hops in _KINDS[spec.kind][1](spec)}
-    powers = _hop_powers(net.dissim, budgets)
+    closures = _hop_closures(net.dissim, {_KINDS[spec.kind][1](spec) for spec in order if _KINDS[spec.kind][1]})
     memo = {}
     for spec in order:
-        memo[key(spec)] = _run(net, spec, [memo[key(part)] for part in _parts(spec)], powers)
+        memo[key(spec)] = _run(net, spec, [memo[key(part)] for part in _parts(spec)], closures)
     returned = {key(spec): spec for spec in specs}
     results = {k: _result(net, spec, memo[k]) for k, spec in returned.items()}
     return [results[key(spec)] for spec in specs]

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import shutil
 from unittest import mock
@@ -412,7 +413,7 @@ def test_compare_refuses_invalid_graft():
 
 def test_cut_refuses_invalid_graft_before_running_it(monkeypatch):
     calls = []
-    monkeypatch.setattr(dioidclust.methods, "_hop_closure", lambda net, spec, powers: calls.append(spec.kind))
+    monkeypatch.setattr(dioidclust.methods, "_hop_closures", lambda a, pairs: calls.append(set(pairs)))
     code, out, err = run_cli("cut", "--input", CYCLE4, "--method", "graft-rr-invalid:4", "--delta", "2")
     assert (code, out) == (2, "")
     assert err == "error: graft-rr-invalid:4 is a counterexample demonstrator; it has no partitions\n"
@@ -501,19 +502,19 @@ def test_flags_take_only_plain_ascii_numbers():
 
 
 def test_compare_reports_sandwich_violations(monkeypatch):
-    # semi-reciprocal:3 is replaced by a matrix below the lower bound on (a, b)
-    # and above the upper bound on (c, d); every other pair is in bounds.
-    hop_closure = dioidclust.methods._hop_closure
+    # semi-reciprocal:3, the (2, 2) closure, is replaced by a matrix below the lower bound
+    # on (a, b) and above the upper bound on (c, d); every other pair is in bounds.
+    hop_closures = dioidclust.methods._hop_closures
 
-    def out_of_bounds(net, spec, powers):
-        if spec.kind != "semi-reciprocal":
-            return hop_closure(net, spec, powers)
-        dist = hop_closure(net, MethodSpec("reciprocal"), powers).copy()
+    def out_of_bounds(a, pairs):
+        closures = hop_closures(a, pairs)
+        dist = closures[1, 1].copy()
         dist[0, 1] = dist[1, 0] = 0.5
         dist[2, 3] = dist[3, 2] = 9.0
-        return dist
+        closures[2, 2] = dist
+        return closures
 
-    monkeypatch.setattr(dioidclust.methods, "_hop_closure", out_of_bounds)
+    monkeypatch.setattr(dioidclust.methods, "_hop_closures", out_of_bounds)
     code, out, err = run_cli(
         "compare", "--input", CYCLE4, "--method", "nonreciprocal", "--method", "semi-reciprocal:3"
     )
@@ -536,18 +537,14 @@ def test_compare_and_grafts_run_each_extreme_once(monkeypatch):
         argv += ["--method", method]
     code, expected, _ = run_cli(*argv)
     assert code == 0
-    calls, hop_closure = {}, dioidclust.methods._hop_closure
-
-    def counted(net, spec, powers):
-        calls[spec.kind] = calls.get(spec.kind, 0) + 1
-        return hop_closure(net, spec, powers)
-
-    monkeypatch.setattr(dioidclust.methods, "_hop_closure", counted)
+    calls, hop_closures = [], dioidclust.methods._hop_closures
+    monkeypatch.setattr(dioidclust.methods, "_hop_closures", lambda a, pairs: calls.append(set(pairs))
+                        or hop_closures(a, pairs))
     assert run_cli(*argv) == (0, expected, "")
-    assert calls == {"reciprocal": 1, "nonreciprocal": 1}
+    assert calls == [{(1, 1), (math.inf, math.inf)}]
     calls.clear()
     dioidclust.methods.graft_rnr(cycle4_network(), 4.0)
-    assert calls == {"reciprocal": 1, "nonreciprocal": 1}
+    assert calls == [{(1, 1), (math.inf, math.inf)}]
 
 
 def _nested_convex(levels):
@@ -587,6 +584,29 @@ def test_describe_is_linear_and_not_recursive(monkeypatch):
     code, _, err = run_cli("cluster", "--input", CYCLE4, "--method", _nested_convex(500))
     assert code == 0, err
     assert len(calls) <= 2
+
+
+def test_method_specs_compare_hash_and_repr_at_any_depth():
+    def chain(levels, innermost=0.5):
+        spec = MethodSpec("convex", weights=(innermost, 1 - innermost),
+                          constituents=(MethodSpec("reciprocal"), MethodSpec("nonreciprocal")))
+        for _ in range(levels - 1):
+            spec = MethodSpec("convex", weights=(0.5, 0.5), constituents=(spec, MethodSpec("nonreciprocal")))
+        return spec
+
+    a, b, c = chain(600), chain(600), chain(600, innermost=0.25)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert repr(a) == repr(b) == f"MethodSpec({a.describe()!r})"
+    assert a != c and not a == c
+    assert len({a, b, c}) == 2
+    assert MethodSpec("semi-reciprocal", t=3) == MethodSpec("semi-reciprocal", t=np.int64(3))
+    assert hash(MethodSpec("semi-reciprocal", t=3)) == hash(MethodSpec("semi-reciprocal", t=np.int64(3)))
+    parts = (MethodSpec("reciprocal"), MethodSpec("nonreciprocal"))
+    signed, plain = MethodSpec("convex", weights=(-0.0, 1.0), constituents=parts), \
+        MethodSpec("convex", weights=(0.0, 1), constituents=parts)
+    assert signed == plain and hash(signed) == hash(plain)
+    for spec in method_battery():
+        assert parse_method_spec(spec.describe()) == spec, spec.describe()
 
 
 def test_cluster_newick_of_a_400_level_chain(tmp_path):
@@ -738,6 +758,13 @@ def test_compare_of_budgets_past_the_clamp_writes_its_golden():
     code, out, err = run_cli("compare", "--input", SWEEP8, "--method", "semi-reciprocal:9",
                              "--method", "intermediate:2,99999999999999999999", "--method", "nonreciprocal")
     assert (code, out.encode(), err) == (0, (DATA / "golden_sweep8_past_clamp_compare.txt").read_bytes(), "")
+
+
+def test_two_node_signed_zero_cluster_writes_its_golden():
+    # The same bytes CI compares from the module entry: at n = 2, A is its own closure, -0.0 diagonal included.
+    code, out, _ = run_cli("cluster", "--input", str(DATA / "pair2_negzero.csv"), "--method", "semi-reciprocal:5",
+                           "--emit", "json")
+    assert (code, out.encode()) == (0, (DATA / "golden_pair2_sr5.json").read_bytes())
 
 
 @pytest.mark.parametrize("argv", [

@@ -667,13 +667,13 @@ def test_direct_hop_call_keeps_no_squares():
 
 
 def test_one_run_methods_call_shares_one_power_chain(sweeps, rng, monkeypatch):
-    import dioidclust.methods
+    import dioidclust.dioid
 
     net = random_network(rng, n=12)
     specs = [parse_method_spec(text) for text in ("semi-reciprocal:3", "semi-reciprocal:6", "intermediate:2,4")]
     alone = [run_method(net, spec).dist for spec in specs]
-    calls, hop_powers = [], dioidclust.methods._hop_powers
-    monkeypatch.setattr(dioidclust.methods, "_hop_powers", lambda a, hops: calls.append(set(hops)) or hop_powers(a, hops))
+    calls, hop_powers = [], dioidclust.dioid._hop_powers
+    monkeypatch.setattr(dioidclust.dioid, "_hop_powers", lambda a, hops: calls.append(set(hops)) or hop_powers(a, hops))
     sweeps.clear()
     together = run_methods(net, specs)
     # A^2, A^4 and A * A^4 for the budgets 2, 5, 2 and 4, all below the clamp at 11 hops.
@@ -684,6 +684,40 @@ def test_one_run_methods_call_shares_one_power_chain(sweeps, rng, monkeypatch):
     sweeps.clear()
     semi_reciprocal(net, 6)
     assert sweeps == [False] * 3  # A^2, A^4 and A * A^4
+
+
+def test_equal_budget_pairs_close_once(rng, monkeypatch):
+    import dioidclust.dioid
+
+    net = random_network(rng, n=12)
+    assert not net.is_symmetric()
+    specs = [parse_method_spec(text) for text in ("reciprocal", "semi-reciprocal:2", "intermediate:1,1")]
+    alone = [run_method(net, spec).dist for spec in specs]
+    calls, prim = [], dioidclust.dioid._prim_closure
+    monkeypatch.setattr(dioidclust.dioid, "_prim_closure", lambda a: calls.append(len(a)) or prim(a))
+    together = run_methods(net, specs)
+    assert calls == [12]  # the one (1, 1) pair, closed once for all three
+    for spec, u, v in zip(specs, together, alone):
+        assert u.dist.view(np.uint64).tolist() == v.view(np.uint64).tolist(), spec.describe()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_two_nodes_or_fewer_take_no_closure(n, sweeps, monkeypatch):
+    import dioidclust.dioid
+
+    # A is its own closure at n <= 2, so every budget maps to A and every pair to max(A, Aᵀ).
+    a = np.array([[-0.0, 2.0], [3.0, 0.0]])[:n, :n]
+    net = Network(tuple("pq"[:n]), a)
+    calls, prim = [], dioidclust.dioid._prim_closure
+    monkeypatch.setattr(dioidclust.dioid, "_prim_closure", lambda a: calls.append(len(a)) or prim(a))
+    texts = ("nonreciprocal", "semi-reciprocal:5", "intermediate:1,9", "reciprocal")
+    specs = [parse_method_spec(text) for text in texts]
+    results = run_methods(net, specs)
+    assert calls == [] and sweeps == []
+    expected = np.maximum(a, a.T).view(np.uint64).tolist()
+    assert expected[0][0] == np.array(-0.0).view(np.uint64)
+    for spec, u in zip(specs, results):
+        assert u.dist.view(np.uint64).tolist() == expected, spec.describe()
 
 
 def test_concurrent_calls_on_one_network_agree(rng):
