@@ -33,8 +33,8 @@ __all__ = [
 
 
 def _newick_label(label: str) -> str:
-    """Single-quote a label holding whitespace or ()[]':;, doubling its quotes."""
-    if any(ch.isspace() or ch in "()[]':;," for ch in label):
+    """Single-quote a label holding whitespace, ()[]':;, or _ (a blank when unquoted), doubling its quotes."""
+    if any(ch.isspace() or ch in "()[]':;,_" for ch in label):
         return "'" + label.replace("'", "''") + "'"
     return label
 

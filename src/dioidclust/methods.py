@@ -20,8 +20,9 @@ powers in the (min, max) dioid:
 One dioid helper computes five of them as the closure of max(A^t, (A^t')ᵀ):
 reciprocal is (t, t') = (1, 1), semi-reciprocal(t) is (t-1, t-1),
 nonreciprocal is (inf, inf) and single linkage is reciprocal on a symmetric
-network. Budgets are passed as stated, and only dioid knows where powers
-stabilize: dioid._hop_powers maps one at or past n-1 to the directed closure
+network; the grafts splice its (inf, inf) and (1, 1) closures. Budgets are
+passed as stated, and only dioid knows where powers stabilize:
+dioid._hop_powers maps one at or past n-1 to the directed closure
 (Floyd–Warshall on an asymmetric network), dioid._hop_closures runs no outer
 closure with both budgets there, and equal budget pairs close once.
 Every outer closure, and the one that restores a convex combination, is of
@@ -33,11 +34,11 @@ concurrently on a shared Network.
 
 The method-spec text grammar (``GRAMMAR``, ``parse_method_spec``) lives
 here beside ``MethodSpec.describe()``. One table names each kind's
-parameters and its hop budgets; the spec checks, the parser, ``describe()``
-and ``run_methods`` all read it. ``run_methods`` is the one evaluator, and
-every public method is one call of it: it checks the network once, runs
-each distinct method once, takes all hop closures from one
-dioid._hop_closures call, and keeps parts as matrices: one result per
+parameters and the hop budget pairs it reads; the spec checks, the parser,
+``describe()`` and ``run_methods`` all read it. ``run_methods`` is the one
+evaluator, and every public method is one call of it: it checks the network
+once, runs each distinct method once, takes all hop closures from one
+dioid._hop_closures call, and keeps convex parts as matrices: one result per
 distinct returned spec, checked once per result, not once per use.
 """
 
@@ -76,20 +77,21 @@ __all__ = [
 WEIGHT_SUM_TOLERANCE = 1e-12
 MAX_CONVEX_DEPTH = 500
 
-# Each kind's parameter names and its forward and backward hop budgets as the
-# paper states them, never clamped (math.inf is the unbounded budget), for
-# the five kinds that are one hop closure (see dioid._hop_closures, which
-# closes each distinct pair once); None for the kinds built from _parts(spec).
+# Each kind's parameter names and the (forward, backward) budget pairs of the
+# hop closures it reads (dioid._hop_closures closes each distinct pair once),
+# as the paper states them, never clamped (math.inf is the unbounded budget):
+# the grafts read the nonreciprocal (lower), then the reciprocal (upper) pair.
+_EXTREMES = ((math.inf, math.inf), (1, 1))
 _KINDS = {
-    "reciprocal": ((), lambda spec: (1, 1)),
-    "nonreciprocal": ((), lambda spec: (math.inf, math.inf)),
-    "semi-reciprocal": (("t",), lambda spec: (spec.t - 1, spec.t - 1)),
-    "intermediate": (("t_fwd", "t_bwd"), lambda spec: (spec.t_fwd, spec.t_bwd)),
-    "graft-rnr": (("beta",), None),
-    "graft-rrmax": (("beta",), None),
-    "convex": (("weights", "constituents"), None),
-    "single-linkage": ((), lambda spec: (1, 1)),
-    "graft-rr-invalid": (("beta",), None),
+    "reciprocal": ((), lambda spec: ((1, 1),)),
+    "nonreciprocal": ((), lambda spec: ((math.inf, math.inf),)),
+    "semi-reciprocal": (("t",), lambda spec: ((spec.t - 1, spec.t - 1),)),
+    "intermediate": (("t_fwd", "t_bwd"), lambda spec: ((spec.t_fwd, spec.t_bwd),)),
+    "graft-rnr": (("beta",), lambda spec: _EXTREMES),
+    "graft-rrmax": (("beta",), lambda spec: _EXTREMES),
+    "convex": (("weights", "constituents"), lambda spec: ()),
+    "single-linkage": ((), lambda spec: ((1, 1),)),
+    "graft-rr-invalid": (("beta",), lambda spec: _EXTREMES),
 }
 ADMISSIBLE_KINDS = tuple(kind for kind in _KINDS if kind != "graft-rr-invalid")
 
@@ -408,37 +410,29 @@ def convex_combination(net: Network, spec: MethodSpec) -> Ultrametric:
     return run_method(net, spec)
 
 
-def _convex(net: Network, spec: MethodSpec, parts: list[np.ndarray]) -> np.ndarray:
+def _convex(spec: MethodSpec, parts: list[np.ndarray]) -> np.ndarray:
     """Sum the nonzero-weight parts in order from zeros, then close."""
-    combined = np.zeros((net.n, net.n))
+    combined = np.zeros(parts[0].shape)
     for weight, part in zip([w for w in spec.weights if w != 0.0], parts):
         combined = combined + weight * part
     return quasi_inverse(combined)
 
 
 def _parts(spec: MethodSpec) -> tuple[MethodSpec, ...]:
-    """The specs whose outputs spec is built from, in the order its runner takes them."""
-    if spec.kind == "convex":
-        return tuple(sub for w, sub in zip(spec.weights, spec.constituents) if w != 0.0)
-    return (MethodSpec("nonreciprocal"), MethodSpec("reciprocal")) if spec.kind.startswith("graft") else ()
+    """A convex spec's nonzero-weight constituents, in the order _convex sums them; other kinds have none."""
+    return tuple(sub for w, sub in zip(spec.weights, spec.constituents) if w != 0.0)
 
 
-def _run(net: Network, spec: MethodSpec, parts: list, closures: dict) -> np.ndarray:
-    """spec's output matrix on a checked net, from the outputs of _parts(spec) and net's hop closures by budget pair.
+def _run(spec: MethodSpec, parts: list, closures: dict) -> np.ndarray:
+    """spec's output matrix, from the outputs of _parts(spec) and the hop closures by budget pair.
 
     Equal pairs share one closure: reciprocal, semi-reciprocal:2,
-    intermediate:1,1 and single linkage all read the (1, 1) one.
+    intermediate:1,1, single linkage and every graft read the (1, 1) one.
     """
     if spec.kind == "convex":
-        return _convex(net, spec, parts)
-    if parts:
-        return _graft(spec, *parts)
-    if spec.kind == "single-linkage" and not net.is_symmetric():
-        raise ValueError(
-            "single linkage needs a symmetric network; use reciprocal, "
-            "nonreciprocal, or another asymmetric method instead"
-        )
-    return closures[_KINDS[spec.kind][1](spec)]
+        return _convex(spec, parts)
+    read = [closures[pair] for pair in _KINDS[spec.kind][1](spec)]
+    return _graft(spec, *read) if spec.kind.startswith("graft") else read[0]
 
 
 def _result(net: Network, spec: MethodSpec, matrix: np.ndarray) -> Ultrametric | GraftCounterexample:
@@ -452,14 +446,14 @@ def _result(net: Network, spec: MethodSpec, matrix: np.ndarray) -> Ultrametric |
 def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | GraftCounterexample]:
     """Run each spec on net; each distinct method runs once within the call.
 
-    net is checked once, before any method runs. Specs are ordered from an
-    explicit stack, parts before the specs built from them, so convex
-    nesting costs no Python recursion. All hop closures come from one
-    _hop_closures call, which takes each distinct budget pair as _KINDS
-    states it and closes it once, and none outlives the call; only dioid
-    knows where powers stabilize. Parts stay matrices: each distinct returned
-    spec becomes one result, named by describe() and shared by equal flat
-    specs, checked once per result, not once per use.
+    net is checked once, then refused if asymmetric with single linkage among
+    the specs, before any kernel runs. Specs are ordered from an explicit
+    stack, convex parts first, so nesting costs no Python recursion. All hop
+    closures come from one _hop_closures call on the budget pairs _KINDS
+    lists, each closed once, and none outlives the call; only dioid knows
+    where powers stabilize. Parts stay matrices: each distinct returned spec
+    becomes one result, named by describe() and shared by equal flat specs,
+    checked once per result, not once per use.
     """
     def key(spec):  # convex specs by identity: their hash renders their whole text, so a chain would cost its square
         return id(spec) if spec.kind == "convex" else spec
@@ -473,10 +467,13 @@ def run_methods(net: Network, specs: list[MethodSpec]) -> list[Ultrametric | Gra
         elif key(spec) not in seen:
             seen.add(key(spec))
             stack += [(spec, True)] + [(part, False) for part in reversed(_parts(spec))]
-    closures = _hop_closures(net.dissim, {_KINDS[spec.kind][1](spec) for spec in order if _KINDS[spec.kind][1]})
+    if any(spec.kind == "single-linkage" for spec in order) and not net.is_symmetric():
+        raise ValueError("single linkage needs a symmetric network; use reciprocal, "
+                         "nonreciprocal, or another asymmetric method instead")
+    closures = _hop_closures(net.dissim, {pair for spec in order for pair in _KINDS[spec.kind][1](spec)})
     memo = {}
     for spec in order:
-        memo[key(spec)] = _run(net, spec, [memo[key(part)] for part in _parts(spec)], closures)
+        memo[key(spec)] = _run(spec, [memo[key(part)] for part in _parts(spec)], closures)
     returned = {key(spec): spec for spec in specs}
     results = {k: _result(net, spec, memo[k]) for k, spec in returned.items()}
     return [results[key(spec)] for spec in specs]

@@ -474,18 +474,24 @@ def from_uses_table(table: UsesTable, exclude_diagonal: bool = False) -> Network
     of column j's total flow contributed by i, so heavy suppliers sit
     close to their consumers; the diagonal is forced to zero. With
     ``exclude_diagonal`` the self-flow is left out of the column total.
-    A zero column total makes the share undefined and is an error naming
-    the sector.
+    A zero column total makes the share undefined, and one past the float
+    range would round every share to 0; either is an error naming the sector.
     """
     flow = table.flow
     n = len(table.labels)
-    totals = flow.sum(axis=0)
+    with np.errstate(over="ignore"):
+        totals = flow.sum(axis=0)
     if exclude_diagonal:
         totals = totals - np.diagonal(flow)
     for j in range(n):
         if totals[j] <= 0:
             raise NetworkFormatError(
                 f"column for sector {table.labels[j]!r} has zero total flow; "
+                "the normalization is undefined"
+            )
+        if not np.isfinite(totals[j]):
+            raise NetworkFormatError(
+                f"column for sector {table.labels[j]!r} has a total flow past the largest float; "
                 "the normalization is undefined"
             )
     dissim = 1.0 - flow / totals[None, :]

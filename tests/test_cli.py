@@ -753,6 +753,14 @@ def test_edge_list_cluster_writes_its_golden():
     assert (code, out.encode()) == (0, (DATA / "golden_cycle4_tsv_nonreciprocal.json").read_bytes())
 
 
+def test_uses_table_graft_writes_its_golden():
+    # The same bytes CI compares from the module entry. On this table the extremes differ (nonreciprocal is 0.25
+    # everywhere, reciprocal 0.8958 to 0.9048), so the graft splices both.
+    code, out, _ = run_cli("cluster", "--input", str(DATA / "uses4.csv"), "--format", "uses",
+                           "--uses-exclude-diagonal", "--method", "graft-rnr:0.9", "--emit", "json")
+    assert (code, out.encode()) == (0, (DATA / "golden_uses4_graft_rnr.json").read_bytes())
+
+
 def test_compare_of_budgets_past_the_clamp_writes_its_golden():
     # sweep8 has 8 nodes: every budget of the first two specs is past n-1, and each is passed as stated.
     code, out, err = run_cli("compare", "--input", SWEEP8, "--method", "semi-reciprocal:9",

@@ -124,6 +124,8 @@ def test_newick_quotes_labels_with_metacharacters():
     d = Dendrogram(("it's", "q"), (MergeEvent(1.0, (("it's", "q"),)),))
     assert newick(d) == "('it''s':1,q:1):0;\n"
     assert newick(Dendrogram(("[x]",), ())) == "'[x]';\n"
+    # A Newick reader turns an unquoted "_" into a blank.
+    assert newick(Dendrogram(("a_b", "c"), (MergeEvent(2.0, (("a_b", "c"),)),))) == "('a_b':2,c:2):0;\n"
     # Other leaves are written as text, as from_dendrogram names them.
     assert newick(Dendrogram((10, 2), (MergeEvent(1.0, ((10, 2),)),))) == "(2:1,10:1):0;\n"
 

@@ -91,6 +91,8 @@ def _specs(draw, symmetric):
         MethodSpec("graft-rrmax", beta=beta),
         MethodSpec("convex", weights=(w, 1.0 - w),
                    constituents=(MethodSpec("reciprocal"), MethodSpec("semi-reciprocal", t=t))),
+        MethodSpec("convex", weights=(1.0 - w, w),
+                   constituents=(MethodSpec("graft-rnr", beta=beta), MethodSpec("nonreciprocal"))),
     ]
     return specs + [MethodSpec("single-linkage")] if symmetric else specs
 

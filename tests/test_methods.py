@@ -568,6 +568,17 @@ def test_single_linkage_reports_an_invalid_network_before_an_asymmetric_one():
         single_linkage(Network(("p", "q"), np.array([[0.0, 0.5], [1.0, 0.0]])))
 
 
+def test_single_linkage_refuses_an_asymmetric_network_before_any_closure(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dioidclust.methods, "_hop_closures", lambda a, pairs: calls.append(set(pairs)))
+    net = Network(("p", "q"), np.array([[0.0, 0.5], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="needs a symmetric network"):
+        single_linkage(net)
+    with pytest.raises(ValueError, match="needs a symmetric network"):
+        convex_combination(net, parse_method_spec("convex:0.5*reciprocal+0.5*single-linkage"))
+    assert calls == []
+
+
 def test_single_linkage_checks_a_valid_symmetric_network_once(monkeypatch):
     import dioidclust.methods
 

@@ -301,6 +301,15 @@ def test_uses_table_zero_column_names_sector():
         from_uses_table(table)
 
 
+def test_uses_table_column_total_past_the_float_range_names_sector():
+    # The total of 2e308 is +inf, which would round both shares to 0 and every dissimilarity to 1. numpy's
+    # overflow warning would fail the test too: the suite's filterwarnings turns warnings into errors.
+    table = UsesTable(("a", "b"), [[1e308, 1e308], [1e308, 1e308]])
+    for exclude in (False, True):
+        with pytest.raises(NetworkFormatError, match="'a' has a total flow past the largest float"):
+            from_uses_table(table, exclude_diagonal=exclude)
+
+
 def test_uses_table_exclude_diagonal_flag():
     table = UsesTable(("s1", "s2"), np.array([[90.0, 30.0], [10.0, 70.0]]))
     net = from_uses_table(table, exclude_diagonal=True)
