@@ -15,9 +15,15 @@ possibly asymmetric) off the diagonal. Three input formats are supported:
 Every source goes through one reader, so a file gives the same network
 from a path, bytes, a stream or the command line: it is decoded as UTF-8
 (a byte that is not names its line), one leading byte-order mark is
-dropped, and lines end at LF, CRLF or CR, inside quoted labels too. A
-dense CSV's rows without a blank cell are converted in one np.loadtxt call
-per file, and the rows it reads as non-finite are read again cell by cell.
+dropped, and lines end at LF, CRLF or CR, inside quoted labels too.
+
+Each text reader takes the common case in bulk and leaves the rest to a
+reader that goes line by line and names the first fault. In a dense CSV, one
+numpy screen over the text's bytes flags the rows that may hide a blank
+cell; the others go straight into one np.loadtxt call per file, and flagged
+rows are tested one by one (_dense_values). An edge list is read by column
+unless its text holds anything the line reader treats specially
+(_edge_list_by_column).
 
 A network is checked once per object: its first finding (validate_network's
 first finding line, or None) is computed on first read and kept, and strict
@@ -32,6 +38,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, count
 
 import numpy as np
 
@@ -309,43 +316,86 @@ def _parse_cell(cell: str, where: str) -> float:
 
 
 _BLANK_LINE = re.compile(r"[\s,]*")  # \s matches exactly what str.strip() removes
+_SCREEN_SLICE = 1 << 16  # bytes the dense screen compares at a time; 2**18-byte temporaries raised peak RSS
+
+
+def _screened_lines(text: str) -> list[bool]:
+    """For each line of ``text`` (split at LF), whether it holds a byte that may hide a blank cell.
+
+    That is a space, an ASCII control but LF, a byte of non-ASCII text, or a comma that a comma or
+    the line's end follows. numpy compares the UTF-8 bytes one slice at a time; no byte of a
+    multi-byte character is below 0x80, so the LF bytes split the lines as ``str.split`` does.
+    """
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    line, found = 0, []
+    for start in range(0, len(data), _SCREEN_SLICE):
+        piece = data[start : start + _SCREEN_SLICE + 1]  # and the byte after the slice, which may follow a comma
+        if len(piece) <= _SCREEN_SLICE:
+            piece = np.append(piece, np.uint8(10))  # the text's end ends its last line
+        low = np.flatnonzero(piece[:-1].view(np.int8) < 33)  # LF, a space or another control, 0x80 and above
+        is_end = piece[low] == 10
+        breaks = low[is_end]
+        stops = np.append(breaks, len(piece) - 1) if piece[-1] == 10 else breaks
+        stops = stops[stops > 0] - 1  # the byte before each LF, in this slice
+        commas = piece == 44
+        odd = [low[~is_end], stops[commas[stops]]]
+        pairs = commas[:-1] & commas[1:]
+        if pairs.any():
+            odd.append(np.flatnonzero(pairs))
+        found.append(line + np.searchsorted(breaks, np.concatenate(odd)))
+        line += len(breaks)
+    flagged = np.zeros(line + 1, dtype=bool)
+    for at in found:
+        flagged[at] = True
+    return flagged.tolist()
 
 
 def _parse_row(cells, label: str, labels) -> list[float]:
     return [_parse_cell(cell, f"({label}, {labels[j]})") for j, cell in enumerate(cells)]
 
 
-def _dense_values(rows, labels, screen: bool, controls: bool = False) -> np.ndarray:
+def _blockable(values: str) -> bool:
+    """Whether a flagged row's value text, its spaces dropped, has no blank (+inf) cell and is printable.
+
+    A control or non-ASCII whitespace may hide a blank cell that np.loadtxt refuses.
+    """
+    plain = values.replace(" ", "")  # a cell of spaces only is blank too
+    return plain != "" and ",," not in plain and plain[0] != "," and plain[-1] != "," and plain.isprintable()
+
+
+def _dense_values(rows, labels, flags=None) -> np.ndarray:
     """The value matrix of a dense CSV's data rows, each a line of text or csv.reader's list of cells.
 
-    With ``screen``, every row without a blank (+inf) cell goes into one np.loadtxt call, which raises
-    at a cell it cannot read; a row it reads as non-finite ("inf", an overflow, "nan") is read again
-    cell by cell, and so is every row with a blank cell, or not printable where ``controls`` (ASCII
-    whitespace but spaces and line ends) or non-ASCII text may hide a blank cell np.loadtxt refuses.
-    Without ``screen`` every row is read cell by cell, so the fault raised is the first in line order.
+    ``flags`` holds one per row, and routes the rows into one np.loadtxt call or cell by cell. A row
+    whose flag is False (the byte screen saw nothing odd in it) goes into the block at once; a flagged
+    row goes there when _blockable, and is read cell by cell otherwise. A row of no cells, or of
+    csv.reader's cells but not n of them, is read cell by cell. np.loadtxt raises at a cell it cannot
+    read or at a row of a cell too many or too few, and a row it reads as non-finite ("inf", an
+    overflow, "nan") is read again cell by cell. Without ``flags`` every row is read cell by cell, so
+    the fault raised is the first in line order.
     """
     n = len(labels)
     matrix = np.empty((n, n))
     block_rows, block_lines = [], []
     for i, row in enumerate(rows):
         if isinstance(row, str):
-            label, _, values = row.partition(",")
-            cells, count = None, row.count(",")
+            label, comma, values = row.partition(",")
+            cells = None if comma else []  # a line is split at commas only when read cell by cell
         else:
-            label, cells, count = row[0], row[1:], len(row) - 1
-            values = ",".join(cells)  # a comma inside a cell shows as a column too many
+            label, cells = row[0], row[1:]
+            values = ",".join(cells)
         label = label.strip()
         if label != labels[i]:
             raise NetworkFormatError(f"row {i + 1} label {label!r} does not match column label {labels[i]!r}")
-        if count != n:
-            raise NetworkFormatError(f"row {label!r} has {count} cells, expected {n}")
-        plain = values.replace(" ", "")  # a cell of spaces only is blank too
-        if (screen and plain and ",," not in plain and plain[0] != "," and plain[-1] != ","
-                and (not controls and plain.isascii() or plain.isprintable())):
+        # csv.reader's cells are counted first, since a comma inside one would make up for a cell too few.
+        if flags is not None and (cells is None or len(cells) == n) and (not flags[i] or _blockable(values)):
             block_rows.append(i)
             block_lines.append(values)
             continue
-        matrix[i] = _parse_row(values.split(",") if cells is None else cells, label, labels)
+        cells = values.split(",") if cells is None else cells
+        if len(cells) != n:
+            raise NetworkFormatError(f"row {label!r} has {len(cells)} cells, expected {n}")
+        matrix[i] = _parse_row(cells, label, labels)
     if block_lines:
         # max_rows lets numpy allocate the block once, at its size, instead of growing a buffer.
         block = np.loadtxt(
@@ -363,27 +413,88 @@ def _dense_values(rows, labels, screen: bool, controls: bool = False) -> np.ndar
 
 
 def _parse_dense(text: str, what: str = "network"):
+    """Labels and value matrix of a dense CSV, read in two stages.
+
+    Text with a quote is split by csv.reader, and each of its rows is tested on its own. Other text
+    splits at LF, and one byte screen (_screened_lines) flags the lines that need that test; only a
+    flagged line can be blank. _dense_values reads the rows, and on any fault the rows are read again
+    in line order, which raises the first.
+    """
     if '"' in text:  # only a quote needs csv.reader; text without one splits at LF as csv.reader reads it
         try:
             rows = [row for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)]
         except csv.Error as exc:  # a field past csv.field_size_limit()
             raise NetworkFormatError(f"dense CSV: {exc}") from None
+        flags = [True] * len(rows)
     else:
-        rows = [line for line in text.split("\n") if not _BLANK_LINE.fullmatch(line)]
+        lines, flags = text.split("\n"), _screened_lines(text)
+        kept = [line != "" and not (flag and _BLANK_LINE.fullmatch(line)) for line, flag in zip(lines, flags)]
+        rows, flags = list(compress(lines, kept)), list(compress(flags, kept))
+        del lines, kept  # not held beside the rows while they are read
     if len(rows) < 2:
         raise NetworkFormatError(f"dense CSV needs a header and at least one row, got {len(rows)} lines")
-    header = rows[0].split(",") if isinstance(rows[0], str) else rows[0]
+    header, rows, flags = rows[0], rows[1:], flags[1:]  # the lists with the header are not held beside these
+    header = header.split(",") if isinstance(header, str) else header
     labels = _check_labels([c.strip() for c in header[1:]], len(header) - 1)
     n = len(labels)
-    if len(rows) - 1 != n:
-        raise NetworkFormatError(f"{what} has {n} columns but {len(rows) - 1} data rows")
+    if len(rows) != n:
+        raise NetworkFormatError(f"{what} has {n} columns but {len(rows)} data rows")
     try:
-        return labels, _dense_values(rows[1:], labels, True, any(map(text.__contains__, "\t\x0b\x0c\x1c\x1d\x1e\x1f")))
+        return labels, _dense_values(rows, labels, flags)
     except ValueError:  # a fault: read again in line order, which raises the first
-        return labels, _dense_values(rows[1:], labels, screen=False)
+        return labels, _dense_values(rows, labels)
 
 
 def _parse_edge_list(text: str):
+    """Node ids in first-seen order and the matrix of a tab-separated edge list.
+
+    The columnar reader takes the common case; text it leaves goes to the line reader, which
+    names the first fault.
+    """
+    read = _edge_list_by_column(text)
+    return read if read is not None else _edge_list_by_line(text)
+
+
+def _edge_list_by_column(text: str):
+    """The edge list read by column, or None for text the line reader treats specially.
+
+    Each line is split once at tabs, and the columns are read whole: stripped names, ids by
+    dict.fromkeys, duplicates by one set of name pairs, weights by one float map. None is returned for a
+    "#" anywhere, a line without exactly three fields (a blank line, a trailing tab), a weight column
+    holding "_" or non-ASCII text (float() reads "1_0" and non-ASCII digits), an empty name, a weight
+    float() refuses or reads as non-finite (blank, "inf", an overflow, "nan"), and a duplicate edge.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":  # the text's last line end
+        lines.pop()
+    if not lines or "#" in text or text.count("\t") != 2 * len(lines):
+        return None
+    columns = list(zip(*(line.split("\t") for line in lines)))
+    if len(columns) != 3:  # two tabs a line on average, and zip stops at the shortest line: some line is short
+        return None
+    cells = "".join(columns[2])
+    if "_" in cells or not cells.isascii():
+        return None
+    ends = list(map(str.strip, chain.from_iterable(zip(columns[0], columns[1]))))  # each line's src and dst
+    index = dict(zip(dict.fromkeys(ends), count()))  # node ids in first-seen order
+    if "" in index or len(set(zip(ends[0::2], ends[1::2]))) != len(lines):  # an empty name or a duplicate edge
+        return None
+    try:
+        weights = np.fromiter(map(float, columns[2]), dtype=float, count=len(lines))
+    except ValueError:
+        return None
+    if not np.isfinite(weights).all():
+        return None
+    ids = np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
+    src, dst, m = ids[0::2], ids[1::2], len(index)
+    matrix = np.full((m, m), math.inf)
+    np.fill_diagonal(matrix, 0.0)
+    matrix[src, dst] = weights  # a self-loop's weight replaces its 0
+    return tuple(index), matrix
+
+
+def _edge_list_by_line(text: str):
+    """The edge-list reader line by line, which raises at the first faulty line."""
     index: dict[str, int] = {}  # node ids in first-seen order
     edges: dict[tuple[int, int], float] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -479,10 +590,11 @@ def from_uses_table(table: UsesTable, exclude_diagonal: bool = False) -> Network
     """
     flow = table.flow
     n = len(table.labels)
+    if exclude_diagonal:  # the off-diagonal cells summed alone, so a large self-flow cannot round them away
+        flow = flow.copy()
+        np.fill_diagonal(flow, 0.0)
     with np.errstate(over="ignore"):
         totals = flow.sum(axis=0)
-    if exclude_diagonal:
-        totals = totals - np.diagonal(flow)
     for j in range(n):
         if totals[j] <= 0:
             raise NetworkFormatError(

@@ -753,6 +753,22 @@ def test_edge_list_cluster_writes_its_golden():
     assert (code, out.encode()) == (0, (DATA / "golden_cycle4_tsv_nonreciprocal.json").read_bytes())
 
 
+def test_dense_forest_with_blank_and_padded_cells_writes_its_golden():
+    # The same bytes CI compares from the module entry. Blank cells, a cell of one space and an "inf" cell are +inf,
+    # padded cells are read as their values, and the dendrogram is a forest of three roots.
+    code, out, _ = run_cli("cluster", "--input", str(DATA / "forest5.csv"), "--method", "semi-reciprocal:2",
+                           "--emit", "json")
+    assert (code, out.encode()) == (0, (DATA / "golden_forest5_sr2.json").read_bytes())
+
+
+def test_edge_list_with_comments_blank_lines_and_trailing_tabs_writes_its_golden():
+    # The same bytes CI compares from the module entry: comment lines, blank and whitespace-only lines and
+    # trailing tabs are read as the line reader reads them.
+    code, out, _ = run_cli("cluster", "--input", str(DATA / "comments5.tsv"), "--format", "edge-list",
+                           "--method", "nonreciprocal", "--emit", "json")
+    assert (code, out.encode()) == (0, (DATA / "golden_comments5_tsv_nonreciprocal.json").read_bytes())
+
+
 def test_uses_table_graft_writes_its_golden():
     # The same bytes CI compares from the module entry. On this table the extremes differ (nonreciprocal is 0.25
     # everywhere, reciprocal 0.8958 to 0.9048), so the graft splices both.

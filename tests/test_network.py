@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -304,10 +305,22 @@ def test_uses_table_zero_column_names_sector():
 def test_uses_table_column_total_past_the_float_range_names_sector():
     # The total of 2e308 is +inf, which would round both shares to 0 and every dissimilarity to 1. numpy's
     # overflow warning would fail the test too: the suite's filterwarnings turns warnings into errors.
-    table = UsesTable(("a", "b"), [[1e308, 1e308], [1e308, 1e308]])
-    for exclude in (False, True):
+    # Without the diagonal, column a of the 2x2 table totals 1e308 alone, so the 3x3 table's is the one past.
+    tables = {False: UsesTable(("a", "b"), [[1e308, 1e308], [1e308, 1e308]]),
+              True: UsesTable(("a", "b", "c"), [[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]])}
+    for exclude, table in tables.items():
         with pytest.raises(NetworkFormatError, match="'a' has a total flow past the largest float"):
             from_uses_table(table, exclude_diagonal=exclude)
+    assert from_uses_table(tables[False], exclude_diagonal=True).dissim.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("flow", [[[1e16, 3.0], [3.0, 1e16]], [[1e20, 1.0], [1.0, 1e20]]])
+def test_uses_table_exclude_diagonal_sums_the_other_flows_exactly(flow):
+    # Each column's only other supplier gives all of its off-diagonal flow: share 1, dissimilarity 0. Taking the
+    # self-flow back out of a total that rounded it in gave 0.25 for the first table and refused the second as
+    # "zero total flow".
+    net = from_uses_table(UsesTable(("a", "b"), flow), exclude_diagonal=True)
+    assert net.dissim.view(np.uint64).tolist() == [[0, 0], [0, 0]]
 
 
 def test_uses_table_exclude_diagonal_flag():
@@ -470,6 +483,8 @@ def _mutate(kind, lines, i, k):
         row.append("1")
     elif kind == "missing-cell" and len(row) > 1:
         row.pop()
+    elif kind == "no-cells":
+        del row[1:]
     elif kind == "trailing-comma":
         row.append("")
     elif kind == "missing-row":
@@ -480,22 +495,35 @@ def _mutate(kind, lines, i, k):
         row[j] = f'"{row[j]}"'
     elif kind == "quoted-comma-cell":
         row[j] = '"1,5"'
-    elif kind in ("quoted-label", "comma-label") and i < len(lines[0]):  # in its row and its column
-        lines[0][i] = row[0] = f'"{row[0]}"' if kind == "quoted-label" else '"x,y"'
+    elif kind in ("quoted-label", "comma-label", "padded-label") and i < len(lines[0]):  # in its row and its column
+        if kind == "padded-label":  # still the same label once stripped
+            lines[0][i], row[0] = f" {lines[0][i]}", f"{row[0]}\xa0"
+        else:
+            lines[0][i] = row[0] = f'"{row[0]}"' if kind == "quoted-label" else '"x,y"'
     elif kind == "cr-in-cell":
         row[j] += "\r"
 
 
-MUTATIONS = ("label", "extra-cell", "missing-cell", "trailing-comma", "missing-row", "blank-line", "comma-line",
-             "quoted-cell", "quoted-comma-cell", "quoted-label", "comma-label", "cr-in-cell")
+MUTATIONS = ("label", "extra-cell", "missing-cell", "no-cells", "trailing-comma", "missing-row", "blank-line",
+             "comma-line", "quoted-cell", "quoted-comma-cell", "quoted-label", "comma-label", "padded-label",
+             "cr-in-cell")
 PLAIN_CELLS = ("1", "2.5", "0.30000000000000004", "-0", " 7 ", "1e-3", "4.9e-324")
+# What may pad a cell: spaces, the ASCII controls str.strip() removes, and non-ASCII whitespace.
+PADS = ("", "", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000")
+# Cells of non-ASCII text, and of ASCII controls that are not whitespace.
+ODD_CELLS = ("\xe9", "1\xe9", "\u0663", "\x01", "1\x7f")
+# Screen slices of a few bytes put slice boundaries inside rows, between the commas around a blank cell too.
+SLICES = (1, 2, 3, 7, 11, network._SCREEN_SLICE)
 
 
 @st.composite
 def mutated_dense_texts(draw):
     """A dense CSV of plain and other cells, with up to three structural changes, so faults may lie in two lines."""
     n = draw(st.integers(1, 4))
-    cell = st.one_of(st.sampled_from(PLAIN_CELLS), st.sampled_from(PLAIN_CELLS), st.sampled_from(CELL_SPELLINGS))
+    padded = st.builds("{}{}{}".format, st.sampled_from(PADS),
+                       st.sampled_from(PLAIN_CELLS + ("", "inf", "1e400", "nan")), st.sampled_from(PADS))
+    cell = st.one_of(st.sampled_from(PLAIN_CELLS), st.sampled_from(PLAIN_CELLS), st.sampled_from(CELL_SPELLINGS),
+                     padded, st.sampled_from(ODD_CELLS))
     lines = [["", *(f"n{j}" for j in range(n))]]
     lines += [[f"n{i}", *draw(st.lists(cell, min_size=n, max_size=n))] for i in range(n)]
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
@@ -505,16 +533,97 @@ def mutated_dense_texts(draw):
     return ending.join(",".join(cells) for cells in lines) + draw(st.sampled_from([ending, ""]))
 
 
+@settings(max_examples=800, deadline=None)
+@given(mutated_dense_texts(), st.sampled_from(SLICES))
+@example(",a,b\r\na,0,1\r\nb,2,0\r\n", network._SCREEN_SLICE)
+@example(',"a,1",b\n"a,1",0,1\nb,2,0\n', network._SCREEN_SLICE)
+@example(",a,b\na,0,1,\nb,x,0\n", network._SCREEN_SLICE)  # two faults: the first line's is named
+@example(",a,b\na,0,1e400\nb,,0\nc,1,1\n", network._SCREEN_SLICE)
+@example(',a,b\na,0,"1,5"\nb,2,0\n', network._SCREEN_SLICE)
+@example(',a,b\na,"1,5"\nb,2,0\n', network._SCREEN_SLICE)  # a quoted cell holding a comma: a cell too few, not a 5
+@example(",a,b,c\na,0,,1\nb,1,0,1\nc,1,1,0\n", 11)  # a slice ends between the commas around the blank cell
+@example(",a,b\na,0,\nb,1,0", 11)  # and here between a trailing comma and its line end
+@example(",a,b\na,0,1\nb,1,", 1)  # a trailing comma ends the text
+@example(",a,b\na\nb,1,0\n", network._SCREEN_SLICE)  # a row of no cells
+def test_dense_reader_matches_the_sequential_reader(text, slice_size):
+    with mock.patch.object(network, "_SCREEN_SLICE", slice_size):
+        assert _outcome(_loaded, text) == _outcome(_sequential_dense, text)
+
+
+_SCREEN_ALPHABET = ("1", ".", "a", ",", "\n", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x01", "\x7f", "\x85", "\xa0",
+                    "\xe9", "\u3000", "\U0001f600")
+
+
 @settings(max_examples=500, deadline=None)
-@given(mutated_dense_texts())
-@example(",a,b\r\na,0,1\r\nb,2,0\r\n")
-@example(',"a,1",b\n"a,1",0,1\nb,2,0\n')
-@example(",a,b\na,0,1,\nb,x,0\n")  # two faults: the first line's is named
-@example(",a,b\na,0,1e400\nb,,0\nc,1,1\n")
-@example(',a,b\na,0,"1,5"\nb,2,0\n')
-@example(',a,b\na,"1,5"\nb,2,0\n')  # one quoted cell holding a comma: a cell too few, not a value 5
-def test_dense_reader_matches_the_sequential_reader(text):
-    assert _outcome(_loaded, text) == _outcome(_sequential_dense, text)
+@given(st.one_of(st.text(st.sampled_from(_SCREEN_ALPHABET[:5]), max_size=40),  # only the comma rules flag these
+                 st.text(st.sampled_from(_SCREEN_ALPHABET), max_size=40)),
+       st.sampled_from(SLICES))
+@example("1,,1\n1,1", 2)
+def test_the_byte_screen_flags_the_lines_that_may_hide_a_blank_cell(text, slice_size):
+    """A line is flagged for a space or an ASCII control, non-ASCII text, or a comma before a comma or its end."""
+    def odd(line):
+        return any(ord(ch) < 33 or ord(ch) > 127 for ch in line) or ",," in line or line.endswith(",")
+
+    with mock.patch.object(network, "_SCREEN_SLICE", slice_size):
+        assert network._screened_lines(text) == [odd(line) for line in text.split("\n")]
+
+
+NAMES = ("a", "b", "c", "d", "e_1", "\xe9f")
+WEIGHTS = ("1", "2", "3", " 2.5 ", "-0", "0.1", "1e-3")
+
+
+def _edge_change(kind, lines, k, draw):
+    """Apply one change to the field lists of an edge list: an odd name, weight or trailer at line k, or a line."""
+    fields = lines[k] if lines and len(lines[k]) == 3 else None  # an inserted line is one field
+    if kind == "name" and fields:
+        fields[draw(st.integers(0, 1))] = draw(st.sampled_from(("", " ", " a", "b ", "#c", "c#", "\xe9", "x y")))
+    elif kind == "weight" and fields:
+        fields[2] = draw(st.sampled_from(("", " ", "inf", "-inf", "1e400", "nan", "1_0", "\u0663", "x", "1 2")))
+    elif kind == "trailer" and fields:
+        fields[2] += draw(st.sampled_from((" ", "\t", "\t\t", " \t ", "\x0b")))
+    elif kind == "duplicate" and fields:
+        lines.append(list(fields))
+    elif kind == "line":
+        lines.insert(k, [draw(st.sampled_from(("# note", "  # indented", "#\tsrc\tdst", "", " ", " \t ", "a\tb",
+                                                "a\tb\t1\t2", "\ta\tb\t1")))])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Plain edge lines, self-loops among them, with up to two odd names, weights, trailers, duplicates or lines."""
+    edge = st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES), st.sampled_from(WEIGHTS)).map(list)
+    lines = draw(st.lists(edge, max_size=6))
+    for kind in draw(st.lists(st.sampled_from(("name", "weight", "trailer", "duplicate", "line")), max_size=2)):
+        _edge_change(kind, lines, draw(st.integers(0, max(len(lines) - 1, 0))), draw)
+    return "\n".join("\t".join(fields) for fields in lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=800, deadline=None)
+@given(edge_list_texts())
+@example("a\tb\t1\nb\ta\t2\n")
+@example("a\tb\t1\nb\t#c\t2\n")  # a destination that starts with "#"
+@example("a\tb\t1\t\nb\ta\t2\n")  # a trailing tab
+@example("a\tb\t1\n\nb\ta\t2\n")  # a blank line
+@example("a\ta\t1\nb\ta\t2\n")  # a self-loop replaces its diagonal 0
+@example("a\tb\t1\na\tb\t2\n")  # a duplicate edge
+@example("a\tb\t1_0\n")
+@example("a\tb\t\u0663\n")
+def test_edge_reader_by_column_matches_the_line_reader(text):
+    expected = _outcome(network._edge_list_by_line, text)
+    read = network._edge_list_by_column(text)
+    if read is not None:
+        assert (read[0], read[1].view(np.uint64).tolist()) == expected
+    assert _outcome(network._parse_edge_list, text) == expected
+
+
+@pytest.mark.parametrize("text, first", [
+    ((DATA / "cycle4.tsv").read_text(), ("a", "b", "c")),
+    ("node_a\tn\xf8de b\t1\nn\xf8de b\tnode_a\t3\nnode_a\tc\t2\n", ("node_a", "n\xf8de b", "c")),  # "_", non-ASCII
+])
+def test_a_plain_edge_list_is_read_by_column_alone(monkeypatch, text, first):
+    monkeypatch.setattr(network, "_edge_list_by_line", None)  # a call would fail
+    labels, matrix = network._parse_edge_list(text)
+    assert labels[:3] == first and matrix[0, 1] == 1.0 and matrix[1, 0] == 3.0
 
 
 def test_only_the_row_with_an_inf_cell_is_read_cell_by_cell(monkeypatch, rng):
